@@ -145,13 +145,23 @@ let summarize ?(alive = fun _ -> true) g samples ~after =
 let summarize_opt ?(alive = fun _ -> true) g samples ~after =
   Option.map (summarize_qualifying ~alive g) (qualifying_opt samples ~after)
 
+(* One BFS source [v] at a time: each qualifying sample's gap between [v]
+   and every higher-indexed node is folded into the slot of their hop
+   distance, so memory is O(n + D) beyond the samples. The same [>] test as
+   {!gradient_profile_ctx}, over the same (sample, pair) gaps, gives the
+   same bits as the per-sample fold it replaces. *)
 let max_gradient_profile g samples ~after =
-  let q = qualifying samples ~after in
-  let dist = Shortest_path.all_pairs g in
-  let acc = ref (gradient_profile ~dist q.(0).values) in
-  Array.iter
-    (fun s ->
-      let p = gradient_profile ~dist s.values in
-      acc := Array.mapi (fun i x -> Float.max x p.(i)) !acc)
-    q;
-  !acc
+  let q = Array.map (fun s -> s.values) (qualifying samples ~after) in
+  let profile = Array.make (Shortest_path.diameter g) 0. in
+  let n = Graph.n g in
+  Shortest_path.iter_bfs g (fun v dist ->
+      Array.iter
+        (fun values ->
+          let x = values.(v) in
+          for w = v + 1 to n - 1 do
+            let d = Array.unsafe_get dist w - 1 in
+            let s = Float.abs (x -. values.(w)) in
+            if s > Array.unsafe_get profile d then Array.unsafe_set profile d s
+          done)
+        q);
+  profile

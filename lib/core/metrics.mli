@@ -81,4 +81,7 @@ val summarize_opt :
 
 val max_gradient_profile :
   Gcs_graph.Graph.t -> sample array -> after:float -> float array
-(** Pointwise maximum of {!gradient_profile} over the qualifying samples. *)
+(** Pointwise maximum of {!gradient_profile} over the qualifying samples,
+    computed one BFS source at a time: O(n + D) memory beyond the samples,
+    never an n x n matrix. Raises [Invalid_argument] if no sample qualifies
+    or the graph is disconnected. *)

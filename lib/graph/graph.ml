@@ -2,9 +2,10 @@ type t = {
   n : int;
   edges : (int * int) array;
   adj : (int * int) array array; (* per node: (neighbor, edge id) by port *)
+  diameter : int option; (* closed form recorded by the generator *)
 }
 
-let of_edges ~n edge_list =
+let of_edges ?diameter ~n edge_list =
   if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";
   let seen = Hashtbl.create (List.length edge_list) in
   let normalize (u, v) =
@@ -38,9 +39,10 @@ let of_edges ~n edge_list =
       adj.(v).(fill.(v)) <- (u, id);
       fill.(v) <- fill.(v) + 1)
     edges;
-  { n; edges; adj }
+  { n; edges; adj; diameter }
 
 let n t = t.n
+let known_diameter t = t.diameter
 let m t = Array.length t.edges
 let edges t = t.edges
 let edge_endpoints t id = t.edges.(id)

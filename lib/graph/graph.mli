@@ -8,13 +8,18 @@
 
 type t
 
-val of_edges : n:int -> (int * int) list -> t
+val of_edges : ?diameter:int -> n:int -> (int * int) list -> t
 (** [of_edges ~n edges] builds a graph on [n] nodes. Raises
     [Invalid_argument] on self-loops, duplicate edges, or endpoints outside
-    [0, n). *)
+    [0, n). [diameter] records a closed-form hop diameter that the caller
+    guarantees (it is not checked); {!Topology}'s vertex-transitive
+    generators pass it so that {!Shortest_path.diameter} needs no BFS. *)
 
 val n : t -> int
 (** Number of nodes. *)
+
+val known_diameter : t -> int option
+(** The diameter recorded by {!of_edges}, if any. *)
 
 val m : t -> int
 (** Number of undirected edges. *)

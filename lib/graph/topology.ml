@@ -6,7 +6,8 @@ let line n =
 
 let ring n =
   if n < 3 then invalid_arg "Topology.ring: n must be >= 3";
-  Graph.of_edges ~n (List.init n (fun i -> (i, (i + 1) mod n)))
+  Graph.of_edges ~diameter:(n / 2) ~n
+    (List.init n (fun i -> (i, (i + 1) mod n)))
 
 let grid ~rows ~cols =
   if rows < 1 || cols < 1 then invalid_arg "Topology.grid: dims must be >= 1";
@@ -30,7 +31,7 @@ let torus ~rows ~cols =
       edges := (idx r c, idx ((r + 1) mod rows) c) :: !edges
     done
   done;
-  Graph.of_edges ~n:(rows * cols) !edges
+  Graph.of_edges ~diameter:((rows / 2) + (cols / 2)) ~n:(rows * cols) !edges
 
 let complete n =
   if n < 2 then invalid_arg "Topology.complete: n must be >= 2";
@@ -40,7 +41,7 @@ let complete n =
       edges := (u, v) :: !edges
     done
   done;
-  Graph.of_edges ~n !edges
+  Graph.of_edges ~diameter:1 ~n !edges
 
 let star n =
   if n < 2 then invalid_arg "Topology.star: n must be >= 2";
@@ -65,7 +66,7 @@ let hypercube ~dim =
       if v < w then edges := (v, w) :: !edges
     done
   done;
-  Graph.of_edges ~n !edges
+  Graph.of_edges ~diameter:dim ~n !edges
 
 (* Connect a possibly-disconnected edge set by attaching every non-root
    component to a random node of the already-connected part. *)

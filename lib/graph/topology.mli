@@ -2,7 +2,12 @@
 
     The Fan-Lynch lower bound lives on the line; the gradient property is
     probed across the other families (the grid models on-chip clock
-    distribution, random geometric graphs model wireless deployments). *)
+    distribution, random geometric graphs model wireless deployments).
+
+    The four vertex-transitive families (ring, torus, complete, hypercube)
+    record their closed-form diameter on the graph ({!Graph.known_diameter}):
+    every node there has the same eccentricity, so no BFS bound can stop
+    {!Shortest_path.diameter} early on them. *)
 
 val line : int -> Graph.t
 (** Path on [n >= 1] nodes: 0 - 1 - ... - n-1. Diameter n-1. *)
@@ -14,9 +19,12 @@ val grid : rows:int -> cols:int -> Graph.t
 (** [rows * cols] grid; node (r, c) has index [r * cols + c]. *)
 
 val torus : rows:int -> cols:int -> Graph.t
-(** Grid with wrap-around edges; requires [rows >= 3] and [cols >= 3]. *)
+(** Grid with wrap-around edges; requires [rows >= 3] and [cols >= 3].
+    Diameter floor(rows/2) + floor(cols/2). *)
 
 val complete : int -> Graph.t
+(** Complete graph on [n >= 2] nodes. Diameter 1. *)
+
 val star : int -> Graph.t
 (** Star with center 0 and [n - 1] leaves; requires [n >= 2]. *)
 
@@ -24,7 +32,8 @@ val binary_tree : depth:int -> Graph.t
 (** Complete binary tree of the given depth (depth 0 is a single node). *)
 
 val hypercube : dim:int -> Graph.t
-(** [2^dim] nodes, edges between indices differing in one bit. *)
+(** [2^dim] nodes, edges between indices differing in one bit. Diameter
+    [dim]. *)
 
 val random_gnp : n:int -> p:float -> rng:Gcs_util.Prng.t -> Graph.t
 (** Erdos-Renyi G(n, p), post-processed to be connected by linking each

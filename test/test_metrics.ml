@@ -125,6 +125,53 @@ let test_max_gradient_profile () =
   let p = Metrics.max_gradient_profile g samples ~after:0. in
   Alcotest.(check (array (float 1e-9))) "pointwise max" [| 4.; 4. |] p
 
+(* The streamed profile must reproduce, bit for bit, the fold of one
+   matrix-based profile per qualifying sample that it replaced. *)
+let folded_profile g samples ~after =
+  let dist = Sp.all_pairs g in
+  let q =
+    List.filter (fun s -> s.Metrics.time >= after) (Array.to_list samples)
+  in
+  List.fold_left
+    (fun acc s ->
+      let p = Metrics.gradient_profile ~dist s.Metrics.values in
+      Array.mapi (fun i x -> Float.max x p.(i)) acc)
+    (Metrics.gradient_profile ~dist (List.hd q).Metrics.values)
+    q
+
+let test_streamed_profile_equivalence =
+  QCheck.Test.make ~name:"streamed max_gradient_profile = per-sample fold"
+    ~count:200
+    QCheck.(triple (int_range 0 2) (int_range 2 40) small_nat)
+    (fun (family, n, seed) ->
+      let rng = Prng.create ~seed in
+      let g =
+        match family with
+        | 0 -> Topology.random_gnp ~n ~p:0.15 ~rng
+        | 1 -> fst (Topology.random_geometric ~n ~radius:0.3 ~rng)
+        | _ ->
+            Graph.of_edges ~n
+              (List.init (n - 1) (fun i -> (i + 1, Prng.int rng (i + 1))))
+      in
+      (* Coarse values give ties; the odd non-finite one must be skipped
+         or kept exactly as before. *)
+      let value () =
+        match Prng.int rng 40 with
+        | 0 -> Float.nan
+        | 1 -> Float.infinity
+        | 2 -> -0.
+        | k when k < 20 -> float_of_int (Prng.int rng 5)
+        | _ -> Prng.uniform rng ~lo:(-10.) ~hi:10.
+      in
+      let samples =
+        Array.init (1 + Prng.int rng 6) (fun i ->
+            sample (float_of_int i) (Array.init n (fun _ -> value ())))
+      in
+      let after = float_of_int (Prng.int rng (Array.length samples)) in
+      let bits = Array.map Int64.bits_of_float in
+      bits (Metrics.max_gradient_profile g samples ~after)
+      = bits (folded_profile g samples ~after))
+
 let suite =
   [
     Alcotest.test_case "global skew" `Quick test_global_skew;
@@ -140,4 +187,5 @@ let suite =
     QCheck_alcotest.to_alcotest test_local_le_global;
     QCheck_alcotest.to_alcotest test_gradient_profile_dominates_local;
     QCheck_alcotest.to_alcotest test_profile_ctx_equivalence;
+    QCheck_alcotest.to_alcotest test_streamed_profile_equivalence;
   ]

@@ -22,10 +22,129 @@ let test_diameter_families () =
   Alcotest.(check int) "star" 2 (Sp.diameter (Topology.star 5))
 
 let test_diameter_disconnected () =
-  let g = Graph.of_edges ~n:4 [ (0, 1); (2, 3) ] in
-  Alcotest.check_raises "disconnected"
-    (Invalid_argument "Shortest_path: disconnected graph") (fun () ->
-      ignore (Sp.diameter g))
+  let raises name g =
+    Alcotest.check_raises name
+      (Invalid_argument "Shortest_path: disconnected graph") (fun () ->
+        ignore (Sp.diameter g))
+  in
+  raises "two equal halves" (Graph.of_edges ~n:4 [ (0, 1); (2, 3) ]);
+  (* The first sweep starts at a node of maximum degree: the centre of the
+     4-node star, in the smaller component, so it never sees the path. *)
+  raises "first sweep in the smaller component"
+    (Graph.of_edges ~n:10
+       [ (0, 1); (0, 2); (0, 3); (4, 5); (5, 6); (6, 7); (7, 8); (8, 9) ]);
+  raises "isolated node" (Graph.of_edges ~n:5 [ (0, 1); (0, 2); (0, 3) ])
+
+(* The all-source definition every fast path must reproduce. *)
+let reference_diameter g =
+  let best = ref 0 in
+  for v = 0 to Graph.n g - 1 do
+    best := max !best (Sp.eccentricity g v)
+  done;
+  !best
+
+(* The same graph without the closed form its generator recorded, so that
+   [Sp.diameter] has to search it. *)
+let strip g = Graph.of_edges ~n:(Graph.n g) (Array.to_list (Graph.edges g))
+
+let diameter_matches g =
+  let d = reference_diameter g in
+  Sp.diameter g = d && Sp.diameter (strip g) = d
+
+let spec_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun n -> Topology.Line n) (int_range 1 60);
+        map (fun n -> Topology.Ring n) (int_range 3 60);
+        map2
+          (fun r c -> Topology.Grid (r, c))
+          (int_range 1 10) (int_range 1 10);
+        map2 (fun r c -> Topology.Torus (r, c)) (int_range 3 9) (int_range 3 9);
+        map (fun n -> Topology.Complete n) (int_range 2 16);
+        map (fun n -> Topology.Star n) (int_range 2 40);
+        map (fun d -> Topology.Binary_tree d) (int_range 0 7);
+        map (fun d -> Topology.Hypercube d) (int_range 1 7);
+        map2
+          (fun n p -> Topology.Random_gnp (n, p))
+          (int_range 2 80) (float_range 0.005 0.95);
+        map2
+          (fun n r -> Topology.Random_geometric (n, r))
+          (int_range 2 80) (float_range 0.05 0.4);
+      ])
+
+let test_diameter_every_family =
+  QCheck.Test.make ~name:"diameter = all-source reference, every family"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (spec, seed) ->
+         Printf.sprintf "%s seed %d" (Topology.spec_name spec) seed)
+       QCheck.Gen.(pair spec_gen small_nat))
+    (fun (spec, seed) ->
+      diameter_matches (Topology.build spec ~rng:(Prng.create ~seed)))
+
+let test_diameter_random_trees =
+  QCheck.Test.make ~name:"diameter = all-source reference, random trees"
+    ~count:200
+    QCheck.(pair (int_range 1 120) small_nat)
+    (fun (n, seed) ->
+      let rng = Prng.create ~seed in
+      let g =
+        Graph.of_edges ~n
+          (List.init (n - 1) (fun i -> (i + 1, Prng.int rng (i + 1))))
+      in
+      diameter_matches g)
+
+let test_diameter_edge_cases () =
+  List.iter
+    (fun name ->
+      match Topology.spec_of_string name with
+      | Error e -> Alcotest.fail e
+      | Ok spec ->
+          Alcotest.(check bool) name true
+            (diameter_matches (Topology.build spec ~rng:(Prng.create ~seed:1))))
+    [ "grid:1x1"; "grid:1x9"; "grid:9x1"; "line:1"; "line:2"; "star:2";
+      "btree:0"; "hypercube:1"; "ring:3"; "torus:3x3"; "complete:2" ]
+
+(* A complete graph less one edge has diameter 2 through a single pair:
+   the sweeps can miss it, so the level stop must not fire one short. *)
+let test_diameter_near_complete () =
+  for n = 3 to 7 do
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        let edges =
+          List.filter (( <> ) (u, v))
+            (Array.to_list (Graph.edges (Topology.complete n)))
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "K%d less (%d,%d)" n u v)
+          2
+          (Sp.diameter (Graph.of_edges ~n edges))
+      done
+    done
+  done
+
+let test_closed_forms () =
+  let check name g =
+    Alcotest.(check (option int)) name (Some (reference_diameter g))
+      (Graph.known_diameter g)
+  in
+  for n = 3 to 24 do
+    check (Printf.sprintf "ring:%d" n) (Topology.ring n)
+  done;
+  for r = 3 to 8 do
+    for c = 3 to 8 do
+      check (Printf.sprintf "torus:%dx%d" r c) (Topology.torus ~rows:r ~cols:c)
+    done
+  done;
+  for d = 1 to 8 do
+    check (Printf.sprintf "hypercube:%d" d) (Topology.hypercube ~dim:d)
+  done;
+  for n = 2 to 16 do
+    check (Printf.sprintf "complete:%d" n) (Topology.complete n)
+  done;
+  Alcotest.(check (option int)) "grids record nothing" None
+    (Graph.known_diameter (Topology.grid ~rows:4 ~cols:5))
 
 let test_dijkstra_weighted () =
   (* square with a shortcut: 0-1 (1.0), 1-2 (1.0), 0-2 (1.5) *)
@@ -131,6 +250,9 @@ let suite =
     Alcotest.test_case "bfs unreachable" `Quick test_bfs_unreachable;
     Alcotest.test_case "diameters" `Quick test_diameter_families;
     Alcotest.test_case "diameter disconnected" `Quick test_diameter_disconnected;
+    Alcotest.test_case "diameter edge cases" `Quick test_diameter_edge_cases;
+    Alcotest.test_case "diameter closed forms" `Quick test_closed_forms;
+    Alcotest.test_case "diameter near-complete" `Quick test_diameter_near_complete;
     Alcotest.test_case "dijkstra" `Quick test_dijkstra_weighted;
     Alcotest.test_case "dijkstra negative" `Quick test_dijkstra_rejects_negative;
     Alcotest.test_case "bellman-ford cycle" `Quick test_bellman_ford_negative_cycle;
@@ -139,4 +261,6 @@ let suite =
     QCheck_alcotest.to_alcotest test_bellman_ford_matches_dijkstra;
     QCheck_alcotest.to_alcotest test_bfs_matches_floyd_warshall;
     QCheck_alcotest.to_alcotest test_triangle_inequality;
+    QCheck_alcotest.to_alcotest test_diameter_every_family;
+    QCheck_alcotest.to_alcotest test_diameter_random_trees;
   ]
