@@ -30,7 +30,9 @@ module Bias = Gcs_adversary.Bias
 module Table = Gcs_util.Table
 module Prng = Gcs_util.Prng
 module Stats = Gcs_util.Stats
-module Heap = Gcs_util.Heap
+module Heap = Gcs_util.Scheduler.Binary_heap
+module Fault_plan = Gcs_sim.Fault_plan
+module Churn_plan = Gcs_sim.Churn_plan
 
 let spec = Spec.make ()
 let u = Spec.uncertainty spec
@@ -328,22 +330,45 @@ let e7 () =
 
 (* E9: robustness. Message loss and link churn degrade skew gracefully —
    beacon state is soft, so the gradient algorithm coasts on stale
-   estimates through outages. *)
+   estimates through outages. Churn is a [flap] plan on every edge whose
+   up and down holding times (mean outage 10) keep each link down a
+   [duty] fraction of the time; skews are taken over the second half. *)
 let e9 () =
   header "E9" "Loss and churn tolerance (gradient on ring:32)";
   let graph = Topology.ring 32 in
+  let horizon = 600. and mean_down = 10. and seed = 59 in
   let rows =
     List.map
       (fun duty ->
-        let cfg =
-          Gcs_adversary.Churn.default_config ~spec ~duty ~graph ~seed:59 ()
+        let fault_plan =
+          if duty = 0. then None
+          else
+            Churn_plan.compile
+              (Churn_plan.of_processes
+                 [
+                   Churn_plan.Flap
+                     {
+                       from_ = 0.;
+                       until = horizon;
+                       up_mean = mean_down *. (1. -. duty) /. duty;
+                       down_mean = mean_down;
+                       edges = Fault_plan.All_edges;
+                     };
+                 ])
+              ~graph ~seed ~horizon
         in
-        let r = Gcs_adversary.Churn.run cfg in
+        let r =
+          Runner.run
+            (Runner.config ~spec ?fault_plan ~horizon ~warmup:0. ~seed graph)
+        in
+        let tail =
+          Metrics.summarize graph r.Runner.samples ~after:(horizon /. 2.)
+        in
         [
           fmt duty;
-          fmt r.Gcs_adversary.Churn.downtime_fraction;
-          fmt r.Gcs_adversary.Churn.forced_local;
-          fmt r.Gcs_adversary.Churn.forced_global;
+          fmt (float r.Runner.dropped_faults /. float r.Runner.messages);
+          fmt tail.Metrics.max_local;
+          fmt tail.Metrics.max_global;
         ])
       [ 0.; 0.1; 0.3; 0.5; 0.8 ]
   in
@@ -739,20 +764,25 @@ let e16 () =
   let n = 24 in
   let graph = Topology.ring n in
   let drift v = if v < n / 2 then Drift.Extreme_high else Drift.Extreme_low in
+  let horizon = 1500. in
   let run spec crashes =
-    Gcs_adversary.Crash.run
-      (Gcs_adversary.Crash.default_config ~spec ~drift_of_node:drift ~crashes
-         ~graph ~horizon:1500. ~seed:87 ())
+    let fault_plan =
+      Fault_plan.of_events
+        (List.map (fun (node, at) -> Fault_plan.Node_crash { at; node }) crashes)
+    in
+    let r =
+      Runner.run
+        (Runner.config ~spec ~drift_of_node:drift ~fault_plan ~horizon
+           ~warmup:0. ~seed:87 graph)
+    in
+    let alive v = not (List.mem_assoc v crashes) in
+    Metrics.summarize ~alive graph r.Runner.samples ~after:(0.75 *. horizon)
   in
   let rows =
     List.map
       (fun (name, spec, crashes) ->
-        let r = run spec crashes in
-        [
-          name;
-          fmt r.Gcs_adversary.Crash.live_local;
-          fmt r.Gcs_adversary.Crash.live_global;
-        ])
+        let s = run spec crashes in
+        [ name; fmt s.Metrics.max_local; fmt s.Metrics.max_global ])
       [
         ("no crashes", Spec.make (), []);
         ("crash @ slow side, expiry on", Spec.make (), [ (18, 300.) ]);
@@ -1246,10 +1276,11 @@ let e8 () =
   let heap_bench () =
     let h = Heap.create () in
     for i = 0 to 999 do
-      Heap.push h ~prio:(float_of_int ((i * 7919) mod 1000)) i
+      Heap.push h ~prio:(float_of_int ((i * 7919) mod 1000)) ~seq:i i
     done;
-    let rec drain () = match Heap.pop h with None -> () | Some _ -> drain () in
-    drain ()
+    while not (Heap.is_empty h) do
+      ignore (Heap.pop_min h)
+    done
   in
   let grid = Topology.grid ~rows:32 ~cols:32 in
   let bfs_bench () = ignore (Shortest_path.bfs grid ~src:0) in

@@ -42,6 +42,7 @@ module Bias = Gcs_adversary.Bias
 module Table = Gcs_util.Table
 module Prng = Gcs_util.Prng
 module Scheduler = Gcs_util.Scheduler
+module Engine = Gcs_sim.Engine
 module Fault_plan = Gcs_sim.Fault_plan
 module Churn_plan = Gcs_sim.Churn_plan
 module Fault_metrics = Gcs_core.Fault_metrics
@@ -53,11 +54,27 @@ module Report = Gcs_core.Report
 module Parallel_run = Gcs_core.Parallel_run
 module Live_run = Gcs_net.Live_run
 
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+      prerr_endline ("error: " ^ msg);
+      exit 2
+
+(* Library constructors reject out-of-range values with [Invalid_argument];
+   on the command line those are user errors. *)
+let or_die_invalid f = try f () with Invalid_argument msg -> or_die (Error msg)
+
 (* Shared argument converters *)
 
+(* A topology spec parses to a result that the command checks when it
+   runs, so an invalid one ("ring:1") exits 2 with one [error:] line like
+   every other invalid value, instead of as a command-line syntax error. *)
 let topology_conv =
-  let parse s = Topology.spec_of_string s |> Result.map_error (fun e -> `Msg e) in
-  let print ppf t = Format.pp_print_string ppf (Topology.spec_name t) in
+  let parse s = Ok (Topology.spec_of_string s) in
+  let print ppf = function
+    | Ok t -> Format.pp_print_string ppf (Topology.spec_name t)
+    | Error msg -> Format.pp_print_string ppf msg
+  in
   Arg.conv (parse, print)
 
 let algo_conv =
@@ -104,10 +121,12 @@ let topology_arg =
     "Topology: line:N, ring:N, grid:RxC, torus:RxC, complete:N, star:N, \
      btree:DEPTH, hypercube:DIM, gnp:N:P, geometric:N:R."
   in
-  Arg.(
-    value
-    & opt topology_conv (Topology.Ring 16)
-    & info [ "t"; "topology" ] ~docv:"TOPOLOGY" ~doc)
+  Term.(
+    const or_die
+    $ Arg.(
+        value
+        & opt topology_conv (Ok (Topology.Ring 16))
+        & info [ "t"; "topology" ] ~docv:"TOPOLOGY" ~doc))
 
 let algo_arg =
   let doc =
@@ -231,12 +250,6 @@ let spec_term =
 let build_graph spec_t seed =
   Topology.build spec_t ~rng:(Prng.create ~seed:(seed lxor 0x5eed))
 
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-      prerr_endline ("error: " ^ msg);
-      exit 2
-
 (* Expand a churn plan against one run's graph/seed/horizon and fold it
    into the run's fault plan. *)
 let apply_churn ?churn ~graph ~seed ~horizon fault_plan =
@@ -244,8 +257,7 @@ let apply_churn ?churn ~graph ~seed ~horizon fault_plan =
   | None -> fault_plan
   | Some c -> (
       let compiled =
-        try Churn_plan.compile c ~graph ~seed ~horizon
-        with Invalid_argument msg -> or_die (Error msg)
+        or_die_invalid (fun () -> Churn_plan.compile c ~graph ~seed ~horizon)
       in
       match (fault_plan, compiled) with
       | p, None | None, p -> p
@@ -292,9 +304,10 @@ let run_cmd =
       match fault with Some x when v = 0 -> x | Some _ | None -> 0.
     in
     let cfg =
-      Runner.config ~spec ~algo ~drift_of_node:(fun _ -> drift) ~horizon ~seed
-        ~loss:loss_law ?override ?fault_plan ~initial_value_of_node ~scheduler
-        ~regions graph
+      or_die_invalid (fun () ->
+          Runner.config ~spec ~algo ~drift_of_node:(fun _ -> drift) ~horizon
+            ~seed ~loss:loss_law ?override ?fault_plan ~initial_value_of_node
+            ~scheduler ~regions graph)
     in
     let r = Runner.run cfg in
     Printf.printf "algorithm: %s%s on %s\n" (Algorithm.kind_name algo)
@@ -360,8 +373,9 @@ let compare_cmd =
         (fun algo ->
           let run_one seed =
             Runner.run
-              (Runner.config ~spec ~algo ~drift_of_node:(fun _ -> drift)
-                 ~horizon ~seed graph)
+              (or_die_invalid (fun () ->
+                   Runner.config ~spec ~algo ~drift_of_node:(fun _ -> drift)
+                     ~horizon ~seed graph))
           in
           let summarize f =
             Gcs_core.Replicate.measure ~seeds (fun seed ->
@@ -414,7 +428,6 @@ let attack_cmd =
         ("fan-lynch", `Fan_lynch);
         ("linear", `Linear);
         ("ring-bias", `Bias);
-        ("churn", `Churn);
         ("byz-search", `Byz_search);
       ]
   in
@@ -424,9 +437,9 @@ let attack_cmd =
       & opt kind_conv `Fan_lynch
       & info [ "kind" ] ~docv:"KIND"
           ~doc:
-            "Adversary: fan-lynch, linear, ring-bias, churn, byz-search \
+            "Adversary: fan-lynch, linear, ring-bias, byz-search \
              (co-optimize a Byzantine lying strategy with the delay/rate \
-             schedule).")
+             schedule). Link churn is a fault plan: see faults --churn.")
   in
   let n_arg =
     Arg.(value & opt int 33 & info [ "n" ] ~docv:"N" ~doc:"Number of nodes.")
@@ -475,25 +488,10 @@ let attack_cmd =
           (Algorithm.kind_name algo);
         Printf.printf "forced local  : %.4f\n" r.Bias.forced_local;
         Printf.printf "forced global : %.4f\n" r.Bias.forced_global
-    | `Churn ->
-        let graph = Topology.ring n in
-        let cfg =
-          Gcs_adversary.Churn.default_config ~spec ~algo ~seed ~graph ()
-        in
-        let r = Gcs_adversary.Churn.run cfg in
-        Printf.printf "churn (duty %.2f) on ring:%d against %s\n"
-          cfg.Gcs_adversary.Churn.duty n (Algorithm.kind_name algo);
-        Printf.printf "realized loss : %.1f%%\n"
-          (100. *. r.Gcs_adversary.Churn.downtime_fraction);
-        Printf.printf "forced local  : %.4f\n" r.Gcs_adversary.Churn.forced_local;
-        Printf.printf "forced global : %.4f\n" r.Gcs_adversary.Churn.forced_global
     | `Byz_search ->
         let module Search = Gcs_adversary.Search in
         let cfg = Search.default_config ~spec ~algo ~segments ~beam ~seed ~n () in
-        let r =
-          try Search.byz_search ~f:liars cfg
-          with Invalid_argument msg -> or_die (Error msg)
-        in
+        let r = or_die_invalid (fun () -> Search.byz_search ~f:liars cfg) in
         Printf.printf "byzantine co-search on line:%d against %s (%d liar%s)\n"
           n (Algorithm.kind_name algo) liars (if liars = 1 then "" else "s");
         Printf.printf "byz plan             : %s\n"
@@ -570,8 +568,9 @@ let external_cmd =
     in
     let algo = Gcs_core.External_sync.algorithm ~anchors:anchor_fn in
     let cfg =
-      Runner.config ~spec ~algo:Algorithm.Gradient_sync ~override:algo
-        ~horizon ~seed graph
+      or_die_invalid (fun () ->
+          Runner.config ~spec ~algo:Algorithm.Gradient_sync ~override:algo
+            ~horizon ~seed graph)
     in
     let r = Runner.run cfg in
     let rt =
@@ -645,8 +644,9 @@ let faults_cmd =
     | Ok () -> ()
     | Error msg -> or_die (Error ("fault plan: " ^ msg)));
     let cfg =
-      Runner.config ~spec ~algo ~drift_of_node:(fun _ -> drift) ~horizon ~seed
-        ~fault_plan:plan graph
+      or_die_invalid (fun () ->
+          Runner.config ~spec ~algo ~drift_of_node:(fun _ -> drift) ~horizon
+            ~seed ~fault_plan:plan graph)
     in
     let r = Runner.run cfg in
     Printf.printf "algorithm: %s on %s\n" (Algorithm.kind_name algo)
@@ -729,10 +729,12 @@ let sweep_cmd =
       "Comma-separated topology specs forming one sweep axis, e.g. \
        ring:8,ring:16,ring:32 or line:16,grid:4x8."
     in
-    Arg.(
-      value
-      & opt (list topology_conv) [ Topology.Ring 16 ]
-      & info [ "topologies" ] ~docv:"TOPO,..." ~doc)
+    Term.(
+      const (List.map or_die)
+      $ Arg.(
+          value
+          & opt (list topology_conv) [ Ok (Topology.Ring 16) ]
+          & info [ "topologies" ] ~docv:"TOPO,..." ~doc))
   in
   let algos_arg =
     let doc = "Comma-separated algorithms (default: all registered)." in
@@ -823,11 +825,12 @@ let sweep_cmd =
                           (Printf.sprintf "fault plan on %s: %s"
                              (Topology.spec_name topo) msg)))
              | None -> ());
-             ( Some
-                 (Runner.store_key ~loss ?fault_plan ~spec ~topology:topo ~algo
-                    ~horizon ~seed ()),
-               Runner.config ~spec ~algo ~horizon ~loss:loss_law ~seed
-                 ?fault_plan graph ))
+             or_die_invalid (fun () ->
+                 ( Some
+                     (Runner.store_key ~loss ?fault_plan ~spec ~topology:topo
+                        ~algo ~horizon ~seed ()),
+                   Runner.config ~spec ~algo ~horizon ~loss:loss_law ~seed
+                     ?fault_plan graph )))
            cells)
     in
     let store = Option.map (Gcs_store.Store.open_ ~create:true) store_dir in
@@ -900,8 +903,9 @@ let run_batch ?(scheduler = Scheduler.Binary_heap) ?(regions = 1) ?churn ~spec
                    (Error (Printf.sprintf "watch pair %d-%d out of range" u v)))
              obs.Capture.series_watch;
            let fault_plan = apply_churn ?churn ~graph ~seed ~horizon fault_plan in
-           Runner.config ~spec ~algo ~horizon ~seed ?fault_plan ~obs ~scheduler
-             ~regions graph)
+           or_die_invalid (fun () ->
+               Runner.config ~spec ~algo ~horizon ~seed ?fault_plan ~obs
+                 ~scheduler ~regions graph))
          seed_list)
   in
   Parallel_run.run ~jobs configs
@@ -1063,13 +1067,9 @@ let trace_cmd =
         List.iter
           (fun line ->
             match Event_log.parse_line line with
-            | Ok { Event_log.entry; _ } ->
+            | Ok { Event_log.entry = e; _ } ->
                 print_endline
-                  (Gcs_sim.Trace.entry_to_string
-                     {
-                       Gcs_sim.Trace.time = entry.Event_log.time;
-                       obs = entry.Event_log.obs;
-                     })
+                  (Event_log.entry_to_string e.Event_log.time e.Event_log.obs)
             | Error msg -> or_die (Error msg))
           last
       end
@@ -1193,23 +1193,34 @@ let trace_cmd =
       Printf.printf "run: %s on %s, horizon %g, %d run(s)\n"
         (Algorithm.kind_name algo) (Topology.spec_name topo) horizon
         (Array.length results);
-      (* Rebuild per-kind totals by replaying the structured log through a
-         counting trace — same numbers the old single-observer tracer kept. *)
-      let counter = Gcs_sim.Trace.create ~capacity:1 () in
+      (* Per-kind totals over every run's log. Fault events are node
+         down/up, edge cut/heal, fault drops, duplicates, corruptions and
+         lies. *)
+      let totals = Array.make 6 0 in
       Array.iter
         (fun log ->
           List.iter
             (fun (e : Event_log.entry) ->
-              Gcs_sim.Trace.record counter e.Event_log.time e.Event_log.obs)
+              let k =
+                match e.Event_log.obs with
+                | Engine.Obs_send _ -> 0
+                | Engine.Obs_deliver _ -> 1
+                | Engine.Obs_drop _ -> 2
+                | Engine.Obs_timer _ -> 3
+                | Engine.Obs_rate_change _ -> 4
+                | Engine.Obs_node_down _ | Engine.Obs_node_up _
+                | Engine.Obs_edge_down _ | Engine.Obs_edge_up _
+                | Engine.Obs_fault_drop _ | Engine.Obs_duplicate _
+                | Engine.Obs_corrupt _ | Engine.Obs_lie _ ->
+                    5
+              in
+              totals.(k) <- totals.(k) + 1)
             (Event_log.entries log))
         logs;
-      let c = Gcs_sim.Trace.counts counter in
       Printf.printf
         "observations: %d sends, %d delivers, %d drops, %d timers, %d rate \
          changes, %d fault events\n"
-        c.Gcs_sim.Trace.sends c.Gcs_sim.Trace.delivers c.Gcs_sim.Trace.drops
-        c.Gcs_sim.Trace.timers c.Gcs_sim.Trace.rate_changes
-        c.Gcs_sim.Trace.fault_events;
+        totals.(0) totals.(1) totals.(2) totals.(3) totals.(4) totals.(5);
       Array.iteri
         (fun i (r : Runner.result) ->
           Printf.printf "run %d: final skews local %.4f, global %.4f\n" i
@@ -1227,8 +1238,7 @@ let trace_cmd =
         List.iter
           (fun (e : Event_log.entry) ->
             print_endline
-              (Gcs_sim.Trace.entry_to_string
-                 { Gcs_sim.Trace.time = e.Event_log.time; obs = e.Event_log.obs }))
+              (Event_log.entry_to_string e.Event_log.time e.Event_log.obs))
           last
       end
     end
@@ -1463,10 +1473,9 @@ let live_cmd =
       drift startup plan record =
     let spec = or_die spec_result in
     let cfg =
-      try
-        Live_run.config ~topology:topo ~algo ~spec ~drift ~horizon
-          ~sample_period ~seed ~base_port ~host ?fault_plan:plan ~startup ()
-      with Invalid_argument msg -> or_die (Error msg)
+      or_die_invalid (fun () ->
+          Live_run.config ~topology:topo ~algo ~spec ~drift ~horizon
+            ~sample_period ~seed ~base_port ~host ?fault_plan:plan ~startup ())
     in
     let graph = Live_run.build_graph cfg in
     Printf.printf "live: %s on %s — %d UDP processes on %s:%d+, horizon %gs \
@@ -1707,8 +1716,7 @@ let check_run_cmd =
         ?skew_bound ?edge_age:edge_age_spec ~after:(horizon /. 4.) spec algo
     in
     let checked =
-      try Check_run.run ~monitor ~moves ~segment_len cfg
-      with Invalid_argument msg -> or_die (Error msg)
+      or_die_invalid (fun () -> Check_run.run ~monitor ~moves ~segment_len cfg)
     in
     Printf.printf "checked %s on %s: %d events monitored\n"
       (Algorithm.kind_name algo) (Topology.spec_name topo)
@@ -1805,11 +1813,14 @@ let check_replay_cmd =
 
 let check_battery_cmd =
   let topologies_arg =
-    Arg.(
-      value
-      & opt (list topology_conv) [ Topology.Ring 8; Topology.Line 9 ]
-      & info [ "topologies" ] ~docv:"TOPO,..."
-          ~doc:"Comma-separated topology specs to sweep.")
+    Term.(
+      const (List.map or_die)
+      $ Arg.(
+          value
+          & opt (list topology_conv)
+              [ Ok (Topology.Ring 8); Ok (Topology.Line 9) ]
+          & info [ "topologies" ] ~docv:"TOPO,..."
+              ~doc:"Comma-separated topology specs to sweep."))
   in
   let algos_arg =
     Arg.(
@@ -1871,16 +1882,15 @@ let check_battery_cmd =
       | None, None -> Algorithm.all_kinds
     in
     let cells =
-      try
-        match byz with
-        | Some f ->
-            Check_run.containment_battery ~jobs ~spec ~algos ~f ~base_seed
-              ~topologies ~seeds ~horizon ()
-        | None ->
-            Check_run.battery ~jobs ~spec ~algos ?churn
-              ~faults:(not no_faults) ~base_seed ~topologies ~seeds ~horizon
-              ()
-      with Invalid_argument msg -> or_die (Error msg)
+      or_die_invalid (fun () ->
+          match byz with
+          | Some f ->
+              Check_run.containment_battery ~jobs ~spec ~algos ~f ~base_seed
+                ~topologies ~seeds ~horizon ()
+          | None ->
+              Check_run.battery ~jobs ~spec ~algos ?churn
+                ~faults:(not no_faults) ~base_seed ~topologies ~seeds ~horizon
+                ())
     in
     let events =
       List.fold_left (fun a c -> a + c.Check_run.events_checked) 0 cells
@@ -1952,10 +1962,12 @@ module Verdict = Gcs_explore.Verdict
 let explore_cmd =
   let topology_arg =
     let doc = "Instance topology (2..6 nodes), e.g. line:2, ring:3." in
-    Arg.(
-      value
-      & opt topology_conv (Topology.Ring 3)
-      & info [ "t"; "topology" ] ~docv:"TOPOLOGY" ~doc)
+    Term.(
+      const or_die
+      $ Arg.(
+          value
+          & opt topology_conv (Ok (Topology.Ring 3))
+          & info [ "t"; "topology" ] ~docv:"TOPOLOGY" ~doc))
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Run seed.")
@@ -2082,10 +2094,9 @@ let explore_cmd =
       | Some r -> { base with Monitor.rate_hi = r; check_rate = true }
     in
     let inst =
-      try
-        Instance.make ~spec ~topology:topo ~algo ~seed ~segment_len ~depth
-          ~alphabet ?fault_plan:plan ~monitor ()
-      with Invalid_argument msg -> or_die (Error msg)
+      or_die_invalid (fun () ->
+          Instance.make ~spec ~topology:topo ~algo ~seed ~segment_len ~depth
+            ~alphabet ?fault_plan:plan ~monitor ())
     in
     let outcome = Explorer.explore ~dedup ~quantum ~max_states ~strategy inst in
     let stats = outcome.Explorer.stats in
@@ -2277,10 +2288,7 @@ let store_diff_cmd =
   in
   let action dir csv_path tol_abs tol_rel =
     let dir = resolve_store_dir dir in
-    let st =
-      try Store.open_ ~create:false dir
-      with Invalid_argument msg -> or_die (Error msg)
-    in
+    let st = or_die_invalid (fun () -> Store.open_ ~create:false dir) in
     (* Index the baseline by the sweep's identity columns. A triple that
        appears twice (same cell stored under different horizons or specs)
        cannot be gated against unambiguously. *)

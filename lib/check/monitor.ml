@@ -1,5 +1,5 @@
 module Engine = Gcs_sim.Engine
-module Trace = Gcs_sim.Trace
+module Event_log = Gcs_obs.Event_log
 module Graph = Gcs_graph.Graph
 module Logical_clock = Gcs_clock.Logical_clock
 module Runner = Gcs_core.Runner
@@ -263,12 +263,12 @@ let on_observation t time obs =
     | Engine.Obs_deliver { dst; _ } ->
         t.events_checked <- t.events_checked + 1;
         check_node t ~now:time
-          ~context:(fun () -> Trace.entry_to_string { Trace.time; obs })
+          ~context:(fun () -> Event_log.entry_to_string time obs)
           dst
     | Engine.Obs_timer { node; _ } ->
         t.events_checked <- t.events_checked + 1;
         check_node t ~now:time
-          ~context:(fun () -> Trace.entry_to_string { Trace.time; obs })
+          ~context:(fun () -> Event_log.entry_to_string time obs)
           node
     | _ -> ()
 

@@ -19,10 +19,7 @@ type delay_kind =
   | Controlled_delays
   | Per_edge_delays of (int -> Delay_model.bounds)
 
-type loss_law =
-  | No_loss
-  | Uniform_loss of float
-  | Custom_loss of (edge:int -> src:int -> dst:int -> now:float -> float)
+type loss_law = No_loss | Uniform_loss of float
 
 type config = {
   spec : Spec.t;
@@ -62,7 +59,7 @@ let config ?(spec = Spec.make ()) ?(algo = Algorithm.Gradient_sync)
   (match loss with
   | Uniform_loss p when p < 0. || p > 1. ->
       invalid_arg "Runner.config: loss probability out of [0, 1]"
-  | No_loss | Uniform_loss _ | Custom_loss _ -> ());
+  | No_loss | Uniform_loss _ -> ());
   {
     spec;
     graph;
@@ -281,10 +278,10 @@ let schedule_fault_controls engine logical plan =
    an optimisation that must be invisible: any configuration whose replay
    at a window barrier could consume randomness in a different order than
    the serial engine — an adversarial delay chooser (installed mid-run),
-   a custom loss closure, a Byzantine plan combined with message loss
-   (the serial engine draws the drop before the lie; the parallel engine
-   applies the lie at send time) — falls back to serial, as does a
-   profiled run (the dispatch hook brackets handlers on one thread).
+   a Byzantine plan combined with message loss (the serial engine draws
+   the drop before the lie; the parallel engine applies the lie at send
+   time) — falls back to serial, as does a profiled run (the dispatch
+   hook brackets handlers on one thread).
    Everything else is byte-identical at any region count. *)
 let effective_regions (cfg : config) =
   if cfg.regions <= 1 then 1
@@ -299,7 +296,6 @@ let effective_regions (cfg : config) =
           | None -> false
         in
         match cfg.loss with
-        | Custom_loss _ -> 1
         | Uniform_loss p when p > 0. && has_byz -> 1
         | No_loss | Uniform_loss _ -> cfg.regions)
 
@@ -339,7 +335,6 @@ let prepare (cfg : config) =
     | No_loss -> base
     | Uniform_loss p ->
         Delay_model.with_loss (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> p) base
-    | Custom_loss f -> Delay_model.with_loss f base
   in
   let engine_cell = ref None in
   let now () =
@@ -365,7 +360,6 @@ let prepare (cfg : config) =
     else
       Some
         (Event_log.create ?capacity:cfg.obs.Capture.events_capacity
-           ?stream:cfg.obs.Capture.events_stream
            ~format_:cfg.obs.Capture.events_format ())
   in
   let series =

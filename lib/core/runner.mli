@@ -21,10 +21,6 @@ type delay_kind =
 type loss_law =
   | No_loss
   | Uniform_loss of float  (** i.i.d. drop probability per message *)
-  | Custom_loss of (edge:int -> src:int -> dst:int -> now:float -> float)
-      (** per-edge, per-direction, time-dependent; probability 1 during an
-          interval models a down link (churn), probability 1 for all
-          messages out of a node models a crashed/silenced node *)
 
 type config = {
   spec : Spec.t;
@@ -63,10 +59,10 @@ type config = {
       (** requested region-parallel domains (default 1 = serial). Also a
           pure execution strategy: any configuration the parallel engine
           could not reproduce bit-for-bit (adversarial delay choosers,
-          custom loss closures, Byzantine plans under message loss,
-          profiled runs) silently falls back to serial, so results are
-          byte-identical for every value — and, like [scheduler], it is
-          excluded from [store_key]. *)
+          Byzantine plans under message loss, profiled runs) silently
+          falls back to serial, so results are byte-identical for every
+          value — and, like [scheduler], it is excluded from
+          [store_key]. *)
 }
 
 val config :

@@ -41,13 +41,20 @@ let make ?(spec = Spec.make ()) ?(topology = Topology.Ring 3)
     invalid_arg "Instance.make: segment_len must be > 0";
   let alphabet = dedup alphabet in
   if alphabet = [] then invalid_arg "Instance.make: alphabet must be non-empty";
-  let n = Graph.n (build_graph topology seed) in
+  let graph = build_graph topology seed in
+  let n = Graph.n graph in
   if n < 2 || n > max_nodes then
     invalid_arg
       (Printf.sprintf
          "Instance.make: exhaustive exploration needs 2..%d nodes (topology \
           %s has %d)"
          max_nodes (Topology.spec_name topology) n);
+  Option.iter
+    (fun plan ->
+      match Fault_plan.validate plan graph with
+      | Ok () -> ()
+      | Error msg -> invalid_arg ("Instance.make: fault plan: " ^ msg))
+    fault_plan;
   let monitor =
     match monitor with
     | Some m -> m

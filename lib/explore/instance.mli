@@ -43,8 +43,9 @@ val make :
     algorithm's own envelope monitor ({!Gcs_check.Check_run.default_spec})
     in abort mode so every probe run stops at its first violation. The
     alphabet is deduplicated (order preserved). Raises [Invalid_argument]
-    on depth < 1, non-positive segment length, an empty alphabet, or a
-    topology outside 2..6 nodes. *)
+    on depth < 1, non-positive segment length, an empty alphabet, a
+    topology outside 2..6 nodes, or a fault plan that does not validate
+    against the topology's graph. *)
 
 val nodes : t -> int
 (** Node count of the instance's topology (built with the sweep

@@ -1,4 +1,4 @@
-module Heap = Gcs_util.Heap
+module Heap = Gcs_util.Scheduler.Binary_heap
 
 (* One BFS from [src] into caller-owned buffers, so repeated passes
    allocate nothing. [order] receives the reached nodes in visiting order,
@@ -120,24 +120,27 @@ let dijkstra g ~weights ~src =
   let n = Graph.n g in
   let dist = Array.make n infinity in
   let heap = Heap.create () in
-  dist.(src) <- 0.;
-  Heap.push heap ~prio:0. src;
-  let rec loop () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, v) ->
-        if d <= dist.(v) then
-          Array.iter
-            (fun (w, e) ->
-              let nd = d +. weights.(e) in
-              if nd < dist.(w) then begin
-                dist.(w) <- nd;
-                Heap.push heap ~prio:nd w
-              end)
-            (Graph.neighbors g v);
-        loop ()
+  (* Insertion order breaks priority ties, so pops are deterministic. *)
+  let seq = ref 0 in
+  let push prio v =
+    Heap.push heap ~prio ~seq:!seq v;
+    incr seq
   in
-  loop ();
+  dist.(src) <- 0.;
+  push 0. src;
+  while not (Heap.is_empty heap) do
+    let d = Heap.min_prio heap in
+    let v = Heap.pop_min heap in
+    if d <= dist.(v) then
+      Array.iter
+        (fun (w, e) ->
+          let nd = d +. weights.(e) in
+          if nd < dist.(w) then begin
+            dist.(w) <- nd;
+            push nd w
+          end)
+        (Graph.neighbors g v)
+  done;
   dist
 
 let weighted_diameter g ~weights =

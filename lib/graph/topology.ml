@@ -1,16 +1,51 @@
 module Prng = Gcs_util.Prng
 
+type spec =
+  | Line of int
+  | Ring of int
+  | Grid of int * int
+  | Torus of int * int
+  | Complete of int
+  | Star of int
+  | Binary_tree of int
+  | Hypercube of int
+  | Random_gnp of int * float
+  | Random_geometric of int * float
+
+(* The parameter range of every generator, in one place: a generator
+   raises on a value outside it and [spec_of_string] returns it as an
+   error, so every spec that parses also builds. *)
+let spec_error = function
+  | Line n when n < 1 -> Some "line: n must be >= 1"
+  | Ring n when n < 3 -> Some "ring: n must be >= 3"
+  | Grid (r, c) when r < 1 || c < 1 -> Some "grid: dims must be >= 1"
+  | Torus (r, c) when r < 3 || c < 3 -> Some "torus: dims must be >= 3"
+  | Complete n when n < 2 -> Some "complete: n must be >= 2"
+  | Star n when n < 2 -> Some "star: n must be >= 2"
+  | Binary_tree d when d < 0 -> Some "binary_tree: depth must be >= 0"
+  | Hypercube d when d < 1 -> Some "hypercube: dim must be >= 1"
+  | Random_gnp (n, _) when n < 2 -> Some "random_gnp: n must be >= 2"
+  | Random_gnp (_, p) when p < 0. || p > 1. -> Some "random_gnp: p out of range"
+  | Random_geometric (n, _) when n < 2 ->
+      Some "random_geometric: n must be >= 2"
+  | _ -> None
+
+let require spec =
+  match spec_error spec with
+  | Some msg -> invalid_arg ("Topology." ^ msg)
+  | None -> ()
+
 let line n =
-  if n < 1 then invalid_arg "Topology.line: n must be >= 1";
+  require (Line n);
   Graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1)))
 
 let ring n =
-  if n < 3 then invalid_arg "Topology.ring: n must be >= 3";
+  require (Ring n);
   Graph.of_edges ~diameter:(n / 2) ~n
     (List.init n (fun i -> (i, (i + 1) mod n)))
 
 let grid ~rows ~cols =
-  if rows < 1 || cols < 1 then invalid_arg "Topology.grid: dims must be >= 1";
+  require (Grid (rows, cols));
   let idx r c = (r * cols) + c in
   let edges = ref [] in
   for r = 0 to rows - 1 do
@@ -22,7 +57,7 @@ let grid ~rows ~cols =
   Graph.of_edges ~n:(rows * cols) !edges
 
 let torus ~rows ~cols =
-  if rows < 3 || cols < 3 then invalid_arg "Topology.torus: dims must be >= 3";
+  require (Torus (rows, cols));
   let idx r c = (r * cols) + c in
   let edges = ref [] in
   for r = 0 to rows - 1 do
@@ -34,7 +69,7 @@ let torus ~rows ~cols =
   Graph.of_edges ~diameter:((rows / 2) + (cols / 2)) ~n:(rows * cols) !edges
 
 let complete n =
-  if n < 2 then invalid_arg "Topology.complete: n must be >= 2";
+  require (Complete n);
   let edges = ref [] in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
@@ -44,11 +79,11 @@ let complete n =
   Graph.of_edges ~diameter:1 ~n !edges
 
 let star n =
-  if n < 2 then invalid_arg "Topology.star: n must be >= 2";
+  require (Star n);
   Graph.of_edges ~n (List.init (n - 1) (fun i -> (0, i + 1)))
 
 let binary_tree ~depth =
-  if depth < 0 then invalid_arg "Topology.binary_tree: depth must be >= 0";
+  require (Binary_tree depth);
   let n = (1 lsl (depth + 1)) - 1 in
   let edges = ref [] in
   for v = 1 to n - 1 do
@@ -57,7 +92,7 @@ let binary_tree ~depth =
   Graph.of_edges ~n !edges
 
 let hypercube ~dim =
-  if dim < 1 then invalid_arg "Topology.hypercube: dim must be >= 1";
+  require (Hypercube dim);
   let n = 1 lsl dim in
   let edges = ref [] in
   for v = 0 to n - 1 do
@@ -94,8 +129,7 @@ let connect ~n ~rng edges =
   edges @ !extra
 
 let random_gnp ~n ~p ~rng =
-  if n < 2 then invalid_arg "Topology.random_gnp: n must be >= 2";
-  if p < 0. || p > 1. then invalid_arg "Topology.random_gnp: p out of range";
+  require (Random_gnp (n, p));
   let edges = ref [] in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
@@ -105,7 +139,7 @@ let random_gnp ~n ~p ~rng =
   Graph.of_edges ~n (connect ~n ~rng !edges)
 
 let random_geometric ~n ~radius ~rng =
-  if n < 2 then invalid_arg "Topology.random_geometric: n must be >= 2";
+  require (Random_geometric (n, radius));
   let pos =
     Array.init n (fun _ -> (Prng.float rng 1.0, Prng.float rng 1.0))
   in
@@ -120,18 +154,6 @@ let random_geometric ~n ~radius ~rng =
     done
   done;
   (Graph.of_edges ~n (connect ~n ~rng !edges), pos)
-
-type spec =
-  | Line of int
-  | Ring of int
-  | Grid of int * int
-  | Torus of int * int
-  | Complete of int
-  | Star of int
-  | Binary_tree of int
-  | Hypercube of int
-  | Random_gnp of int * float
-  | Random_geometric of int * float
 
 let build spec ~rng =
   match spec with
@@ -158,7 +180,7 @@ let spec_name = function
   | Random_gnp (n, p) -> Printf.sprintf "gnp:%d:%g" n p
   | Random_geometric (n, r) -> Printf.sprintf "geometric:%d:%g" n r
 
-let spec_of_string s =
+let parse_spec s =
   let fail () = Error (Printf.sprintf "unrecognized topology %S" s) in
   let int_of s = int_of_string_opt s in
   let float_of s = float_of_string_opt s in
@@ -192,3 +214,9 @@ let spec_of_string s =
       | Some n, Some r -> Ok (Random_geometric (n, r))
       | _ -> fail ())
   | _ -> fail ()
+
+let spec_of_string s =
+  Result.bind (parse_spec s) (fun spec ->
+      match spec_error spec with
+      | None -> Ok spec
+      | Some msg -> Error (Printf.sprintf "invalid topology %S: %s" s msg))

@@ -63,4 +63,6 @@ val build : spec -> rng:Gcs_util.Prng.t -> Graph.t
 
 val spec_name : spec -> string
 val spec_of_string : string -> (spec, string) result
-(** Parse e.g. ["line:64"], ["grid:8x8"], ["gnp:100:0.05"]. Used by the CLI. *)
+(** Parse e.g. ["line:64"], ["grid:8x8"], ["gnp:100:0.05"]. Used by the CLI.
+    A spec its generator would reject (["ring:1"], ["torus:2x5"],
+    ["gnp:10:1.5"], ...) is an [Error], so every parsed spec builds. *)

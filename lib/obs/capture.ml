@@ -2,7 +2,6 @@ type request = {
   events : bool;
   events_format : Event_log.format;
   events_capacity : int option;
-  events_stream : (string -> unit) option;
   series_period : float option;
   series_values : bool;
   series_rates : bool;
@@ -16,7 +15,6 @@ let none =
     events = false;
     events_format = Event_log.Jsonl;
     events_capacity = None;
-    events_stream = None;
     series_period = None;
     series_values = false;
     series_rates = false;

@@ -5,17 +5,12 @@
     Because the description carries no sink state, the same request can
     be shared across a seed sweep and across domains without any
     cross-run leakage — per-run byte identity of exports holds by
-    construction. The one exception is [events_stream]: a streaming
-    callback is shared mutable state, so it is only meaningful for
-    single-run use. *)
+    construction. *)
 
 type request = {
   events : bool;  (** record an event log *)
   events_format : Event_log.format;
   events_capacity : int option;  (** ring capacity; [None] = unbounded *)
-  events_stream : (string -> unit) option;
-      (** streaming emit callback (single-run only); takes precedence over
-          [events_capacity] *)
   series_period : float option;
       (** record a skew series every this many time units; [None] = off *)
   series_values : bool;  (** include per-node logical clock values *)

@@ -61,7 +61,6 @@ type ring = { cols : cols; mutable next : int }
 type store =
   | Grow of grow  (** unbounded; index = seq *)
   | Ring of ring
-  | Stream of (string -> unit)
 
 type t = {
   format_ : format;
@@ -72,14 +71,13 @@ type t = {
   mutable recorded : int;
 }
 
-let create ?capacity ?stream ?(format_ = Jsonl) () =
+let create ?capacity ?(format_ = Jsonl) () =
   let store =
-    match (stream, capacity) with
-    | Some emit, _ -> Stream emit
-    | None, Some c ->
+    match capacity with
+    | Some c ->
         if c <= 0 then invalid_arg "Event_log.create: capacity must be > 0";
         Ring { cols = make_cols c; next = 0 }
-    | None, None -> Grow { chunks = [||]; n_chunks = 0 }
+    | None -> Grow { chunks = [||]; n_chunks = 0 }
   in
   { format_; store; overflow = Hashtbl.create 8; recorded = 0 }
 
@@ -267,6 +265,37 @@ let encode_csv ?run e =
 let encode_line ?run format e =
   match format with Jsonl -> encode_jsonl ?run e | Csv -> encode_csv ?run e
 
+let entry_to_string time obs =
+  match obs with
+  | Engine.Obs_send { src; dst; edge; delay } ->
+      Printf.sprintf "%10.4f  send     %d -> %d (edge %d, delay %.4f)" time src
+        dst edge delay
+  | Engine.Obs_drop { src; dst; edge } ->
+      Printf.sprintf "%10.4f  drop     %d -> %d (edge %d)" time src dst edge
+  | Engine.Obs_deliver { dst; port } ->
+      Printf.sprintf "%10.4f  deliver  -> %d (port %d)" time dst port
+  | Engine.Obs_timer { node; tag } ->
+      Printf.sprintf "%10.4f  timer    @ %d (tag %d)" time node tag
+  | Engine.Obs_rate_change { node; rate } ->
+      Printf.sprintf "%10.4f  rate     @ %d -> %.6f" time node rate
+  | Engine.Obs_node_down { node } ->
+      Printf.sprintf "%10.4f  down     @ %d" time node
+  | Engine.Obs_node_up { node; wipe } ->
+      Printf.sprintf "%10.4f  up       @ %d%s" time node
+        (if wipe then " (wiped)" else "")
+  | Engine.Obs_edge_down { edge } ->
+      Printf.sprintf "%10.4f  cut      edge %d" time edge
+  | Engine.Obs_edge_up { edge } ->
+      Printf.sprintf "%10.4f  healed   edge %d" time edge
+  | Engine.Obs_fault_drop { src; dst; edge } ->
+      Printf.sprintf "%10.4f  f-drop   %d -> %d (edge %d)" time src dst edge
+  | Engine.Obs_duplicate { src; dst; edge } ->
+      Printf.sprintf "%10.4f  dup      %d -> %d (edge %d)" time src dst edge
+  | Engine.Obs_corrupt { src; dst; edge } ->
+      Printf.sprintf "%10.4f  corrupt  %d -> %d (edge %d)" time src dst edge
+  | Engine.Obs_lie { src; dst; edge } ->
+      Printf.sprintf "%10.4f  lie      %d -> %d (edge %d)" time src dst edge
+
 let add_chunk g =
   let ci = g.n_chunks in
   if ci = Array.length g.chunks then begin
@@ -292,15 +321,10 @@ let record_ring t r time obs =
   r.next <- (if j = Array.length r.cols.packed then 0 else j);
   t.recorded <- t.recorded + 1
 
-let record_stream t emit time obs =
-  emit (encode_line t.format_ { seq = t.recorded; time; obs });
-  t.recorded <- t.recorded + 1
-
 let record t time obs =
   match t.store with
   | Grow g -> record_grow t g time obs
   | Ring r -> record_ring t r time obs
-  | Stream emit -> record_stream t emit time obs
 
 (* The observer closure is specialized to the storage mode (no per-event
    match) and eta-expanded to a direct two-argument closure; a partial
@@ -309,8 +333,7 @@ let attach t engine =
   Engine.add_observer engine
     (match t.store with
     | Grow g -> fun time obs -> record_grow t g time obs
-    | Ring r -> fun time obs -> record_ring t r time obs
-    | Stream emit -> fun time obs -> record_stream t emit time obs)
+    | Ring r -> fun time obs -> record_ring t r time obs)
 
 let entries t =
   match t.store with
@@ -328,13 +351,11 @@ let entries t =
           { seq = t.recorded - count + k;
             time = r.cols.times.(i);
             obs = get t r.cols i i })
-  | Stream _ -> []
 
 let retained t =
   match t.store with
   | Grow _ -> t.recorded
   | Ring r -> min t.recorded (Array.length r.cols.packed)
-  | Stream _ -> 0
 
 let to_lines ?run t = List.map (fun e -> encode_line ?run t.format_ e) (entries t)
 

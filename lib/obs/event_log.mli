@@ -3,14 +3,12 @@
     An event log is an engine observer that flattens {!Gcs_sim.Engine}
     observations into unboxed columns at record time and defers all
     formatting (and reconstruction) to export time, so recording neither
-    allocates nor retains heap values the GC has to trace. Three storage
+    allocates nor retains heap values the GC has to trace. Two storage
     modes:
 
     - unbounded (default): every event is retained;
     - ring: [~capacity] keeps only the most recent entries in bounded
-      memory;
-    - streaming: [~stream] formats each event immediately and hands the
-      line to a callback; nothing is retained.
+      memory.
 
     Because observers never mutate algorithm state or consume algorithm
     randomness, attaching a log does not perturb the simulation, and the
@@ -25,12 +23,9 @@ type entry = { seq : int; time : float; obs : Gcs_sim.Engine.observation }
 
 type t
 
-val create :
-  ?capacity:int -> ?stream:(string -> unit) -> ?format_:format -> unit -> t
+val create : ?capacity:int -> ?format_:format -> unit -> t
 (** [format_] defaults to [Jsonl]. [capacity] must be positive and selects
-    the ring mode; [stream] selects streaming mode and takes precedence
-    over [capacity]. Streaming callbacks receive one formatted line per
-    event, without a trailing newline. *)
+    the ring mode. *)
 
 val attach : t -> 'msg Gcs_sim.Engine.t -> unit
 (** Register as one of the engine's observer sinks. *)
@@ -44,10 +39,10 @@ val recorded : t -> int
 (** Total events seen, including any evicted from a ring. *)
 
 val retained : t -> int
-(** Events currently held (0 in streaming mode). *)
+(** Events currently held. *)
 
 val entries : t -> entry list
-(** Retained entries in chronological order (empty in streaming mode). *)
+(** Retained entries in chronological order. *)
 
 (** {1 Export}
 
@@ -61,6 +56,14 @@ val entries : t -> entry list
 
 val encode_line : ?run:int -> format -> entry -> string
 (** Format one entry (no trailing newline). *)
+
+val entry_to_string : float -> Gcs_sim.Engine.observation -> string
+(** The human-readable one-line form of an observation at a time, e.g.
+    ["  125.4235  deliver  -> 6 (port 0)"]: the time in a 10-wide [%.4f]
+    field, then the kind and its fields. This is what [gcs-cli trace]
+    prints for its tail and what a monitor violation records as its
+    [context] (and so what [.repro] files store); unlike {!encode_line}
+    it rounds, so it is for people, not for parsing back. *)
 
 val csv_header : ?run:bool -> unit -> string list
 (** Fixed CSV column set covering every event kind; [~run:true] prepends

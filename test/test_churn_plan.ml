@@ -12,6 +12,7 @@ module Drift = Gcs_clock.Drift
 module Spec = Gcs_core.Spec
 module Algorithm = Gcs_core.Algorithm
 module Runner = Gcs_core.Runner
+module Metrics = Gcs_core.Metrics
 
 let ring8 = Topology.ring 8
 
@@ -317,6 +318,81 @@ let test_churned_regions_identical () =
         [ 2; 4 ])
     [ Algorithm.Gradient_sync; Algorithm.Dynamic_gradient_sync ]
 
+(* Duty-cycle churn: every edge flaps for the whole run, down a [duty]
+   fraction of the time on average, in outages of mean length
+   [mean_down]. *)
+let duty_flap ~duty ~mean_down ~horizon =
+  Churn_plan.of_processes
+    [
+      Churn_plan.Flap
+        {
+          from_ = 0.;
+          until = horizon;
+          up_mean = mean_down *. (1. -. duty) /. duty;
+          down_mean = mean_down;
+          edges = Fault_plan.All_edges;
+        };
+    ]
+
+let test_flap_down_fraction () =
+  let graph = Topology.line 2 and horizon = 100_000. in
+  let plan =
+    match
+      Churn_plan.compile
+        (duty_flap ~duty:0.3 ~mean_down:10. ~horizon)
+        ~graph ~seed:3 ~horizon
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "flap plan compiled to nothing"
+  in
+  let up =
+    match Churn_plan.up_windows plan ~graph ~horizon with
+    | [ (_, ivs) ] -> List.fold_left (fun acc (a, b) -> acc +. (b -. a)) 0. ivs
+    | _ -> Alcotest.fail "expected the one edge's up-intervals"
+  in
+  let fraction = 1. -. (up /. horizon) in
+  Alcotest.(check bool)
+    (Printf.sprintf "down fraction %.3f near 0.3" fraction)
+    true
+    (Float.abs (fraction -. 0.3) < 0.05)
+
+(* Gradient on ring:16 under duty-cycle churn (no plan at duty 0); skews
+   over the second half of the run. *)
+let duty_churned_run ~duty ~seed =
+  let graph = Topology.ring 16 and horizon = 600. in
+  let fault_plan =
+    if duty = 0. then None
+    else
+      Churn_plan.compile
+        (duty_flap ~duty ~mean_down:10. ~horizon)
+        ~graph ~seed ~horizon
+  in
+  let r =
+    Runner.run (Runner.config ?fault_plan ~horizon ~warmup:0. ~seed graph)
+  in
+  (r, Metrics.summarize graph r.Runner.samples ~after:(horizon /. 2.))
+
+let test_flap_drop_rate_tracks_duty () =
+  let r, _ = duty_churned_run ~duty:0.25 ~seed:5 in
+  let rate =
+    float_of_int r.Runner.dropped_faults /. float_of_int r.Runner.messages
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "drop rate %.3f near duty 0.25" rate)
+    true
+    (Float.abs (rate -. 0.25) < 0.08)
+
+(* Beacon state is soft: gradient coasts on stale estimates through
+   outages, so 30% churn costs a small factor of the unchurned skew. *)
+let test_flap_graceful_degradation () =
+  let _, quiet = duty_churned_run ~duty:0. ~seed:7 in
+  let _, noisy = duty_churned_run ~duty:0.3 ~seed:7 in
+  Alcotest.(check bool)
+    (Printf.sprintf "max local %.3f under churn vs %.3f without"
+       noisy.Metrics.max_local quiet.Metrics.max_local)
+    true
+    (noisy.Metrics.max_local < 2.5 *. quiet.Metrics.max_local)
+
 (* Random plans round-trip through the textual syntax. *)
 let qcheck_round_trip =
   let open QCheck in
@@ -410,6 +486,11 @@ let suite =
       test_inert_churn_is_static;
     Alcotest.test_case "churned run identical across regions" `Quick
       test_churned_regions_identical;
+    Alcotest.test_case "flap down fraction" `Quick test_flap_down_fraction;
+    Alcotest.test_case "flap drop rate tracks duty" `Quick
+      test_flap_drop_rate_tracks_duty;
+    Alcotest.test_case "flap graceful degradation" `Quick
+      test_flap_graceful_degradation;
     QCheck_alcotest.to_alcotest qcheck_round_trip;
     QCheck_alcotest.to_alcotest qcheck_inert;
   ]

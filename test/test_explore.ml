@@ -92,7 +92,13 @@ let test_instance_validation () =
   raises "too many nodes" (fun () ->
       Instance.make ~topology:(Topology.Ring 8) ());
   raises "too few nodes" (fun () ->
-      Instance.make ~topology:(Topology.Line 1) ())
+      Instance.make ~topology:(Topology.Line 1) ());
+  raises "plan names a missing node" (fun () ->
+      Instance.make
+        ~fault_plan:
+          (Gcs_sim.Fault_plan.of_events
+             [ Gcs_sim.Fault_plan.Node_crash { at = 1.; node = 9 } ])
+        ())
 
 let test_instance_space_arithmetic () =
   let inst = Instance.make () in

@@ -135,6 +135,64 @@ let test_crash_wipe_rejoins () =
     true
     (final_skew <= ep.Fault_metrics.band)
 
+(* Crash-stop without recovery on a ring whose halves drift apart, so the
+   live neighbours of a crashed node need the fast trigger. Returns the
+   run and the skew among never-crashed nodes over the final quarter. *)
+let run_crashes ?(spec = Spec.make ()) crashes =
+  let graph = Topology.ring 16 in
+  let plan =
+    Fault_plan.of_events
+      (List.map (fun (node, at) -> Fault_plan.Node_crash { at; node }) crashes)
+  in
+  let r =
+    Runner.run
+      (Runner.config ~spec ~drift_of_node:(split_drift ~n:16) ~fault_plan:plan
+         ~horizon:1000. ~warmup:0. ~seed:89 graph)
+  in
+  let alive v = not (List.mem_assoc v crashes) in
+  (r, Metrics.summarize ~alive graph r.Runner.samples ~after:750.)
+
+let test_crash_baseline () =
+  let _, live = run_crashes [] in
+  Alcotest.(check bool) "sane skew" true (live.Metrics.max_local < 5.)
+
+(* Estimate expiry ([Spec.staleness_limit]) drops the crashed node's
+   frozen estimate, so its neighbours keep synchronizing. *)
+let test_crash_survivors_with_expiry () =
+  let _, baseline = run_crashes [] in
+  let _, crashed = run_crashes [ (12, 200.) ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "live skew preserved (%.3f vs %.3f)"
+       crashed.Metrics.max_local baseline.Metrics.max_local)
+    true
+    (crashed.Metrics.max_local < baseline.Metrics.max_local +. 0.5)
+
+(* Without expiry a live neighbour keeps extrapolating the dead clock, sees
+   a phantom neighbour falling ever further behind, and the blocking
+   clause freezes it out of the fast trigger. *)
+let test_crash_phantom_without_expiry () =
+  let _, with_expiry = run_crashes [ (12, 200.) ] in
+  let _, without =
+    run_crashes ~spec:(Spec.make ~staleness_limit:1e9 ()) [ (12, 200.) ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "phantom costs skew (%.3f vs %.3f)"
+       without.Metrics.max_local with_expiry.Metrics.max_local)
+    true
+    (without.Metrics.max_local > with_expiry.Metrics.max_local +. 0.2)
+
+(* A crash-stopped node sends nothing, and everything addressed to it is a
+   fault drop: fault drops are positive and grow with earlier crashes,
+   while the loss-law counter stays untouched. *)
+let test_crash_silences_node () =
+  let late, _ = run_crashes [ (12, 900.) ] in
+  let early, _ = run_crashes [ (12, 100.) ] in
+  Alcotest.(check bool) "fault drops recorded" true
+    (late.Runner.dropped_faults > 0);
+  Alcotest.(check int) "no loss-law drops" 0 late.Runner.dropped;
+  Alcotest.(check bool) "earlier crash, more drops" true
+    (early.Runner.dropped_faults > late.Runner.dropped_faults)
+
 (* PR 1's sharding contract extended to faulted runs: a batch mixing
    partitions, crash-recover, and message tampering produces identical
    results (samples, counters, fault reports) for any job count. *)
@@ -351,6 +409,13 @@ let suite =
       test_partition_heal_ring64;
     Alcotest.test_case "crash-wipe: node rejoins" `Quick
       test_crash_wipe_rejoins;
+    Alcotest.test_case "crash: no-crash baseline" `Quick test_crash_baseline;
+    Alcotest.test_case "crash: survivors with expiry" `Quick
+      test_crash_survivors_with_expiry;
+    Alcotest.test_case "crash: phantom, no expiry" `Quick
+      test_crash_phantom_without_expiry;
+    Alcotest.test_case "crash: node falls silent" `Quick
+      test_crash_silences_node;
     Alcotest.test_case "sharding deterministic with faults" `Quick
       test_sharding_deterministic_with_faults;
     QCheck_alcotest.to_alcotest qcheck_healed_plans_reenter_band;

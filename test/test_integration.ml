@@ -39,24 +39,26 @@ let test_external_under_churn () =
   let anchors v = if v mod 4 = 0 then Some External_sync.perfect_reference else None in
   let algo = External_sync.algorithm ~anchors in
   let graph = Topology.ring 16 in
-  let windows_rng = Gcs_util.Prng.create ~seed:53 in
-  let per_edge =
-    Array.init 16 (fun _ ->
-        Gcs_adversary.Churn.windows ~duty:0.2 ~mean_down:8. ~horizon:1200.
-          ~rng:(Gcs_util.Prng.split windows_rng))
-  in
-  let loss ~edge ~src:_ ~dst:_ ~now =
-    let down =
-      Array.exists
-        (fun (a, b) -> now >= a && now < b)
-        per_edge.(edge mod Array.length per_edge)
-    in
-    if down then 1. else 0.
+  (* Every link flaps: down for 8 time units on average, up for 32. *)
+  let churn =
+    Gcs_sim.Churn_plan.of_processes
+      [
+        Gcs_sim.Churn_plan.Flap
+          {
+            from_ = 0.;
+            until = 1200.;
+            up_mean = 32.;
+            down_mean = 8.;
+            edges = Gcs_sim.Fault_plan.All_edges;
+          };
+      ]
   in
   let r =
     Runner.run
       (Runner.config ~spec ~algo:Algorithm.Gradient_sync ~override:algo
-         ~loss:(Runner.Custom_loss loss) ~horizon:1200. ~seed:53 graph)
+         ?fault_plan:
+           (Gcs_sim.Churn_plan.compile churn ~graph ~seed:53 ~horizon:1200.)
+         ~horizon:1200. ~seed:53 graph)
   in
   let rt =
     Array.fold_left

@@ -12,6 +12,9 @@ module Parallel_run = Gcs_core.Parallel_run
 module Algorithm = Gcs_core.Algorithm
 module Topology = Gcs_graph.Topology
 module Fault_plan = Gcs_sim.Fault_plan
+module Dm = Gcs_sim.Delay_model
+module Hc = Gcs_clock.Hardware_clock
+module Prng = Gcs_util.Prng
 
 let all_kinds : Engine.observation list =
   [
@@ -133,22 +136,95 @@ let test_ring_capacity_one () =
   | [ e ] -> Alcotest.(check int) "newest kept" 2 e.Event_log.seq
   | _ -> Alcotest.fail "expected one entry"
 
-let test_streaming_mode () =
-  let lines = ref [] in
-  let log = Event_log.create ~stream:(fun l -> lines := l :: !lines) () in
-  record_all log;
-  Alcotest.(check int) "recorded" (List.length all_kinds)
-    (Event_log.recorded log);
-  Alcotest.(check int) "retained" 0 (Event_log.retained log);
-  Alcotest.(check int) "entries empty" 0 (List.length (Event_log.entries log));
-  let streamed = List.rev !lines in
-  Alcotest.(check int) "one line per event" (List.length all_kinds)
-    (List.length streamed);
-  (* Streamed lines carry the same bytes a retained log would export. *)
-  let retained = Event_log.create () in
-  record_all retained;
-  Alcotest.(check (list string)) "same bytes as retained export"
-    (Event_log.to_lines retained) streamed
+(* The human-readable line, byte for byte for every kind: a monitor
+   violation records it as its context, so the committed .repro fixtures
+   hold these bytes (the first two lines are taken from them). *)
+let test_entry_to_string () =
+  List.iter
+    (fun (time, obs, expected) ->
+      Alcotest.(check string) expected expected
+        (Event_log.entry_to_string time obs))
+    [
+      ( 125.423473,
+        Engine.Obs_deliver { dst = 6; port = 0 },
+        "  125.4235  deliver  -> 6 (port 0)" );
+      ( 1020.005264,
+        Engine.Obs_timer { node = 2; tag = 1 },
+        " 1020.0053  timer    @ 2 (tag 1)" );
+      ( 0.5,
+        Engine.Obs_send { src = 0; dst = 1; edge = 2; delay = 0.125 },
+        "    0.5000  send     0 -> 1 (edge 2, delay 0.1250)" );
+      ( 1.,
+        Engine.Obs_drop { src = 3; dst = 4; edge = 5 },
+        "    1.0000  drop     3 -> 4 (edge 5)" );
+      ( 2.,
+        Engine.Obs_rate_change { node = 10; rate = 1.005 },
+        "    2.0000  rate     @ 10 -> 1.005000" );
+      (3., Engine.Obs_node_down { node = 11 }, "    3.0000  down     @ 11");
+      ( 4.,
+        Engine.Obs_node_up { node = 12; wipe = true },
+        "    4.0000  up       @ 12 (wiped)" );
+      ( 4.5,
+        Engine.Obs_node_up { node = 13; wipe = false },
+        "    4.5000  up       @ 13" );
+      (5., Engine.Obs_edge_down { edge = 14 }, "    5.0000  cut      edge 14");
+      (6., Engine.Obs_edge_up { edge = 15 }, "    6.0000  healed   edge 15");
+      ( 7.,
+        Engine.Obs_fault_drop { src = 16; dst = 17; edge = 18 },
+        "    7.0000  f-drop   16 -> 17 (edge 18)" );
+      ( 8.,
+        Engine.Obs_duplicate { src = 19; dst = 20; edge = 21 },
+        "    8.0000  dup      19 -> 20 (edge 21)" );
+      ( 9.,
+        Engine.Obs_corrupt { src = 22; dst = 23; edge = 24 },
+        "    9.0000  corrupt  22 -> 23 (edge 24)" );
+      ( 10.,
+        Engine.Obs_lie { src = 25; dst = 26; edge = 27 },
+        "   10.0000  lie      25 -> 26 (edge 27)" );
+    ]
+
+(* Two nodes on one edge; node 0 sends one message at start and [delays]
+   decides its fate. *)
+let one_message_engine delays =
+  let clocks = Array.init 2 (fun _ -> Hc.create ~t0:0. ~rate:1. ()) in
+  Engine.create ~graph:(Topology.line 2) ~clocks ~delays
+    ~rng:(Prng.create ~seed:1) ~t0:0. ~make_node:(fun v ->
+      {
+        Engine.on_init = (fun api -> if v = 0 then api.Engine.send ~port:0 ());
+        on_message = (fun _ ~port:_ () -> ());
+        on_timer = (fun _ ~tag:_ -> ());
+      })
+
+let unit_delay = Dm.fixed (Dm.bounds ~d_min:1. ~d_max:1.)
+
+let test_attach_to_engine () =
+  let engine = one_message_engine unit_delay in
+  let log = Event_log.create () in
+  Event_log.attach log engine;
+  Engine.run_until engine 5.;
+  match Event_log.entries log with
+  | [
+   { Event_log.obs = Engine.Obs_send { delay; _ }; time = t0; _ };
+   { Event_log.obs = Engine.Obs_deliver _; time = t1; _ };
+  ] ->
+      Alcotest.(check (float 1e-9)) "delivery lag" delay (t1 -. t0)
+  | _ -> Alcotest.fail "expected one send, then its delivery"
+
+let test_drop_observed () =
+  let lossy = Dm.with_loss (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> 1.) unit_delay in
+  let engine = one_message_engine lossy in
+  let log = Event_log.create () in
+  Event_log.attach log engine;
+  Engine.run_until engine 5.;
+  let count kind =
+    List.length
+      (List.filter (fun e -> kind e.Event_log.obs) (Event_log.entries log))
+  in
+  Alcotest.(check int) "drop observed" 1
+    (count (function Engine.Obs_drop _ -> true | _ -> false));
+  Alcotest.(check int) "nothing delivered" 0
+    (count (function Engine.Obs_deliver _ -> true | _ -> false));
+  Alcotest.(check int) "engine counter" 1 (Engine.messages_dropped engine)
 
 (* encode -> parse -> re-encode must be the identity on bytes, for every
    kind, with and without a run tag. *)
@@ -359,7 +435,10 @@ let suite =
     Alcotest.test_case "grow across chunks" `Quick test_grow_across_chunks;
     Alcotest.test_case "ring exact capacity" `Quick test_ring_exact_capacity;
     Alcotest.test_case "ring capacity one" `Quick test_ring_capacity_one;
-    Alcotest.test_case "streaming mode" `Quick test_streaming_mode;
+    Alcotest.test_case "human-readable line per kind" `Quick
+      test_entry_to_string;
+    Alcotest.test_case "attach to engine" `Quick test_attach_to_engine;
+    Alcotest.test_case "drop observed" `Quick test_drop_observed;
     Alcotest.test_case "jsonl roundtrip" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "parse rejections" `Quick test_parse_rejections;
     Alcotest.test_case "csv export" `Quick test_csv_export;

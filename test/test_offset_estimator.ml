@@ -67,11 +67,22 @@ let prop_estimate_error_bounded =
           let bound = (u /. 2.) +. (rho *. (delay +. elapsed)) +. 1e-9 in
           Float.abs (est -. true_remote) <= bound)
 
+let test_expiry () =
+  let e = Oe.create () in
+  Oe.update e ~h_local:10. ~remote_value:100. ~elapsed_guess:0.;
+  Alcotest.(check bool) "fresh estimate available" true
+    (Oe.offset ~max_age:4. e ~h_local:12. ~own_value:0. <> None);
+  Alcotest.(check bool) "stale estimate expired" true
+    (Oe.offset ~max_age:4. e ~h_local:15. ~own_value:0. = None);
+  Alcotest.(check bool) "no max_age keeps it" true
+    (Oe.offset e ~h_local:1000. ~own_value:0. <> None)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
     Alcotest.test_case "anchor and extrapolate" `Quick test_anchor_and_extrapolate;
     Alcotest.test_case "offset sign" `Quick test_offset_sign;
     Alcotest.test_case "update replaces" `Quick test_update_replaces;
+    Alcotest.test_case "estimator expiry" `Quick test_expiry;
     QCheck_alcotest.to_alcotest prop_estimate_error_bounded;
   ]

@@ -223,6 +223,45 @@ let test_override_used () =
   let r = Runner.run cfg in
   Alcotest.(check int) "no messages" 0 r.Runner.messages
 
+let test_uniform_loss () =
+  let graph = Topology.ring 10 in
+  let run loss =
+    Runner.run
+      (Runner.config ~spec ~algo:Algorithm.Gradient_sync ~loss ~horizon:200.
+         ~seed:9 graph)
+  in
+  let none = run Runner.No_loss in
+  let half = run (Runner.Uniform_loss 0.5) in
+  let all = run (Runner.Uniform_loss 1.0) in
+  Alcotest.(check int) "no loss drops nothing" 0 none.Runner.dropped;
+  Alcotest.(check bool) "half loss drops about half" true
+    (let f =
+       float_of_int half.Runner.dropped /. float_of_int half.Runner.messages
+     in
+     Float.abs (f -. 0.5) < 0.1);
+  Alcotest.(check int) "total loss delivers nothing"
+    all.Runner.messages all.Runner.dropped
+
+let test_total_loss_equals_free_run () =
+  (* With every message dropped, the gradient algorithm can never see a
+     neighbor: behaviour must degrade to free-running clocks. *)
+  let graph = Topology.ring 10 in
+  let run ~algo ~loss =
+    (Runner.run
+       (Runner.config ~spec ~algo ~loss ~horizon:300. ~seed:11 graph))
+      .Runner.summary
+  in
+  let deaf = run ~algo:Algorithm.Gradient_sync ~loss:(Runner.Uniform_loss 1.0) in
+  let free = run ~algo:Algorithm.Free_run ~loss:Runner.No_loss in
+  Alcotest.(check (float 1e-9)) "same skew as free-run"
+    free.Metrics.max_global deaf.Metrics.max_global
+
+let test_loss_validation () =
+  let graph = Topology.ring 6 in
+  match Runner.config ~loss:(Runner.Uniform_loss 1.5) graph with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "accepted loss > 1"
+
 let suite =
   [
     Alcotest.test_case "sampling cadence" `Quick test_sampling_cadence;
@@ -244,4 +283,8 @@ let suite =
     Alcotest.test_case "obs empty by default" `Quick test_obs_empty_by_default;
     Alcotest.test_case "per-edge delays" `Quick test_per_edge_delay_kind;
     Alcotest.test_case "override used" `Quick test_override_used;
+    Alcotest.test_case "uniform loss" `Quick test_uniform_loss;
+    Alcotest.test_case "total loss = free run" `Quick
+      test_total_loss_equals_free_run;
+    Alcotest.test_case "loss validation" `Quick test_loss_validation;
   ]

@@ -188,6 +188,67 @@ let prop_calendar_sorts =
       let keys = List.map (fun (p, s, _) -> (p, s)) (drain q) in
       keys = List.sort compare keys && List.length keys = List.length xs)
 
+(* Model test: every scheduler against a sorted (prio, seq) list under
+   random interleavings of pushes and pops. This is the one check of
+   [Binary_heap] against something other than itself (the calendar queue
+   is checked against [Binary_heap] above). Most priorities are small
+   integers, so ties — which only [seq] may break — are common. Sizes
+   must agree after every operation, and [min_value] must name what
+   [pop_min] then removes. *)
+type model_op = M_push of float | M_pop
+
+let model_ops_arb =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map
+           (function M_push p -> Printf.sprintf "push %g" p | M_pop -> "pop")
+           ops))
+    QCheck.Gen.(
+      list_size (int_range 0 60)
+        (frequency
+           [
+             (2, map (fun p -> M_push (float_of_int p)) (int_range (-5) 5));
+             (1, map (fun p -> M_push p) (float_range (-50.) 50.));
+             (2, return M_pop);
+           ]))
+
+let prop_model =
+  QCheck.Test.make
+    ~name:"random push/pop interleavings match the sorted-list model"
+    ~count:500 model_ops_arb (fun ops ->
+      List.for_all
+        (fun kind ->
+          let q = Scheduler.make kind in
+          let model = ref [] and next_seq = ref 0 and ok = ref true in
+          let pop () =
+            match !model with
+            | [] -> if q.Scheduler.size () <> 0 then ok := false
+            | (p, s) :: rest ->
+                let mp = q.Scheduler.min_prio () and ms = q.Scheduler.min_seq () in
+                let peeked = q.Scheduler.min_value () in
+                let v = q.Scheduler.pop_min () in
+                if mp <> p || ms <> s || peeked <> s || v <> s then ok := false;
+                model := rest
+          in
+          List.iter
+            (fun op ->
+              (match op with
+              | M_push p ->
+                  q.Scheduler.push ~prio:p ~seq:!next_seq !next_seq;
+                  model := List.merge compare !model [ (p, !next_seq) ];
+                  incr next_seq
+              | M_pop -> pop ());
+              if q.Scheduler.size () <> List.length !model then ok := false)
+            ops;
+          (* The remaining contents must drain in model order too. *)
+          while !ok && !model <> [] do
+            pop ();
+            if q.Scheduler.size () <> List.length !model then ok := false
+          done;
+          !ok && q.Scheduler.size () = 0)
+        Scheduler.all_kinds)
+
 let test_kind_of_string () =
   Alcotest.(check bool)
     "heap parses" true
@@ -209,4 +270,5 @@ let suite =
     Alcotest.test_case "kind_of_string" `Quick test_kind_of_string;
     QCheck_alcotest.to_alcotest prop_calendar_matches_heap;
     QCheck_alcotest.to_alcotest prop_calendar_sorts;
+    QCheck_alcotest.to_alcotest prop_model;
   ]

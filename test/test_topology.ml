@@ -112,6 +112,53 @@ let test_spec_rejects_garbage () =
       | Error _ -> ())
     [ "nope"; "line"; "line:x"; "grid:3"; "gnp:10"; "" ]
 
+(* The parser accepts exactly the parameters the generators accept: each
+   degenerate spec is an [Error] from [spec_of_string] and raises from
+   [build], and each boundary value on the other side parses and builds. *)
+let test_spec_rejects_degenerate () =
+  let rng = Prng.create ~seed:1 in
+  List.iter
+    (fun (s, spec, valid) ->
+      let parsed = Topology.spec_of_string s in
+      let built =
+        match Topology.build spec ~rng with
+        | _ -> true
+        | exception Invalid_argument _ -> false
+      in
+      Alcotest.(check bool) (s ^ " parses") valid (Result.is_ok parsed);
+      Alcotest.(check bool) (s ^ " builds") valid built;
+      if valid then
+        Alcotest.(check bool) (s ^ " parses to its spec") true
+          (parsed = Ok spec))
+    Topology.
+      [
+        ("line:0", Line 0, false);
+        ("line:1", Line 1, true);
+        ("ring:1", Ring 1, false);
+        ("ring:2", Ring 2, false);
+        ("ring:3", Ring 3, true);
+        ("grid:0x3", Grid (0, 3), false);
+        ("grid:3x0", Grid (3, 0), false);
+        ("grid:1x1", Grid (1, 1), true);
+        ("torus:2x5", Torus (2, 5), false);
+        ("torus:5x2", Torus (5, 2), false);
+        ("torus:3x3", Torus (3, 3), true);
+        ("complete:1", Complete 1, false);
+        ("complete:2", Complete 2, true);
+        ("star:1", Star 1, false);
+        ("star:2", Star 2, true);
+        ("btree:-1", Binary_tree (-1), false);
+        ("btree:0", Binary_tree 0, true);
+        ("hypercube:0", Hypercube 0, false);
+        ("hypercube:1", Hypercube 1, true);
+        ("gnp:1:0.5", Random_gnp (1, 0.5), false);
+        ("gnp:10:-0.1", Random_gnp (10, -0.1), false);
+        ("gnp:10:1.5", Random_gnp (10, 1.5), false);
+        ("gnp:2:1", Random_gnp (2, 1.), true);
+        ("geometric:1:0.5", Random_geometric (1, 0.5), false);
+        ("geometric:2:0.5", Random_geometric (2, 0.5), true);
+      ]
+
 let test_build_matches_direct () =
   let rng = Prng.create ~seed:1 in
   let g = Topology.build (Topology.Ring 7) ~rng in
@@ -130,6 +177,8 @@ let suite =
     Alcotest.test_case "hypercube" `Quick test_hypercube;
     Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
     Alcotest.test_case "spec rejects garbage" `Quick test_spec_rejects_garbage;
+    Alcotest.test_case "spec rejects degenerate" `Quick
+      test_spec_rejects_degenerate;
     Alcotest.test_case "build" `Quick test_build_matches_direct;
     QCheck_alcotest.to_alcotest test_random_gnp_connected;
     QCheck_alcotest.to_alcotest test_random_geometric_connected;
