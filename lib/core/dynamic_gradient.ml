@@ -14,8 +14,15 @@ let tighten_rate (spec : Spec.t) =
 (* Shrink an offset estimate toward zero by the port's current allowance:
    a fresh neighbor is invisible to the trigger until it drifts beyond
    what a fresh edge is still entitled to. *)
-let discount ~allow o =
+let[@inline] discount ~allow o =
   if o > allow then o -. allow else if o < -.allow then o +. allow else 0.
+
+let discount_prefix ~allow0 ~tighten ~h_local ~live_since offsets ports n =
+  for i = 0 to n - 1 do
+    let age = h_local -. live_since.(ports.(i)) in
+    let allow = Float.max 0. (allow0 -. (tighten *. age)) in
+    offsets.(i) <- discount ~allow offsets.(i)
+  done
 
 let make_node ~allow0 ~tighten (ctx : Algorithm.ctx) v =
   let lc = ctx.logical.(v) in
@@ -27,33 +34,29 @@ let make_node ~allow0 ~tighten (ctx : Algorithm.ctx) v =
   let flight_guess =
     0.5 *. (bounds.Delay_model.d_min +. bounds.Delay_model.d_max)
   in
-  let estimators = ref [||] in
+  let estimators =
+    Offset_estimator.create (Gcs_graph.Graph.degree ctx.graph v)
+  in
   (* [neg_infinity] = the edge existed at startup, when all clocks began
      synchronized — it is born settled (allowance 0), not fresh. Only an
      edge that (re)forms after a silence longer than the staleness limit
      gets the fresh allowance, with its age restarting at that beacon. *)
   let live_since = ref [||] in
   let last_heard = ref [||] in
-  let offsets_now (api : Message.t Engine.api) =
-    let h = api.hardware () in
-    let own = Logical_clock.value lc ~now:(ctx.now ()) in
-    let known = ref [] in
-    Array.iteri
-      (fun port est ->
-        match Offset_estimator.offset ~max_age:spec.Spec.staleness_limit est
-                ~h_local:h ~own_value:own with
-        | Some o ->
-            let age = h -. !live_since.(port) in
-            let allow = Float.max 0. (allow0 -. (tighten *. age)) in
-            known := discount ~allow o :: !known
-        | None -> ())
-      !estimators;
-    Array.of_list !known
-  in
   let evaluate (api : Message.t Engine.api) =
-    let offsets = offsets_now api in
+    let h = api.hardware () in
+    let own_value = Logical_clock.value lc ~now:(ctx.now ()) in
+    let n =
+      Offset_estimator.scan estimators ~max_age:spec.Spec.staleness_limit
+        ~h_local:h ~own_value
+    in
+    let offsets = Offset_estimator.offsets estimators in
+    discount_prefix ~allow0 ~tighten ~h_local:h ~live_since:!live_since
+      offsets
+      (Offset_estimator.offset_ports estimators)
+      n;
     let target =
-      if Gradient_sync.fast_trigger ~kappa ~offsets then fast_mult else 1.
+      if Gradient_sync.fast_trigger_n ~kappa offsets n then fast_mult else 1.
     in
     if Logical_clock.mult lc <> target then
       Logical_clock.set_mult lc ~now:(ctx.now ()) target
@@ -70,7 +73,6 @@ let make_node ~allow0 ~tighten (ctx : Algorithm.ctx) v =
   {
     Engine.on_init =
       (fun api ->
-        estimators := Array.init api.ports (fun _ -> Offset_estimator.create ());
         live_since := Array.make api.ports neg_infinity;
         last_heard := Array.make api.ports 0.;
         arm api ~tag:Algorithm.timer_beacon (Prng.uniform api.rng ~lo:0. ~hi:period);
@@ -88,7 +90,7 @@ let make_node ~allow0 ~tighten (ctx : Algorithm.ctx) v =
             if h -. !last_heard.(port) > spec.Spec.staleness_limit then
               !live_since.(port) <- h;
             !last_heard.(port) <- h;
-            Offset_estimator.update !estimators.(port) ~h_local:h
+            Offset_estimator.update estimators ~port ~h_local:h
               ~remote_value:value ~elapsed_guess:flight_guess;
             evaluate api
         | Message.Probe _ | Message.Probe_reply _ | Message.Flood _

@@ -50,5 +50,22 @@ val tighten_rate : Spec.t -> float
     inside the shrinking allowance; falls back to [mu / 8] when
     [mu <= 2 rho]. *)
 
+val discount_prefix :
+  allow0:float ->
+  tighten:float ->
+  h_local:float ->
+  live_since:float array ->
+  float array ->
+  int array ->
+  int ->
+  unit
+(** [discount_prefix ~allow0 ~tighten ~h_local ~live_since a ports n]
+    shrinks each estimate [a.(i)], i < n, toward zero by the current
+    allowance [max 0 (allow0 - tighten * (h_local - live_since.(ports.(i))))]
+    of the edge at port [ports.(i)], in place and without allocating. The
+    node runs it on its estimator bank's scratch before the trigger; a
+    fresh neighbor is invisible to the trigger until it drifts beyond what
+    a fresh edge is still entitled to. Exposed for tests. *)
+
 val algorithm : Algorithm.t
 (** The ["dynamic-gradient"] algorithm. *)

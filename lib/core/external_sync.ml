@@ -33,34 +33,29 @@ let make_node ~anchors (ctx : Algorithm.ctx) v =
     0.5 *. (bounds.Delay_model.d_min +. bounds.Delay_model.d_max)
   in
   let anchor = anchors v in
-  let estimators = ref [||] in
-  let reference_offset () =
-    match anchor with
-    | None -> None
-    | Some r ->
-        let now = ctx.now () in
-        Some (Logical_clock.value lc ~now -. query r ~now)
-  in
-  let offsets_now (api : Message.t Engine.api) =
-    let h = api.hardware () in
-    let own = Logical_clock.value lc ~now:(ctx.now ()) in
-    let known = ref [] in
-    (match reference_offset () with
-    | Some o -> known := o :: !known
-    | None -> ());
-    Array.iter
-      (fun est ->
-        match Offset_estimator.offset ~max_age:spec.Spec.staleness_limit est
-                ~h_local:h ~own_value:own with
-        | Some o -> known := o :: !known
-        | None -> ())
-      !estimators;
-    Array.of_list !known
+  let estimators =
+    let spare = match anchor with None -> 0 | Some _ -> 1 in
+    Offset_estimator.create ~spare (Gcs_graph.Graph.degree ctx.graph v)
   in
   let evaluate (api : Message.t Engine.api) =
-    let offsets = offsets_now api in
+    let h_local = api.hardware () in
+    let own_value = Logical_clock.value lc ~now:(ctx.now ()) in
+    let n =
+      Offset_estimator.scan estimators ~max_age:spec.Spec.staleness_limit
+        ~h_local ~own_value
+    in
+    let offsets = Offset_estimator.offsets estimators in
+    (* The reference clock is one more neighbor, in the spare slot. *)
+    let n =
+      match anchor with
+      | None -> n
+      | Some r ->
+          let now = ctx.now () in
+          offsets.(n) <- Logical_clock.value lc ~now -. query r ~now;
+          n + 1
+    in
     let target =
-      if Gradient_sync.fast_trigger ~kappa ~offsets then fast_mult
+      if Gradient_sync.fast_trigger_n ~kappa offsets n then fast_mult
       else base_mult
     in
     if Logical_clock.mult lc <> target then
@@ -78,7 +73,6 @@ let make_node ~anchors (ctx : Algorithm.ctx) v =
   {
     Engine.on_init =
       (fun api ->
-        estimators := Array.init api.ports (fun _ -> Offset_estimator.create ());
         Logical_clock.set_mult lc ~now:(ctx.now ()) base_mult;
         arm api ~tag:Algorithm.timer_beacon (Prng.uniform api.rng ~lo:0. ~hi:period);
         arm api ~tag:Algorithm.timer_recheck
@@ -87,7 +81,7 @@ let make_node ~anchors (ctx : Algorithm.ctx) v =
       (fun api ~port msg ->
         match msg with
         | Message.Beacon { value } ->
-            Offset_estimator.update !estimators.(port)
+            Offset_estimator.update estimators ~port
               ~h_local:(api.hardware ()) ~remote_value:value
               ~elapsed_guess:flight_guess;
             evaluate api

@@ -28,20 +28,42 @@ module Prng = Gcs_util.Prng
    no other bound). On sparse topologies (lines, rings, grids: degree <=
    4) the trim is therefore inert and the window carries the weight; in
    dense neighborhoods it removes in-window lies before they can stall
-   anything at all. *)
-let filter_offsets ~f ~kappa offsets =
+   anything at all.
+
+   The filter runs in place on a prefix of the node's scratch array. Only
+   the extremes of the survivors matter to the trigger, so the trim drops
+   the t smallest and t largest survivors one at a time rather than
+   sorting them. *)
+let drop_extreme ~largest (a : float array) n =
+  let at = ref 0 in
+  for i = 1 to n - 1 do
+    let beyond = if largest then a.(i) > a.(!at) else a.(i) < a.(!at) in
+    if beyond then at := i
+  done;
+  a.(!at) <- a.(n - 1)
+
+let filter_prefix ~f ~kappa offsets n =
   let w = float_of_int ((2 * f) + 1) *. kappa in
-  let kept =
-    List.filter (fun o -> Float.abs o <= w) (Array.to_list offsets)
-  in
-  let kept = Array.of_list kept in
-  let n = Array.length kept in
-  let t = max 0 (min f ((n - (2 * f) - 1) / 2)) in
-  if t = 0 then kept
-  else begin
-    Array.sort Float.compare kept;
-    Array.sub kept t (n - (2 * t))
-  end
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let o = offsets.(i) in
+    if Float.abs o <= w then begin
+      offsets.(!kept) <- o;
+      incr kept
+    end
+  done;
+  let t = Int.max 0 (Int.min f ((!kept - (2 * f) - 1) / 2)) in
+  for _ = 1 to t do
+    drop_extreme ~largest:false offsets !kept;
+    decr kept;
+    drop_extreme ~largest:true offsets !kept;
+    decr kept
+  done;
+  !kept
+
+let filter_offsets ~f ~kappa offsets =
+  let a = Array.copy offsets in
+  Array.sub a 0 (filter_prefix ~f ~kappa a (Array.length a))
 
 let make_node ~f (ctx : Algorithm.ctx) v =
   let lc = ctx.logical.(v) in
@@ -53,24 +75,20 @@ let make_node ~f (ctx : Algorithm.ctx) v =
   let flight_guess =
     0.5 *. (bounds.Delay_model.d_min +. bounds.Delay_model.d_max)
   in
-  let estimators = ref [||] in
-  let offsets_now (api : Message.t Engine.api) =
-    let h = api.hardware () in
-    let own = Logical_clock.value lc ~now:(ctx.now ()) in
-    let known = ref [] in
-    Array.iter
-      (fun est ->
-        match Offset_estimator.offset ~max_age:spec.Spec.staleness_limit est
-                ~h_local:h ~own_value:own with
-        | Some o -> known := o :: !known
-        | None -> ())
-      !estimators;
-    Array.of_list !known
+  let estimators =
+    Offset_estimator.create (Gcs_graph.Graph.degree ctx.graph v)
   in
   let evaluate (api : Message.t Engine.api) =
-    let offsets = filter_offsets ~f ~kappa (offsets_now api) in
+    let h_local = api.hardware () in
+    let own_value = Logical_clock.value lc ~now:(ctx.now ()) in
+    let n =
+      Offset_estimator.scan estimators ~max_age:spec.Spec.staleness_limit
+        ~h_local ~own_value
+    in
+    let offsets = Offset_estimator.offsets estimators in
+    let n = filter_prefix ~f ~kappa offsets n in
     let target =
-      if Gradient_sync.fast_trigger ~kappa ~offsets then fast_mult else 1.
+      if Gradient_sync.fast_trigger_n ~kappa offsets n then fast_mult else 1.
     in
     if Logical_clock.mult lc <> target then
       Logical_clock.set_mult lc ~now:(ctx.now ()) target
@@ -87,7 +105,6 @@ let make_node ~f (ctx : Algorithm.ctx) v =
   {
     Engine.on_init =
       (fun api ->
-        estimators := Array.init api.ports (fun _ -> Offset_estimator.create ());
         arm api ~tag:Algorithm.timer_beacon (Prng.uniform api.rng ~lo:0. ~hi:period);
         arm api ~tag:Algorithm.timer_recheck
           (Prng.uniform api.rng ~lo:0. ~hi:(period /. 2.)));
@@ -95,7 +112,7 @@ let make_node ~f (ctx : Algorithm.ctx) v =
       (fun api ~port msg ->
         match msg with
         | Message.Beacon { value } ->
-            Offset_estimator.update !estimators.(port)
+            Offset_estimator.update estimators ~port
               ~h_local:(api.hardware ()) ~remote_value:value
               ~elapsed_guess:flight_guess;
             evaluate api

@@ -24,11 +24,18 @@
     state (all estimates sit well inside the window), so the algorithm
     degrades gracefully to the plain gradient's behaviour. *)
 
+val filter_prefix : f:int -> kappa:float -> float array -> int -> int
+(** [filter_prefix ~f ~kappa a n] filters [a.(0 .. n-1)] in place and
+    returns the number [k] of estimates kept in [a.(0 .. k-1)]: it drops
+    estimates with magnitude above [(2f+1)*kappa], keeping the survivors
+    in order, then removes the [t = min f ((n'-2f-1)/2)] smallest and [t]
+    largest of the [n'] survivors (never going below [2f+1] kept), which
+    leaves the rest in no particular order. Allocates nothing; the node
+    runs it on its estimator bank's scratch. *)
+
 val filter_offsets : f:int -> kappa:float -> float array -> float array
-(** [filter_offsets ~f ~kappa offsets] drops estimates with magnitude
-    above [(2f+1)*kappa], then trims [min f ((n-2f-1)/2)] entries from
-    each end of the sorted survivors (never going below [2f+1] kept).
-    Exposed for unit tests. *)
+(** [filter_prefix] on a copy of the whole array. Exposed for unit
+    tests. *)
 
 val algorithm : int -> Algorithm.t
 (** [algorithm f] tolerates up to [f] Byzantine neighbors per node. Raises

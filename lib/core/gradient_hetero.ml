@@ -4,44 +4,40 @@ module Delay_model = Gcs_sim.Delay_model
 module Graph = Gcs_graph.Graph
 module Prng = Gcs_util.Prng
 
+(* Allocation-free kernel: the estimate [offsets.(i)] crossed the edge at
+   port [ports.(i)], whose quantum is [port_kappa.(ports.(i))]. *)
+let fast_trigger_ports ~port_kappa ~ports offsets n =
+  (* Largest level at which some neighbor can still be "ahead enough"; a
+     neighbor must be ahead by at least its own kappa for level 0 to be
+     worth checking at all. *)
+  let max_level = ref 0 and leader = ref false in
+  for i = 0 to n - 1 do
+    let k = port_kappa.(ports.(i)) in
+    let ahead = -.offsets.(i) in
+    if ahead >= k then begin
+      leader := true;
+      let s = int_of_float ((ahead /. k) -. 1.) / 2 in
+      if s > !max_level then max_level := s
+    end
+  done;
+  let s = ref 0 and hit = ref false in
+  while !leader && (not !hit) && !s <= !max_level do
+    let m = float_of_int ((2 * !s) + 1) in
+    let some_ahead = ref false and none_behind = ref true in
+    for i = 0 to n - 1 do
+      let level = m *. port_kappa.(ports.(i)) in
+      if -.offsets.(i) >= level then some_ahead := true;
+      if offsets.(i) > level then none_behind := false
+    done;
+    hit := !some_ahead && !none_behind;
+    incr s
+  done;
+  !hit
+
 let fast_trigger_hetero ~kappas ~offsets =
   let n = Array.length offsets in
-  if n = 0 then false
-  else begin
-    assert (Array.length kappas = n);
-    (* Largest level at which some neighbor can still be "ahead enough". *)
-    let max_level = ref 0 in
-    for i = 0 to n - 1 do
-      let ahead = -.offsets.(i) in
-      if ahead >= kappas.(i) then begin
-        let s = int_of_float ((ahead /. kappas.(i)) -. 1.) / 2 in
-        if s > !max_level then max_level := s
-      end
-    done;
-    let exists_ahead s =
-      let ok = ref false in
-      for i = 0 to n - 1 do
-        if -.offsets.(i) >= (float_of_int ((2 * s) + 1) *. kappas.(i)) then
-          ok := true
-      done;
-      !ok
-    in
-    let none_behind s =
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        if offsets.(i) > float_of_int ((2 * s) + 1) *. kappas.(i) then
-          ok := false
-      done;
-      !ok
-    in
-    let rec search s =
-      if s > !max_level then false
-      else (exists_ahead s && none_behind s) || search (s + 1)
-    in
-    (* A neighbor must be ahead by at least its own kappa for level 0 to be
-       worth checking at all. *)
-    Array.exists2 (fun k o -> -.o >= k) kappas offsets && search 0
-  end
+  assert (n = 0 || Array.length kappas = n);
+  fast_trigger_ports ~port_kappa:kappas ~ports:(Array.init n Fun.id) offsets n
 
 let make_node ~edge_bounds (ctx : Algorithm.ctx) v =
   let lc = ctx.logical.(v) in
@@ -68,24 +64,22 @@ let make_node ~edge_bounds (ctx : Algorithm.ctx) v =
       (fun b -> 0.5 *. (b.Delay_model.d_min +. b.Delay_model.d_max))
       port_bounds
   in
-  let estimators = Array.init ports (fun _ -> Offset_estimator.create ()) in
+  let estimators = Offset_estimator.create ports in
   let evaluate (api : Message.t Engine.api) =
-    let h = api.hardware () in
-    let own = Logical_clock.value lc ~now:(ctx.now ()) in
-    let known_offsets = ref [] and known_kappas = ref [] in
-    Array.iteri
-      (fun p est ->
-        match Offset_estimator.offset ~max_age:spec.Spec.staleness_limit est
-                ~h_local:h ~own_value:own with
-        | Some o ->
-            known_offsets := o :: !known_offsets;
-            known_kappas := port_kappa.(p) :: !known_kappas
-        | None -> ())
-      estimators;
-    let offsets = Array.of_list !known_offsets in
-    let kappas = Array.of_list !known_kappas in
+    let h_local = api.hardware () in
+    let own_value = Logical_clock.value lc ~now:(ctx.now ()) in
+    let n =
+      Offset_estimator.scan estimators ~max_age:spec.Spec.staleness_limit
+        ~h_local ~own_value
+    in
     let target =
-      if fast_trigger_hetero ~kappas ~offsets then fast_mult else 1.
+      if
+        fast_trigger_ports ~port_kappa
+          ~ports:(Offset_estimator.offset_ports estimators)
+          (Offset_estimator.offsets estimators)
+          n
+      then fast_mult
+      else 1.
     in
     if Logical_clock.mult lc <> target then
       Logical_clock.set_mult lc ~now:(ctx.now ()) target
@@ -109,7 +103,7 @@ let make_node ~edge_bounds (ctx : Algorithm.ctx) v =
       (fun api ~port msg ->
         match msg with
         | Message.Beacon { value } ->
-            Offset_estimator.update estimators.(port)
+            Offset_estimator.update estimators ~port
               ~h_local:(api.hardware ()) ~remote_value:value
               ~elapsed_guess:port_guess.(port);
             evaluate api

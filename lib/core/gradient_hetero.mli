@@ -19,10 +19,19 @@
     Pair it with [Runner.Per_edge_delays] so the simulated delays actually
     follow the per-edge bounds. *)
 
+val fast_trigger_ports :
+  port_kappa:float array -> ports:int array -> float array -> int -> bool
+(** [fast_trigger_ports ~port_kappa ~ports a n] evaluates the per-edge
+    trigger on the estimates [a.(0 .. n-1)], where [a.(i)] is o_{v,w_i}
+    measured across the edge at port [ports.(i)], whose quantum is
+    [port_kappa.(ports.(i))]; [n = 0] never triggers. Allocates nothing,
+    so a node runs it on its estimator bank's scratch. *)
+
 val fast_trigger_hetero : kappas:float array -> offsets:float array -> bool
 (** Pure per-edge trigger evaluation ([offsets.(i)] is o_{v,w_i} measured
-    across an edge with quantum [kappas.(i)]); exposed for tests. Arrays
-    must have equal length; empty arrays never trigger. *)
+    across an edge with quantum [kappas.(i)]): {!fast_trigger_ports} with
+    [kappas] as the per-port quanta. Exposed for tests. Arrays must have
+    equal length; empty arrays never trigger. *)
 
 val algorithm : edge_bounds:(int -> Gcs_sim.Delay_model.bounds) -> Algorithm.t
 (** The heterogeneous gradient algorithm. [edge_bounds] maps each edge id

@@ -8,26 +8,21 @@ let make_node (ctx : Algorithm.ctx) v =
   let period = spec.Spec.beacon_period in
   let kappa = spec.Spec.kappa in
   let fast_mult = 1. +. spec.Spec.mu in
-  let estimators = ref [||] in
+  let estimators =
+    Offset_estimator.create (Gcs_graph.Graph.degree ctx.graph v)
+  in
   let last_accepted = ref [||] in
   let seq = ref 0 in
-  let offsets_now (api : Message.t Engine.api) =
-    let h = api.hardware () in
-    let own = Logical_clock.value lc ~now:(ctx.now ()) in
-    let known = ref [] in
-    Array.iter
-      (fun est ->
-        match Offset_estimator.offset ~max_age:spec.Spec.staleness_limit est
-                ~h_local:h ~own_value:own with
-        | Some o -> known := o :: !known
-        | None -> ())
-      !estimators;
-    Array.of_list !known
-  in
   let evaluate (api : Message.t Engine.api) =
-    let offsets = offsets_now api in
+    let h_local = api.hardware () in
+    let own_value = Logical_clock.value lc ~now:(ctx.now ()) in
+    let n =
+      Offset_estimator.scan estimators ~max_age:spec.Spec.staleness_limit
+        ~h_local ~own_value
+    in
+    let offsets = Offset_estimator.offsets estimators in
     let target =
-      if Gradient_sync.fast_trigger ~kappa ~offsets then fast_mult else 1.
+      if Gradient_sync.fast_trigger_n ~kappa offsets n then fast_mult else 1.
     in
     if Logical_clock.mult lc <> target then
       Logical_clock.set_mult lc ~now:(ctx.now ()) target
@@ -44,7 +39,6 @@ let make_node (ctx : Algorithm.ctx) v =
   {
     Engine.on_init =
       (fun api ->
-        estimators := Array.init api.ports (fun _ -> Offset_estimator.create ());
         last_accepted := Array.make api.ports 0;
         arm api ~tag:Algorithm.timer_beacon (Prng.uniform api.rng ~lo:0. ~hi:period);
         arm api ~tag:Algorithm.timer_recheck
@@ -63,7 +57,7 @@ let make_node (ctx : Algorithm.ctx) v =
               let rtt = h_now -. h_send in
               (* The neighbor's clock read mid-exchange, brought forward by
                  half the round trip: no delay-distribution knowledge. *)
-              Offset_estimator.update !estimators.(port) ~h_local:h_now
+              Offset_estimator.update estimators ~port ~h_local:h_now
                 ~remote_value ~elapsed_guess:(rtt /. 2.);
               evaluate api
             end

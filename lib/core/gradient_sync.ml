@@ -3,38 +3,48 @@ module Logical_clock = Gcs_clock.Logical_clock
 module Delay_model = Gcs_sim.Delay_model
 module Prng = Gcs_util.Prng
 
-(* Largest relevant level is bounded by max offset / kappa, so the trigger
-   loops terminate quickly in practice. *)
-let exists_level ~limit pred =
-  let rec go s = if float_of_int s > limit then false else pred s || go (s + 1) in
-  go 0
+(* Both triggers ask for a level s >= 0 with lead >= l(s) and
+   lag <= l(s). The fast trigger has lead = ahead (how far the most-ahead
+   neighbor leads us), lag = behind (how far the most-behind neighbor
+   trails us) and l(s) = (2s + 1) * kappa, and needs ahead >= kappa; the
+   slow one swaps lead and lag and has l(s) = 2s * kappa. The largest
+   relevant level is bounded by max offset / kappa, so the loop ends
+   quickly in practice. Reads the first [n] entries of [offsets] and
+   allocates nothing, so a node can run it on its estimator bank's
+   scratch on every beacon. *)
+let level_search ~fast ~kappa offsets n =
+  let ahead = ref neg_infinity and behind = ref neg_infinity in
+  for i = 0 to n - 1 do
+    ahead := Float.max !ahead (-.offsets.(i));
+    behind := Float.max !behind offsets.(i)
+  done;
+  let ahead = !ahead and behind = !behind in
+  let lead = if fast then ahead else behind in
+  let lag = if fast then behind else ahead in
+  let odd = if fast then 1 else 0 in
+  let limit = if fast then ahead /. kappa else (behind /. kappa) +. 1. in
+  let s = ref 0 and hit = ref false in
+  if fast && not (ahead >= kappa) then false
+  else begin
+    while (not !hit) && not (float_of_int !s > limit) do
+      let level = float_of_int ((2 * !s) + odd) *. kappa in
+      hit := lead >= level && lag <= level;
+      incr s
+    done;
+    !hit
+  end
 
-let extremes offsets =
-  (* ahead = how far the most-ahead neighbor leads us;
-     behind = how far the most-behind neighbor trails us. *)
-  Array.fold_left
-    (fun (ahead, behind) o -> (Float.max ahead (-.o), Float.max behind o))
-    (neg_infinity, neg_infinity)
-    offsets
+let fast_trigger_n ~kappa offsets n =
+  n > 0 && level_search ~fast:true ~kappa offsets n
+
+let slow_trigger_n ~kappa offsets n =
+  n = 0 || level_search ~fast:false ~kappa offsets n
 
 let fast_trigger ~kappa ~offsets =
-  if Array.length offsets = 0 then false
-  else begin
-    let ahead, behind = extremes offsets in
-    ahead >= kappa
-    && exists_level ~limit:(ahead /. kappa) (fun s ->
-           let level = float_of_int ((2 * s) + 1) *. kappa in
-           ahead >= level && behind <= level)
-  end
+  fast_trigger_n ~kappa offsets (Array.length offsets)
 
 let slow_trigger ~kappa ~offsets =
-  if Array.length offsets = 0 then true
-  else begin
-    let ahead, behind = extremes offsets in
-    exists_level ~limit:((behind /. kappa) +. 1.) (fun s ->
-        let level = float_of_int (2 * s) *. kappa in
-        behind >= level && ahead <= level)
-  end
+  slow_trigger_n ~kappa offsets (Array.length offsets)
 
 let make_node (ctx : Algorithm.ctx) v =
   let lc = ctx.logical.(v) in
@@ -46,23 +56,18 @@ let make_node (ctx : Algorithm.ctx) v =
   let flight_guess =
     0.5 *. (bounds.Delay_model.d_min +. bounds.Delay_model.d_max)
   in
-  let estimators = ref [||] in
-  let offsets_now (api : Message.t Engine.api) =
-    let h = api.hardware () in
-    let own = Logical_clock.value lc ~now:(ctx.now ()) in
-    let known = ref [] in
-    Array.iter
-      (fun est ->
-        match Offset_estimator.offset ~max_age:spec.Spec.staleness_limit est
-                ~h_local:h ~own_value:own with
-        | Some o -> known := o :: !known
-        | None -> ())
-      !estimators;
-    Array.of_list !known
+  let estimators =
+    Offset_estimator.create (Gcs_graph.Graph.degree ctx.graph v)
   in
   let evaluate (api : Message.t Engine.api) =
-    let offsets = offsets_now api in
-    let target = if fast_trigger ~kappa ~offsets then fast_mult else 1. in
+    let h_local = api.hardware () in
+    let own_value = Logical_clock.value lc ~now:(ctx.now ()) in
+    let n =
+      Offset_estimator.scan estimators ~max_age:spec.Spec.staleness_limit
+        ~h_local ~own_value
+    in
+    let fast = fast_trigger_n ~kappa (Offset_estimator.offsets estimators) n in
+    let target = if fast then fast_mult else 1. in
     if Logical_clock.mult lc <> target then
       Logical_clock.set_mult lc ~now:(ctx.now ()) target
   in
@@ -78,7 +83,6 @@ let make_node (ctx : Algorithm.ctx) v =
   {
     Engine.on_init =
       (fun api ->
-        estimators := Array.init api.ports (fun _ -> Offset_estimator.create ());
         arm api ~tag:Algorithm.timer_beacon (Prng.uniform api.rng ~lo:0. ~hi:period);
         arm api ~tag:Algorithm.timer_recheck
           (Prng.uniform api.rng ~lo:0. ~hi:(period /. 2.)));
@@ -86,7 +90,7 @@ let make_node (ctx : Algorithm.ctx) v =
       (fun api ~port msg ->
         match msg with
         | Message.Beacon { value } ->
-            Offset_estimator.update !estimators.(port)
+            Offset_estimator.update estimators ~port
               ~h_local:(api.hardware ()) ~remote_value:value
               ~elapsed_guess:flight_guess;
             evaluate api

@@ -25,13 +25,22 @@
 
 val algorithm : Algorithm.t
 
+val fast_trigger_n : kappa:float -> float array -> int -> bool
+(** [fast_trigger_n ~kappa a n] evaluates the fast trigger on the
+    estimates [a.(0 .. n-1)], where [a.(i)] is o_{v,w_i} = (estimated)
+    own - neighbor; [n = 0] never triggers. Allocates nothing, so a node
+    runs it on its estimator bank's scratch (see {!Offset_estimator.scan})
+    on every beacon. *)
+
+val slow_trigger_n : kappa:float -> float array -> int -> bool
+(** The complementary slow trigger (some neighbor behind by >= 2s * kappa,
+    none ahead by more than 2s * kappa, for some level s >= 0) on
+    [a.(0 .. n-1)]; [n = 0] is slow. Used in the analysis and in tests for
+    mutual exclusivity; the implementation runs slow whenever the fast
+    trigger does not hold. *)
+
 val fast_trigger : kappa:float -> offsets:float array -> bool
-(** Pure trigger evaluation, exposed for unit and property tests.
-    [offsets.(i)] is o_{v,w_i} = (estimated) own - neighbor; an empty array
-    never triggers. *)
+(** {!fast_trigger_n} on the whole array. *)
 
 val slow_trigger : kappa:float -> offsets:float array -> bool
-(** The complementary slow trigger (some neighbor behind by >= 2s * kappa,
-    none ahead by more than 2s * kappa, for some level s >= 1). Used in the
-    analysis and in tests for mutual exclusivity; the implementation runs
-    slow whenever the fast trigger does not hold. *)
+(** {!slow_trigger_n} on the whole array. *)

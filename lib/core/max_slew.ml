@@ -3,6 +3,13 @@ module Logical_clock = Gcs_clock.Logical_clock
 module Delay_model = Gcs_sim.Delay_model
 module Prng = Gcs_util.Prng
 
+let ahead_of_us ~threshold offsets n =
+  let ahead = ref false in
+  for i = 0 to n - 1 do
+    if -.offsets.(i) > threshold then ahead := true
+  done;
+  !ahead
+
 let make_node (ctx : Algorithm.ctx) v =
   let lc = ctx.logical.(v) in
   let spec = ctx.spec in
@@ -13,19 +20,18 @@ let make_node (ctx : Algorithm.ctx) v =
   let flight_guess =
     0.5 *. (bounds.Delay_model.d_min +. bounds.Delay_model.d_max)
   in
-  let estimators = ref [||] in
+  let estimators =
+    Offset_estimator.create (Gcs_graph.Graph.degree ctx.graph v)
+  in
   let evaluate (api : Message.t Engine.api) =
-    let h = api.hardware () in
-    let own = Logical_clock.value lc ~now:(ctx.now ()) in
-    let behind = ref false in
-    Array.iter
-      (fun est ->
-        match Offset_estimator.offset ~max_age:spec.Spec.staleness_limit est
-                ~h_local:h ~own_value:own with
-        | Some o when -.o > threshold -> behind := true
-        | Some _ | None -> ())
-      !estimators;
-    let target = if !behind then fast_mult else 1. in
+    let h_local = api.hardware () in
+    let own_value = Logical_clock.value lc ~now:(ctx.now ()) in
+    let n =
+      Offset_estimator.scan estimators ~max_age:spec.Spec.staleness_limit
+        ~h_local ~own_value
+    in
+    let offsets = Offset_estimator.offsets estimators in
+    let target = if ahead_of_us ~threshold offsets n then fast_mult else 1. in
     if Logical_clock.mult lc <> target then
       Logical_clock.set_mult lc ~now:(ctx.now ()) target
   in
@@ -41,7 +47,6 @@ let make_node (ctx : Algorithm.ctx) v =
   {
     Engine.on_init =
       (fun api ->
-        estimators := Array.init api.ports (fun _ -> Offset_estimator.create ());
         arm api ~tag:Algorithm.timer_beacon (Prng.uniform api.rng ~lo:0. ~hi:period);
         arm api ~tag:Algorithm.timer_recheck
           (Prng.uniform api.rng ~lo:0. ~hi:(period /. 2.)));
@@ -49,7 +54,7 @@ let make_node (ctx : Algorithm.ctx) v =
       (fun api ~port msg ->
         match msg with
         | Message.Beacon { value } ->
-            Offset_estimator.update !estimators.(port)
+            Offset_estimator.update estimators ~port
               ~h_local:(api.hardware ()) ~remote_value:value
               ~elapsed_guess:flight_guess;
             evaluate api

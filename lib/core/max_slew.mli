@@ -15,3 +15,8 @@
     is stuck with. *)
 
 val algorithm : Algorithm.t
+
+val ahead_of_us : threshold:float -> float array -> int -> bool
+(** [ahead_of_us ~threshold a n] holds when some estimate [a.(i)], i < n,
+    has a neighbor ahead by more than [threshold] ([-. a.(i) > threshold]):
+    the node's fast condition. Allocates nothing; exposed for tests. *)

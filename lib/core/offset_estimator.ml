@@ -1,25 +1,45 @@
-type anchor = { h_anchor : float; remote_at_anchor : float }
+(* Struct-of-arrays per port: [update] writes two floats, [scan] reads them
+   and writes its results into the bank's own scratch arrays. No float
+   crosses a function boundary per port, so the scan allocates nothing even
+   where cross-module inlining is off. *)
+type t = {
+  heard : Bytes.t;  (* '\001' once the port has delivered a beacon *)
+  h_anchor : float array;
+  remote_at_anchor : float array;
+  offsets : float array;
+  offset_ports : int array;
+}
 
-type t = { mutable anchor : anchor option }
+let create ?(spare = 0) ports =
+  {
+    heard = Bytes.make ports '\000';
+    h_anchor = Array.make ports 0.;
+    remote_at_anchor = Array.make ports 0.;
+    offsets = Array.make (ports + spare) 0.;
+    offset_ports = Array.make ports 0;
+  }
 
-let create () = { anchor = None }
+let offsets t = t.offsets
+let offset_ports t = t.offset_ports
 
-let update t ~h_local ~remote_value ~elapsed_guess =
-  t.anchor <-
-    Some { h_anchor = h_local; remote_at_anchor = remote_value +. elapsed_guess }
+let update t ~port ~h_local ~remote_value ~elapsed_guess =
+  Bytes.set t.heard port '\001';
+  t.h_anchor.(port) <- h_local;
+  t.remote_at_anchor.(port) <- remote_value +. elapsed_guess
 
-let remote_estimate ?max_age t ~h_local =
-  match t.anchor with
-  | None -> None
-  | Some { h_anchor; remote_at_anchor } -> (
-      match max_age with
-      | Some limit when h_local -. h_anchor > limit -> None
-      | Some _ | None -> Some (remote_at_anchor +. (h_local -. h_anchor)))
+let scan t ~max_age ~h_local ~own_value =
+  let count = ref 0 in
+  for port = 0 to Array.length t.h_anchor - 1 do
+    if Bytes.get t.heard port <> '\000' then begin
+      let age = h_local -. t.h_anchor.(port) in
+      if not (age > max_age) then begin
+        t.offsets.(!count) <- own_value -. (t.remote_at_anchor.(port) +. age);
+        t.offset_ports.(!count) <- port;
+        incr count
+      end
+    end
+  done;
+  !count
 
-let offset ?max_age t ~h_local ~own_value =
-  match remote_estimate ?max_age t ~h_local with
-  | None -> None
-  | Some remote -> Some (own_value -. remote)
-
-let last_beacon t =
-  match t.anchor with None -> None | Some { h_anchor; _ } -> Some h_anchor
+let last_beacon t ~port =
+  if Bytes.get t.heard port = '\000' then None else Some t.h_anchor.(port)

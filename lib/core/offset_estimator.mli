@@ -7,27 +7,54 @@
     [v]'s own hardware rate. The resulting estimate o_{v,w} of
     [L_v - L_w] carries error at most [u / 2] (delay asymmetry) plus drift
     accumulated since the last beacon — exactly the estimate error the
-    model reasons about; its bound is {!Spec.estimate_error_bound}. *)
+    model reasons about; its bound is {!Spec.estimate_error_bound}.
+
+    A bank holds one node's estimators, one per port, in flat arrays.
+    {!scan} writes every fresh estimate into the bank's own scratch arrays
+    and returns how many it wrote, so re-evaluating a trigger allocates
+    nothing per port. A bank belongs to one node: region-parallel runs
+    dispatch nodes on several domains, and the scratch arrays are written
+    on every scan. *)
 
 type t
 
-val create : unit -> t
+val create : ?spare:int -> int -> t
+(** [create ports] is a bank for a node of degree [ports] on which no port
+    has delivered a beacon yet. [spare] (default 0) extra slots at the end
+    of {!offsets} are left to the caller, for offsets that do not come from
+    a port (a reference clock, say). *)
 
-val update : t -> h_local:float -> remote_value:float -> elapsed_guess:float -> unit
-(** Record a beacon: at local hardware time [h_local] the remote clock was
-    estimated at [remote_value + elapsed_guess] (the caller supplies the
-    assumed in-flight progress, typically the delay-band midpoint). *)
+val update :
+  t ->
+  port:int ->
+  h_local:float ->
+  remote_value:float ->
+  elapsed_guess:float ->
+  unit
+(** Record a beacon on [port]: at local hardware time [h_local] the remote
+    clock was estimated at [remote_value + elapsed_guess] (the caller
+    supplies the assumed in-flight progress, typically the delay-band
+    midpoint). A NaN [remote_value] is recorded like any other. *)
 
-val remote_estimate : ?max_age:float -> t -> h_local:float -> float option
-(** Estimated current remote logical clock at local hardware time
-    [h_local]; [None] before the first beacon, or when the last beacon is
-    older than [max_age] (staleness expiry: extrapolation error grows with
-    age, and a silent neighbor — crashed node, dead link — must
-    eventually stop influencing the trigger). *)
+val scan : t -> max_age:float -> h_local:float -> own_value:float -> int
+(** [scan t ~max_age ~h_local ~own_value] writes the estimated
+    [own - remote] offset (the o_{v,w} of the model) of every fresh port,
+    in increasing port order, into [(offsets t).(0 .. k-1)] and the port
+    numbers into [(offset_ports t).(0 .. k-1)], and returns [k]. A port is
+    fresh once it has delivered a beacon, until its last beacon is more
+    than [max_age] old in local hardware time (staleness expiry:
+    extrapolation error grows with age, and a silent neighbor — crashed
+    node, dead link — must eventually stop influencing the trigger). An
+    age of exactly [max_age] is still fresh; [max_age = infinity] never
+    expires. The remote estimate of a port is
+    [remote_value + elapsed_guess + (h_local - h_anchor)]. *)
 
-val offset : ?max_age:float -> t -> h_local:float -> own_value:float -> float option
-(** Estimated [own - remote] offset (the o_{v,w} of the model), with the
-    same expiry semantics. *)
+val offsets : t -> float array
+(** The scan's offset scratch: [ports] + [spare] slots, of which the last
+    {!scan} filled a prefix. Owned by the bank; overwritten by every scan. *)
 
-val last_beacon : t -> float option
-(** Local hardware time of the most recent beacon. *)
+val offset_ports : t -> int array
+(** The scan's port scratch, parallel to the prefix of {!offsets}. *)
+
+val last_beacon : t -> port:int -> float option
+(** Local hardware time of the port's most recent beacon. *)

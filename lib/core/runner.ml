@@ -333,8 +333,7 @@ let prepare (cfg : config) =
     in
     match cfg.loss with
     | No_loss -> base
-    | Uniform_loss p ->
-        Delay_model.with_loss (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> p) base
+    | Uniform_loss p -> Delay_model.with_loss p base
   in
   let engine_cell = ref None in
   let now () =

@@ -53,12 +53,12 @@ let edge_at_port t v p = snd t.adj.(v).(p)
 
 let port_of_neighbor t v w =
   let adj = t.adj.(v) in
-  let rec go i =
-    if i >= Array.length adj then raise Not_found
-    else if fst adj.(i) = w then i
-    else go (i + 1)
-  in
-  go 0
+  let port = ref 0 in
+  while !port < Array.length adj && fst adj.(!port) <> w do
+    incr port
+  done;
+  if !port = Array.length adj then raise Not_found;
+  !port
 
 let mem_edge t u v =
   Array.exists (fun (w, _) -> w = v) t.adj.(u)

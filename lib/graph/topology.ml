@@ -177,8 +177,10 @@ let spec_name = function
   | Star n -> Printf.sprintf "star:%d" n
   | Binary_tree d -> Printf.sprintf "btree:%d" d
   | Hypercube d -> Printf.sprintf "hypercube:%d" d
-  | Random_gnp (n, p) -> Printf.sprintf "gnp:%d:%g" n p
-  | Random_geometric (n, r) -> Printf.sprintf "geometric:%d:%g" n r
+  | Random_gnp (n, p) ->
+      Printf.sprintf "gnp:%d:%s" n (Gcs_util.Table.fmt_round_trip p)
+  | Random_geometric (n, r) ->
+      Printf.sprintf "geometric:%d:%s" n (Gcs_util.Table.fmt_round_trip r)
 
 let parse_spec s =
   let fail () = Error (Printf.sprintf "unrecognized topology %S" s) in

@@ -62,6 +62,9 @@ val build : spec -> rng:Gcs_util.Prng.t -> Graph.t
     [rng]; deterministic families ignore it). *)
 
 val spec_name : spec -> string
+(** The spec's text, which {!spec_of_string} reads back exactly: [gnp] and
+    [geometric] parameters print in shortest round-trip form. *)
+
 val spec_of_string : string -> (spec, string) result
 (** Parse e.g. ["line:64"], ["grid:8x8"], ["gnp:100:0.05"]. Used by the CLI.
     A spec its generator would reject (["ring:1"], ["torus:2x5"],

@@ -30,7 +30,7 @@ let of_processes ps =
 
 (* Rendering *)
 
-let f = Printf.sprintf "%g"
+let f = Gcs_util.Table.fmt_round_trip
 
 let process_to_string = function
   | Edge_up { at; edges } ->

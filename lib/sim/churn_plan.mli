@@ -67,8 +67,8 @@ val of_processes : process list -> t
 val process_start : process -> float
 
 val to_string : t -> string
-(** Render in the textual syntax; [of_string (to_string p)] has the same
-    processes as [p]. *)
+(** Render in the textual syntax, every number in shortest round-trip
+    form; [of_string (to_string p)] has the same processes as [p]. *)
 
 val of_string : string -> (t, string) result
 (** Parse the textual syntax (see module doc). *)

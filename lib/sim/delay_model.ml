@@ -15,22 +15,13 @@ type t = {
   edge_bounds : int -> bounds;
   draw_fn :
     edge:int -> src:int -> dst:int -> now:float -> rng:Prng.t -> float;
-  drop_fn : edge:int -> src:int -> dst:int -> now:float -> float;
+  loss : float;
 }
 
 let edge_bounds t e = t.edge_bounds e
 
-let no_drop ~edge:_ ~src:_ ~dst:_ ~now:_ = 0.
-
-let drop_probability t ~edge ~src ~dst ~now = t.drop_fn ~edge ~src ~dst ~now
-
-let with_loss drop_fn t =
-  {
-    t with
-    drop_fn =
-      (fun ~edge ~src ~dst ~now ->
-        Float.min 1. (Float.max 0. (drop_fn ~edge ~src ~dst ~now)));
-  }
+let drop_probability t = t.loss
+let with_loss p t = { t with loss = Float.min 1. (Float.max 0. p) }
 
 let clamp b d = Float.min b.d_max (Float.max b.d_min d)
 
@@ -41,7 +32,7 @@ let fixed b =
   {
     edge_bounds = (fun _ -> b);
     draw_fn = (fun ~edge:_ ~src:_ ~dst:_ ~now:_ ~rng:_ -> b.d_max);
-    drop_fn = no_drop;
+    loss = 0.;
   }
 
 let midpoint b =
@@ -49,7 +40,7 @@ let midpoint b =
   {
     edge_bounds = (fun _ -> b);
     draw_fn = (fun ~edge:_ ~src:_ ~dst:_ ~now:_ ~rng:_ -> d);
-    drop_fn = no_drop;
+    loss = 0.;
   }
 
 let uniform b =
@@ -58,7 +49,7 @@ let uniform b =
     draw_fn =
       (fun ~edge:_ ~src:_ ~dst:_ ~now:_ ~rng ->
         Prng.uniform rng ~lo:b.d_min ~hi:b.d_max);
-    drop_fn = no_drop;
+    loss = 0.;
   }
 
 let per_edge f =
@@ -68,7 +59,7 @@ let per_edge f =
       (fun ~edge ~src:_ ~dst:_ ~now:_ ~rng ->
         let b = f edge in
         Prng.uniform rng ~lo:b.d_min ~hi:b.d_max);
-    drop_fn = no_drop;
+    loss = 0.;
   }
 
 let controlled b ~default chooser =
@@ -81,5 +72,5 @@ let controlled b ~default chooser =
         | None -> default.draw_fn ~edge ~src ~dst ~now ~rng);
     (* Keep the base model's loss law so a controlled adversary can overlay
        a lossy model rather than silently disabling its drops. *)
-    drop_fn = default.drop_fn;
+    loss = default.loss;
   }

@@ -54,14 +54,12 @@ val controlled : bounds -> default:t -> chooser option ref -> t
     a controlled model whose cell holds [None] is behaviorally identical to
     its [default]. *)
 
-val drop_probability :
-  t -> edge:int -> src:int -> dst:int -> now:float -> float
-(** Probability that a message sent right now from [src] to [dst] on this
-    edge is lost; [0.] for all base models. The engine consults this on
-    every send. *)
+val drop_probability : t -> float
+(** Probability that a message sent on this model is lost, i.i.d. per
+    message; [0.] for all base models. The engine consults this on every
+    send. *)
 
-val with_loss : (edge:int -> src:int -> dst:int -> now:float -> float) -> t -> t
-(** Attach a loss law (clamped into [0, 1]) to a model. Time-dependent laws
-    model link churn (an edge that is "down" over an interval is a drop
-    probability of 1 there); source-dependent laws model crashed/silenced
-    nodes. *)
+val with_loss : float -> t -> t
+(** [with_loss p m] is [m] losing each message with probability [p],
+    clamped into [0, 1]. Link churn and crashed nodes are fault-plan
+    events, not loss laws. *)

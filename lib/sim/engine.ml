@@ -421,7 +421,7 @@ let push_region_event t wctx ~region ~prio ev =
       end
       else witem_add c (W_push { prio; ev })
 
-let hw_value t v ~now =
+let[@inline] hw_value t v ~now =
   let ep = Hardware_clock.breakpoint_count t.clocks.(v) in
   if t.seg_epoch.(v) <> ep || now >= t.seg_until.(v) || now < t.seg_t.(v)
   then begin
@@ -437,8 +437,13 @@ let hw_value t v ~now =
 let push_timer_event t wctx ~node ~slot ~gen ~h_target ~now =
   let h_now = hw_value t node ~now in
   let fire_at =
-    (* A deadline already reached (or predating the clock) fires now. *)
+    (* A deadline already reached (or predating the clock) fires now. On
+       the clock's last segment, which [hw_value] has just cached, the
+       inverse is the same arithmetic [Hardware_clock.inverse] does there. *)
     if h_target <= h_now then now
+    else if t.seg_until.(node) = infinity && h_target >= t.seg_v.(node) then
+      Float.max now
+        (t.seg_t.(node) +. ((h_target -. t.seg_v.(node)) /. t.seg_r.(node)))
     else Float.max now (Hardware_clock.inverse t.clocks.(node) ~h:h_target)
   in
   push_region_event t wctx ~region:t.node_region.(node) ~prio:fire_at
@@ -487,9 +492,7 @@ let do_send t wctx v ~port msg =
           in
           witem_add c (W_cross { at; src = v; dst; edge; dst_port; msg; lied })
       | _ -> begin
-          let drop_p =
-            Delay_model.drop_probability t.delays ~edge ~src:v ~dst ~now:at
-          in
+          let drop_p = Delay_model.drop_probability t.delays in
           let dropped =
             drop_p > 0. && Prng.float t.link_rngs.(edge) 1.0 < drop_p
           in
@@ -574,24 +577,25 @@ let do_send t wctx v ~port msg =
         end
   end
 
+(* The real time node [v] sees: its region's clock inside a window. *)
+let[@inline] node_now t v =
+  if t.par_active then !(t.regions.(t.node_region.(v)).now_ref) else t.now
+
 let make_api t v =
   let wctx () =
     if t.par_active then Some t.regions.(t.node_region.(v)) else None
   in
-  let vnow () =
-    if t.par_active then !(t.regions.(t.node_region.(v)).now_ref) else t.now
-  in
   {
     node = v;
     ports = Graph.degree t.graph v;
-    hardware = (fun () -> hw_value t v ~now:(vnow ()));
+    hardware = (fun () -> hw_value t v ~now:(node_now t v));
     send = (fun ~port msg -> do_send t (wctx ()) v ~port msg);
     set_timer =
       (fun ~h ~tag ->
         let pool = t.regions.(t.node_region.(v)).pool in
         let slot = pool_alloc pool t.node_timer_head ~node:v ~h ~tag in
         push_timer_event t (wctx ()) ~node:v ~slot ~gen:pool.tp_gen.(slot)
-          ~h_target:h ~now:(vnow ()));
+          ~h_target:h ~now:(node_now t v));
     rng = Prng.create ~seed:0 (* replaced in [of_config] *);
   }
 
@@ -886,7 +890,7 @@ let fold_region_counters t =
    edge-stream draws happen here, in serial send order, and produce the
    exact observation sequence and queue pushes of a serial send. *)
 let replay_cross t ~at ~src ~dst ~edge ~dst_port ~msg ~lied =
-  let drop_p = Delay_model.drop_probability t.delays ~edge ~src ~dst ~now:at in
+  let drop_p = Delay_model.drop_probability t.delays in
   let dropped = drop_p > 0. && Prng.float t.link_rngs.(edge) 1.0 < drop_p in
   if dropped then begin
     t.messages_dropped <- t.messages_dropped + 1;

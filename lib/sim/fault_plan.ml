@@ -70,7 +70,9 @@ let compose a b = of_events (a @ b)
 
 (* Rendering *)
 
-let f = Printf.sprintf "%g"
+(* Exact: a plan's text is part of its store key, so it must rebuild the
+   same plan. *)
+let f = Gcs_util.Table.fmt_round_trip
 
 let edge_spec_to_string = function
   | All_edges -> "all"

@@ -112,8 +112,9 @@ val compose : t -> t -> t
 val event_start : event -> float
 
 val to_string : t -> string
-(** Render in the textual spec syntax; [of_string (to_string p)] has the
-    same events as [p]. *)
+(** Render in the textual spec syntax, every number in shortest
+    round-trip form ({!Gcs_util.Table.fmt_round_trip}); [of_string
+    (to_string p)] has the same events as [p], bit for bit. *)
 
 val of_string : string -> (t, string) result
 (** Parse the textual spec syntax (see module doc). *)

@@ -1,7 +1,7 @@
 module Topology = Gcs_graph.Topology
 module Fault_plan = Gcs_sim.Fault_plan
 
-let current_schema_version = 1
+let current_schema_version = 2
 
 type t = {
   schema_version : int;
@@ -47,20 +47,7 @@ let canon_event (e : Fault_plan.event) : Fault_plan.event =
   | Msg_corrupt r -> Msg_corrupt { r with edges = canon_edge_spec r.edges }
 
 let canonical_plan p =
-  let p = Fault_plan.of_events (List.map canon_event (Fault_plan.events p)) in
-  (* The textual codec renders times with %g; rounding the plan through it
-     once makes [to_string] a fixed point, so the encoded key is stable
-     however the plan's floats were produced. *)
-  match Fault_plan.of_string (Fault_plan.to_string p) with
-  | Ok p' -> p'
-  | Error _ -> p
-
-let canonical_topology topo =
-  (* spec_name renders gnp/geometric parameters with %g; round once so
-     encode/decode is a fixed point (mirrors [canonical_plan]). *)
-  match Topology.spec_of_string (Topology.spec_name topo) with
-  | Ok t -> t
-  | Error _ -> topo
+  Fault_plan.of_events (List.map canon_event (Fault_plan.events p))
 
 let make ?(schema_version = current_schema_version) ?(drift = "random")
     ?(loss = 0.) ?fault_plan ~rho ~mu ~d_min ~d_max ~beacon_period ~kappa
@@ -74,7 +61,7 @@ let make ?(schema_version = current_schema_version) ?(drift = "random")
     beacon_period;
     kappa;
     staleness_limit;
-    topology = canonical_topology topology;
+    topology;
     algo;
     drift;
     loss;

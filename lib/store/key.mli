@@ -67,9 +67,9 @@ val make :
 
 val canonical_plan : Gcs_sim.Fault_plan.t -> Gcs_sim.Fault_plan.t
 (** Normalise a plan for hashing: endpoint pairs are oriented low-high,
-    edge and cut lists sorted and deduplicated, and all numbers passed
-    through the textual codec so the rendered form is a fixed point of
-    [of_string . to_string]. *)
+    edge and cut lists sorted and deduplicated. Numbers are left alone:
+    {!Gcs_sim.Fault_plan.to_string} prints every float exactly, so the
+    key's text rebuilds the very plan it was made from. *)
 
 val encode : t -> string
 (** Canonical textual encoding (line-oriented [field=value], versioned

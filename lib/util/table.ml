@@ -66,4 +66,12 @@ let print ~title ~columns ~rows =
 let fmt_float ?(digits = 3) x =
   if Float.is_nan x then "-" else Printf.sprintf "%.*f" digits x
 
+let fmt_round_trip x =
+  let try_digits d = Printf.sprintf "%.*g" d x in
+  let s = try_digits 15 in
+  if float_of_string s = x then s
+  else
+    let s = try_digits 16 in
+    if float_of_string s = x then s else try_digits 17
+
 let fmt_int = string_of_int

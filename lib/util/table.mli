@@ -22,4 +22,11 @@ val fmt_float : ?digits:int -> float -> string
 (** Fixed-point float formatting used throughout experiment output
     (default 3 digits). Renders [nan] as ["-"]. *)
 
+val fmt_round_trip : float -> string
+(** The shortest of ["%.15g"], ["%.16g"] and ["%.17g"] that
+    [float_of_string] reads back as the same float, so decimals such as
+    [0.5] or [20] print as ["%g"] prints them while every other float
+    survives a print and parse exactly. Used wherever text must name a
+    float exactly: fault and churn plans, topology parameters. *)
+
 val fmt_int : int -> string

@@ -127,6 +127,200 @@ let test_config_of_key_roundtrip () =
   Alcotest.(check bool) "same summary" true
     ((Runner.run direct).Runner.summary = (Runner.run rebuilt).Runner.summary)
 
+(* A store key must name exactly one run. The direct run is built the way
+   [gcs-cli run] builds it; the other is rebuilt from the run's key, as
+   [check run], [check replay] and the shrinker do. *)
+let run_observed ~log (cfg : Runner.config) =
+  let obs = { Gcs_obs.Capture.none with Gcs_obs.Capture.events = log } in
+  let r = Runner.run { cfg with Runner.obs } in
+  let log =
+    Option.fold ~none:"" ~some:Gcs_obs.Event_log.to_string
+      r.Runner.obs.Gcs_obs.Capture.event_log
+  in
+  (r.Runner.summary, r.Runner.events, log)
+
+let key_rebuilds_direct_run ?(log = true) ?churn ?fault_plan ~topology ~algo
+    ~horizon ~seed () =
+  let graph =
+    Topology.build topology
+      ~rng:(Gcs_util.Prng.create ~seed:(seed lxor 0x5eed))
+  in
+  let compiled =
+    Option.bind churn (fun c ->
+        Gcs_sim.Churn_plan.compile c ~graph ~seed ~horizon)
+  in
+  let fault_plan =
+    match (fault_plan, compiled) with
+    | p, None | None, p -> p
+    | Some a, Some b -> Some (Fault_plan.compose a b)
+  in
+  let direct =
+    Runner.config ~spec ~algo ~horizon ~seed ?fault_plan graph
+  in
+  let rebuilt =
+    config
+      (Runner.store_key ?fault_plan ~spec ~topology ~algo ~horizon ~seed ())
+  in
+  let s1, e1, l1 = run_observed ~log direct in
+  let s2, e2, l2 = run_observed ~log rebuilt in
+  (compare s1 s2 = 0, e1, e2, String.equal l1 l2)
+
+(* The instance that exposed the rounded keys: its flap times carry more
+   than six significant digits, and the rounded plan dispatched one event
+   more. *)
+let test_key_run_seed_777 () =
+  let churn =
+    match Gcs_sim.Churn_plan.of_string "flap@20..60:up=15:down=3:all" with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let same_summary, direct, rebuilt, _ =
+    key_rebuilds_direct_run ~log:false ~churn
+      ~topology:(Topology.Torus (20, 20)) ~algo:Algorithm.Dynamic_gradient_sync
+      ~horizon:60. ~seed:777 ()
+  in
+  Alcotest.(check int) "events" direct rebuilt;
+  Alcotest.(check bool) "summary" true same_summary
+
+let prop_key_rebuilds_direct_run =
+  let open QCheck.Gen in
+  let horizon = 40. in
+  let time = float_range 1. 30. and span = float_range 0.5 9. in
+  let maybe g = oneof [ return []; g ] in
+  let window f = map2 (fun from_ d -> f ~from_ ~until:(from_ +. d)) time span in
+  let gen =
+    let* topology =
+      oneof
+        [
+          map (fun n -> Topology.Ring n) (int_range 4 9);
+          map2
+            (fun r c -> Topology.Grid (r, c))
+            (int_range 2 3) (int_range 2 4);
+          map2
+            (fun n p -> Topology.Random_gnp (n, p))
+            (int_range 5 9) (float_range 0.4 0.9);
+          map2
+            (fun n r -> Topology.Random_geometric (n, r))
+            (int_range 5 9) (float_range 0.6 0.9);
+        ]
+    in
+    let* algo =
+      oneofl
+        [
+          Algorithm.Gradient_sync;
+          Algorithm.Dynamic_gradient_sync;
+          Algorithm.Ft_gradient_sync 1;
+          Algorithm.Max_slew_sync;
+        ]
+    in
+    let* seed = int_range 0 100_000 in
+    let* partition =
+      maybe
+        (map2
+           (fun at d ->
+             Fault_plan.
+               [
+                 Link_partition { at; edges = Cut [ 2 ] };
+                 Link_heal { at = at +. d; edges = Cut [ 2 ] };
+               ])
+           time span)
+    in
+    let* crash =
+      maybe
+        (map2
+           (fun at d ->
+             Fault_plan.
+               [
+                 Node_crash { at; node = 1 };
+                 Node_recover { at = at +. d; node = 1; wipe = false };
+               ])
+           time span)
+    in
+    let* tamper =
+      maybe
+        (map2
+           (fun dup (reorder, extra) -> [ dup; reorder extra ])
+           (window (fun ~from_ ~until ->
+                Fault_plan.Msg_duplicate
+                  { from_; until; edges = Fault_plan.All_edges; prob = 0.3 }))
+           (pair
+              (window (fun ~from_ ~until extra ->
+                   Fault_plan.Msg_reorder
+                     {
+                       from_;
+                       until;
+                       edges = Fault_plan.All_edges;
+                       prob = 0.2;
+                       extra;
+                     }))
+              (float_range 0.1 2.)))
+    in
+    let* jump =
+      maybe
+        (map2
+           (fun at delta -> [ Fault_plan.Clock_jump { at; node = 3; delta } ])
+           time (float_range (-3.) 3.))
+    in
+    let* byzantine =
+      maybe
+        (map2
+           (fun lie strategy -> [ lie strategy ])
+           (window (fun ~from_ ~until strategy ->
+                Fault_plan.Byzantine { from_; until; node = 0; strategy }))
+           (oneof
+              [
+                map (fun x -> Fault_plan.Lie_constant x) (float_range (-5.) 5.);
+                map (fun x -> Fault_plan.Lie_random x) (float_range 0. 5.);
+                map (fun x -> Fault_plan.Lie_equivocate x) (float_range 0. 5.);
+              ]))
+    in
+    let+ churn =
+      opt
+        (map3
+           (fun from_ up_mean down_mean ->
+             Gcs_sim.Churn_plan.of_processes
+               [
+                 Gcs_sim.Churn_plan.Flap
+                   {
+                     from_;
+                     until = horizon;
+                     up_mean;
+                     down_mean;
+                     edges = Fault_plan.All_edges;
+                   };
+               ])
+           time (float_range 2. 15.) (float_range 0.5 4.))
+    in
+    let events = List.concat [ partition; crash; tamper; jump; byzantine ] in
+    let fault_plan =
+      if events = [] then None else Some (Fault_plan.of_events events)
+    in
+    (topology, algo, seed, fault_plan, churn)
+  in
+  let print (topology, algo, seed, fault_plan, churn) =
+    Printf.sprintf "%s %s seed=%d plan=%s churn=%s"
+      (Topology.spec_name topology) (Algorithm.kind_name algo) seed
+      (Option.fold ~none:"-" ~some:Fault_plan.to_string fault_plan)
+      (Option.fold ~none:"-" ~some:Gcs_sim.Churn_plan.to_string churn)
+  in
+  QCheck.Test.make ~count:40
+    ~name:"run rebuilt from its store key = direct run (summary, events, log)"
+    (QCheck.make ~print gen)
+    (fun (topology, algo, seed, fault_plan, churn) ->
+      let graph =
+        Topology.build topology
+          ~rng:(Gcs_util.Prng.create ~seed:(seed lxor 0x5eed))
+      in
+      QCheck.assume
+        (match fault_plan with
+        | None -> true
+        | Some p -> Result.is_ok (Fault_plan.validate p graph));
+      let same_summary, direct, rebuilt, same_log =
+        key_rebuilds_direct_run ?churn ?fault_plan ~topology ~algo ~horizon
+          ~seed ()
+      in
+      same_summary && direct = rebuilt && same_log)
+
 (* The ISSUE's acceptance bar: on the seeded violating configuration the
    shrinker must cut the size measure by at least half. *)
 let test_shrink_halves_seeded_config () =
@@ -465,6 +659,9 @@ let suite =
       test_skew_monitor_fires;
     Alcotest.test_case "config_of_key inverts store_key" `Quick
       test_config_of_key_roundtrip;
+    Alcotest.test_case "seed-777 flap run = its key's run" `Quick
+      test_key_run_seed_777;
+    QCheck_alcotest.to_alcotest prop_key_rebuilds_direct_run;
     Alcotest.test_case "shrinker halves the seeded config" `Quick
       test_shrink_halves_seeded_config;
     QCheck_alcotest.to_alcotest prop_shrink_sound;

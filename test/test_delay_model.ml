@@ -75,21 +75,21 @@ let test_cleared_chooser_matches_default_stream () =
 
 let test_loss_law_clamped () =
   let m =
-    Dm.with_loss (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> 7.) (Dm.midpoint b)
+    Dm.with_loss 7. (Dm.midpoint b)
   in
   Alcotest.(check (float 1e-12)) "clamped to 1" 1.
-    (Dm.drop_probability m ~edge:0 ~src:0 ~dst:1 ~now:0.);
+    (Dm.drop_probability m);
   let m' =
-    Dm.with_loss (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> -3.) (Dm.midpoint b)
+    Dm.with_loss (-3.) (Dm.midpoint b)
   in
   Alcotest.(check (float 1e-12)) "clamped to 0" 0.
-    (Dm.drop_probability m' ~edge:0 ~src:0 ~dst:1 ~now:0.)
+    (Dm.drop_probability m')
 
 let test_base_models_never_drop () =
   List.iter
     (fun m ->
       Alcotest.(check (float 1e-12)) "no drop" 0.
-        (Dm.drop_probability m ~edge:0 ~src:0 ~dst:1 ~now:5.))
+        (Dm.drop_probability m))
     [ Dm.fixed b; Dm.midpoint b; Dm.uniform b ]
 
 let test_controlled_keeps_default_loss () =
@@ -97,12 +97,12 @@ let test_controlled_keeps_default_loss () =
      law, so an adversary composes with a lossy base model instead of
      silently disabling it. *)
   let lossy =
-    Dm.with_loss (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> 0.7) (Dm.uniform b)
+    Dm.with_loss 0.7 (Dm.uniform b)
   in
   let chooser = ref (Some (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> 1.2)) in
   let m = Dm.controlled b ~default:lossy chooser in
   Alcotest.(check (float 1e-12)) "loss law survives" 0.7
-    (Dm.drop_probability m ~edge:0 ~src:0 ~dst:1 ~now:0.);
+    (Dm.drop_probability m);
   Alcotest.(check (float 1e-12)) "chooser still wins on delay" 1.2 (draw m)
 
 let test_controlled_clamps_rogue_chooser () =

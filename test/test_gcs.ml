@@ -26,6 +26,7 @@ let () =
       ("core.spec", Test_spec.suite);
       ("core.offset_estimator", Test_offset_estimator.suite);
       ("core.triggers", Test_triggers.suite);
+      ("core.trigger_scan", Test_trigger_scan.suite);
       ("core.metrics", Test_metrics.suite);
       ("core.bounds", Test_bounds.suite);
       ("core.message", Test_message.suite);

@@ -211,7 +211,7 @@ let test_attach_to_engine () =
   | _ -> Alcotest.fail "expected one send, then its delivery"
 
 let test_drop_observed () =
-  let lossy = Dm.with_loss (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> 1.) unit_delay in
+  let lossy = Dm.with_loss 1. unit_delay in
   let engine = one_message_engine lossy in
   let log = Event_log.create () in
   Event_log.attach log engine;

@@ -49,10 +49,39 @@ let test_column_widths () =
           (String.length line >= String.length "wide-cell"))
     (String.split_on_char '\n' out)
 
+(* Every float reads back exactly, and a decimal of at most six
+   significant digits below 1e6 prints as %g printed it, which is what
+   keeps hand-written plans, fixtures and goldens byte-stable. *)
+let prop_fmt_round_trip =
+  QCheck.Test.make ~name:"fmt_round_trip is exact and %g on short decimals"
+    ~count:2000
+    QCheck.(pair float (pair (int_range (-999_999) 999_999) (int_range 0 10)))
+    (fun (x, (k, j)) ->
+      let exact =
+        Float.is_nan x || float_of_string (Table.fmt_round_trip x) = x
+      in
+      let d = float_of_int k /. (10. ** float_of_int j) in
+      exact && Table.fmt_round_trip d = Printf.sprintf "%g" d)
+
+let test_fmt_round_trip_examples () =
+  List.iter
+    (fun (x, s) -> Alcotest.(check string) s s (Table.fmt_round_trip x))
+    [
+      (20., "20");
+      (0.1, "0.1");
+      (1.5e-5, "1.5e-05");
+      (20.01287683389701, "20.01287683389701");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (1. /. 3., "0.3333333333333333");
+    ]
+
 let suite =
   [
     Alcotest.test_case "render alignment" `Quick test_render_alignment;
     Alcotest.test_case "pad/truncate rows" `Quick test_rows_padded_and_truncated;
     Alcotest.test_case "fmt_float" `Quick test_fmt_float;
     Alcotest.test_case "column widths" `Quick test_column_widths;
+    Alcotest.test_case "fmt_round_trip examples" `Quick
+      test_fmt_round_trip_examples;
+    QCheck_alcotest.to_alcotest prop_fmt_round_trip;
   ]
