@@ -1194,17 +1194,12 @@ let e22 () =
           [ Algorithm.Gradient_sync; Algorithm.Tree_sync ])
       [ Topology.Ring 12; Topology.Line 13 ]
   in
-  let keyed =
+  let keys =
     Array.of_list
       (List.map
          (fun (topo, algo, seed) ->
-           let graph =
-             Topology.build topo ~rng:(Prng.create ~seed:(seed lxor 0x5eed))
-           in
-           ( Some
-               (Runner.store_key ~fault_plan:plan ~spec ~topology:topo ~algo
-                  ~horizon ~seed ()),
-             Runner.config ~spec ~algo ~horizon ~seed ~fault_plan:plan graph ))
+           Runner.store_key ~fault_plan:plan ~spec ~topology:topo ~algo
+             ~horizon ~seed ())
          cells)
   in
   let rows_of outcomes =
@@ -1219,7 +1214,7 @@ let e22 () =
     let store = Gcs_store.Store.open_ ~create:true dir in
     let t0 = Unix.gettimeofday () in
     let outcomes, stats =
-      Gcs_core.Parallel_run.run_cached ~jobs:!jobs ~store keyed
+      Gcs_core.Parallel_run.run_cached ~jobs:!jobs ~store keys
     in
     let wall = Unix.gettimeofday () -. t0 in
     Gcs_store.Store.close store;
@@ -1242,7 +1237,7 @@ let e22 () =
     ~title:
       (Printf.sprintf
          "same %d-cell faulted sweep, cold then warm against one store"
-         (Array.length keyed))
+         (Array.length keys))
     ~columns:
       [
         Table.column ~align:Table.Left "pass";
@@ -1259,7 +1254,7 @@ let e22 () =
     prerr_endline ("E22: " ^ msg);
     exit 1
   in
-  if cold.Gcs_core.Parallel_run.misses <> Array.length keyed then
+  if cold.Gcs_core.Parallel_run.misses <> Array.length keys then
     fail "cold pass was not fully cold (stale store?)";
   if warm.Gcs_core.Parallel_run.misses <> 0 then
     fail "warm pass missed the cache";

@@ -40,7 +40,6 @@ module Fan_lynch = Gcs_adversary.Fan_lynch
 module Linear = Gcs_adversary.Linear
 module Bias = Gcs_adversary.Bias
 module Table = Gcs_util.Table
-module Prng = Gcs_util.Prng
 module Scheduler = Gcs_util.Scheduler
 module Engine = Gcs_sim.Engine
 module Fault_plan = Gcs_sim.Fault_plan
@@ -53,6 +52,7 @@ module Profiler = Gcs_obs.Profiler
 module Report = Gcs_core.Report
 module Parallel_run = Gcs_core.Parallel_run
 module Live_run = Gcs_net.Live_run
+module Key = Gcs_store.Key
 
 let or_die = function
   | Ok v -> v
@@ -82,11 +82,6 @@ let algo_conv =
   let print ppf k = Format.pp_print_string ppf (Algorithm.kind_name k) in
   Arg.conv (parse, print)
 
-let drift_conv =
-  let parse s = Drift.pattern_of_string s |> Result.map_error (fun e -> `Msg e) in
-  let print ppf _ = Format.pp_print_string ppf "<drift>" in
-  Arg.conv (parse, print)
-
 let fault_plan_conv =
   let parse s = Fault_plan.of_string s |> Result.map_error (fun e -> `Msg e) in
   let print ppf p = Format.pp_print_string ppf (Fault_plan.to_string p) in
@@ -97,35 +92,24 @@ let churn_conv =
   let print ppf p = Format.pp_print_string ppf (Churn_plan.to_string p) in
   Arg.conv (parse, print)
 
-let churn_arg =
-  let doc =
-    "Topology churn plan: ';'-separated processes edge-up@T:EDGES, \
-     edge-down@T:EDGES, flap@T1..T2:up=U:down=D[:EDGES], grow@T1..T2:EDGES, \
-     shrink@T1..T2:EDGES, with EDGES = all, edges=U-V,... or cut=V,.... \
-     Compiled seed-deterministically into partition/heal events and \
-     composed with any fault plan; a plan that keeps every edge up is \
-     bit-identical to no plan at all."
-  in
-  Arg.(
-    value & opt (some churn_conv) None & info [ "churn" ] ~docv:"PLAN" ~doc)
-
 let scheduler_conv =
   let parse s = Scheduler.kind_of_string s |> Result.map_error (fun e -> `Msg e) in
   let print ppf k = Format.pp_print_string ppf (Scheduler.kind_name k) in
   Arg.conv (parse, print)
 
-(* Shared options *)
+(* Shared options. Each flag is defined once; a command that needs another
+   default for it passes that default. *)
 
-let topology_arg =
-  let doc =
-    "Topology: line:N, ring:N, grid:RxC, torus:RxC, complete:N, star:N, \
-     btree:DEPTH, hypercube:DIM, gnp:N:P, geometric:N:R."
-  in
+let topology_arg
+    ?(default = Topology.Ring 16)
+    ?(doc =
+      "Topology: line:N, ring:N, grid:RxC, torus:RxC, complete:N, star:N, \
+       btree:DEPTH, hypercube:DIM, gnp:N:P, geometric:N:R.") () =
   Term.(
     const or_die
     $ Arg.(
         value
-        & opt topology_conv (Ok (Topology.Ring 16))
+        & opt topology_conv (Ok default)
         & info [ "t"; "topology" ] ~docv:"TOPOLOGY" ~doc))
 
 let algo_arg =
@@ -139,23 +123,90 @@ let algo_arg =
     & opt algo_conv Algorithm.Gradient_sync
     & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
 
+(* The pattern stays a string, as a store key carries it; the command
+   checks it when it builds the run, so a bad one exits 2. *)
 let drift_arg =
   let doc =
     "Per-node drift pattern: perfect, fast, slow, mid, random, \
      walk:STEP:SIGMA, square:PERIOD, sin:PERIOD."
   in
+  Arg.(value & opt string "random" & info [ "drift" ] ~docv:"PATTERN" ~doc)
+
+let horizon_arg ?(default = 400.) ?(docv = "TIME")
+    ?(doc = "Simulated real-time length.") () =
+  Arg.(value & opt float default & info [ "horizon" ] ~docv ~doc)
+
+let seed_arg ?(default = 42) () =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc:"Run seed.")
+
+let loss_arg =
+  Arg.(
+    value & opt float 0.
+    & info [ "loss" ] ~docv:"P" ~doc:"I.i.d. message-loss probability in [0, 1].")
+
+let fault_plan_arg =
+  let doc =
+    "Fault plan, e.g. 'partition@100:cut=0;heal@200:cut=0' or \
+     'crash@100:node=3;recover@160:node=3:wipe'. Events are ';'-separated: \
+     partition@T:EDGES, heal@T:EDGES, crash@T:node=V, \
+     recover@T:node=V[:wipe], dup@T1..T2:p=P[:EDGES], \
+     reorder@T1..T2:p=P:extra=X[:EDGES], corrupt@T1..T2:p=P:mag=M[:EDGES], \
+     jump@T:node=V:delta=X, rate@T:node=V:rate=R, byz@T1..T2:node=V:STRAT \
+     where STRAT is off=X (constant lie), rate=R (drifting lie), mag=M \
+     (fresh random lie per message) or equiv=M (equivocation); EDGES is \
+     all, edges=U-V,... or cut=V,...."
+  in
   Arg.(
     value
-    & opt drift_conv Drift.Random_constant
-    & info [ "drift" ] ~docv:"PATTERN" ~doc)
+    & opt (some fault_plan_conv) None
+    & info [ "plan"; "fault-plan" ] ~docv:"PLAN" ~doc)
 
-let horizon_arg =
+let churn_arg =
+  let doc =
+    "Topology churn plan: ';'-separated processes edge-up@T:EDGES, \
+     edge-down@T:EDGES, flap@T1..T2:up=U:down=D[:EDGES], grow@T1..T2:EDGES, \
+     shrink@T1..T2:EDGES, with EDGES = all, edges=U-V,... or cut=V,.... \
+     Compiled seed-deterministically into partition/heal events and \
+     composed with any fault plan; a plan that keeps every edge up is \
+     bit-identical to no plan at all."
+  in
   Arg.(
-    value & opt float 400.
-    & info [ "horizon" ] ~docv:"TIME" ~doc:"Simulated real-time length.")
+    value & opt (some churn_conv) None & info [ "churn" ] ~docv:"PLAN" ~doc)
 
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Run seed.")
+let scheduler_arg =
+  Arg.(
+    value
+    & opt scheduler_conv Scheduler.Binary_heap
+    & info [ "scheduler" ] ~docv:"KIND"
+        ~doc:
+          "Event-queue implementation: heap or calendar. A pure execution \
+           strategy — results are byte-identical for every kind.")
+
+let regions_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "regions" ] ~docv:"N"
+        ~doc:
+          "Run the engine region-parallel on N domains (1 = serial). Also a \
+           pure execution strategy: results are byte-identical for every N, \
+           and configurations the parallel engine cannot reproduce \
+           bit-for-bit silently fall back to serial.")
+
+(* Resolved when the command runs: 0 is one domain per core. *)
+let jobs_arg =
+  let resolve jobs =
+    if jobs < 0 then or_die (Error "jobs must be >= 0")
+    else if jobs = 0 then Gcs_util.Pool.default_jobs ()
+    else jobs
+  in
+  Term.(
+    const resolve
+    $ Arg.(
+        value & opt int 1
+        & info [ "j"; "jobs" ] ~docv:"N"
+            ~doc:
+              "Shard the runs across N domains (0 = one per core). Output is \
+               byte-identical for every N."))
 
 let rho_arg =
   Arg.(
@@ -184,60 +235,6 @@ let kappa_arg =
     & opt (some float) None
     & info [ "kappa" ] ~docv:"K" ~doc:"Skew quantum (default derived from the spec).")
 
-let profile_flag =
-  Arg.(
-    value & flag
-    & info [ "profile" ] ~doc:"Also print the empirical gradient profile f(k).")
-
-let loss_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "loss" ] ~docv:"P" ~doc:"I.i.d. message-loss probability in [0, 1].")
-
-let stabilize_flag =
-  Arg.(
-    value & flag
-    & info [ "stabilize" ]
-        ~doc:"Wrap the algorithm with the self-stabilization monitor.")
-
-let fault_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "fault" ] ~docv:"X"
-        ~doc:"Corrupt node 0's initial clock by X (transient-fault injection).")
-
-let check_flag =
-  Arg.(
-    value & flag
-    & info [ "check" ]
-        ~doc:"Validate the run against the model's output requirements.")
-
-let trials_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "trials" ] ~docv:"N"
-        ~doc:"Replicate over N seeds and report mean ± 95% CI.")
-
-let scheduler_arg =
-  Arg.(
-    value
-    & opt scheduler_conv Scheduler.Binary_heap
-    & info [ "scheduler" ] ~docv:"KIND"
-        ~doc:
-          "Event-queue implementation: heap or calendar. A pure execution \
-           strategy — results are byte-identical for every kind.")
-
-let regions_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "regions" ] ~docv:"N"
-        ~doc:
-          "Run the engine region-parallel on N domains (1 = serial). Also a \
-           pure execution strategy: results are byte-identical for every N, \
-           and configurations the parallel engine cannot reproduce \
-           bit-for-bit silently fall back to serial.")
-
 let spec_term =
   let make rho mu d_min d_max period kappa =
     try Ok (Spec.make ~rho ~mu ~d_min ~d_max ~beacon_period:period ?kappa ())
@@ -247,23 +244,79 @@ let spec_term =
     const make $ rho_arg $ mu_arg $ d_min_arg $ d_max_arg $ period_arg
     $ kappa_arg)
 
-let build_graph spec_t seed =
-  Topology.build spec_t ~rng:(Prng.create ~seed:(seed lxor 0x5eed))
+(* One simulated run, as the command line describes it. *)
+type run = {
+  spec : Spec.t;
+  topo : Topology.spec;
+  algo : Algorithm.kind;
+  drift : string;
+  horizon : float;
+  seed : int;
+  loss : float;
+  fault_plan : Fault_plan.t option;
+  churn : Churn_plan.t option;
+  scheduler : Scheduler.kind;
+  regions : int;
+}
 
-(* Expand a churn plan against one run's graph/seed/horizon and fold it
-   into the run's fault plan. *)
-let apply_churn ?churn ~graph ~seed ~horizon fault_plan =
-  match churn with
-  | None -> fault_plan
-  | Some c -> (
+(* The spec flags plus the run flags a command takes. A flag it does not
+   take keeps the value a store key assumes for it; sweep fills topology,
+   algorithm and seed per cell. The spec is checked when the command runs
+   (recorded-run modes ignore it). *)
+let run_term ?(topo = Term.const (Topology.Ring 16))
+    ?(algo = Term.const Algorithm.Gradient_sync) ?(drift = Term.const "random")
+    ?(horizon = Term.const 400.) ?(seed = Term.const 42)
+    ?(loss = Term.const 0.) ?(fault_plan = Term.const None)
+    ?(churn = Term.const None) ?(scheduler = Term.const Scheduler.Binary_heap)
+    ?(regions = Term.const 1) () =
+  let make spec topo algo drift horizon seed loss fault_plan churn scheduler
+      regions =
+    Result.map
+      (fun spec ->
+        { spec; topo; algo; drift; horizon; seed; loss; fault_plan; churn;
+          scheduler; regions })
+      spec
+  in
+  Term.(
+    const make $ spec_term $ topo $ algo $ drift $ horizon $ seed $ loss
+    $ fault_plan $ churn $ scheduler $ regions)
+
+let seed_graph r = Topology.build_for_seed r.topo ~seed:r.seed
+
+(* [r] with its churn plan compiled against the graph of its seed (the
+   graph its key's config runs on) and composed after its fault plan. *)
+let with_churn r =
+  match r.churn with
+  | None -> r
+  | Some c ->
       let compiled =
-        or_die_invalid (fun () -> Churn_plan.compile c ~graph ~seed ~horizon)
+        or_die_invalid (fun () ->
+            Churn_plan.compile c ~graph:(seed_graph r) ~seed:r.seed
+              ~horizon:r.horizon)
       in
-      match (fault_plan, compiled) with
-      | p, None | None, p -> p
-      | Some a, Some b -> Some (Fault_plan.compose a b))
+      let fault_plan =
+        match (r.fault_plan, compiled) with
+        | p, None | None, p -> p
+        | Some a, Some b -> Some (Fault_plan.compose a b)
+      in
+      { r with churn = None; fault_plan }
 
-let print_summary ~graph ~spec (r : Runner.result) =
+(* Every run a key can describe is built from its key, so the run that
+   [run] performs, [trace] exports, [check run] checks and [sweep --store]
+   stores is the run its key names. *)
+let key r =
+  let r = with_churn r in
+  Runner.store_key ~drift:r.drift
+    ~loss:(if r.loss <= 0. then 0. else r.loss)
+    ?fault_plan:r.fault_plan ~spec:r.spec ~topology:r.topo ~algo:r.algo
+    ~horizon:r.horizon ~seed:r.seed ()
+
+let config ?obs r key =
+  or_die
+    (Runner.config_of_key ?obs ~scheduler:r.scheduler ~regions:r.regions key)
+
+let print_summary (r : Runner.result) =
+  let graph = r.Runner.graph and spec = r.Runner.spec in
   let d = Shortest_path.diameter graph in
   let s = r.Runner.summary in
   Printf.printf "nodes %d, edges %d, diameter %d, u = %g, kappa = %.4f\n"
@@ -283,42 +336,62 @@ let print_summary ~graph ~spec (r : Runner.result) =
     (Bounds.gradient_local_upper spec ~diameter:d)
 
 let run_cmd =
-  let action spec_result topo algo drift horizon seed profile loss stabilize
-      fault check scheduler regions churn =
-    let spec = or_die spec_result in
-    let graph = build_graph topo seed in
-    let fault_plan = apply_churn ?churn ~graph ~seed ~horizon None in
-    let loss_law =
-      if loss <= 0. then Runner.No_loss else Runner.Uniform_loss loss
-    in
-    let override, stats =
-      if stabilize then begin
-        let wrapped, stats =
-          Gcs_core.Stabilize.wrap ~inner:(Gcs_core.Registry.get algo) ()
-        in
-        (Some wrapped, Some stats)
-      end
-      else (None, None)
-    in
-    let initial_value_of_node v =
-      match fault with Some x when v = 0 -> x | Some _ | None -> 0.
-    in
+  let profile_flag =
+    Arg.(
+      value & flag
+      & info [ "profile" ] ~doc:"Also print the empirical gradient profile f(k).")
+  in
+  let stabilize_flag =
+    Arg.(
+      value & flag
+      & info [ "stabilize" ]
+          ~doc:"Wrap the algorithm with the self-stabilization monitor.")
+  in
+  let fault_arg =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "fault" ] ~docv:"X"
+          ~doc:"Corrupt node 0's initial clock by X (transient-fault injection).")
+  in
+  let check_flag =
+    Arg.(
+      value & flag
+      & info [ "check" ]
+          ~doc:"Validate the run against the model's output requirements.")
+  in
+  let action run profile stabilize fault check =
+    let r = or_die run in
+    let cfg = config r (key r) in
+    (* A key names neither the stabilizing wrapper nor initial clock
+       values: both are applied to the built config. *)
     let cfg =
-      or_die_invalid (fun () ->
-          Runner.config ~spec ~algo ~drift_of_node:(fun _ -> drift) ~horizon
-            ~seed ~loss:loss_law ?override ?fault_plan ~initial_value_of_node
-            ~scheduler ~regions graph)
+      match fault with
+      | None -> cfg
+      | Some x ->
+          {
+            cfg with
+            Runner.initial_value_of_node = (fun v -> if v = 0 then x else 0.);
+          }
     in
-    let r = Runner.run cfg in
-    Printf.printf "algorithm: %s%s on %s\n" (Algorithm.kind_name algo)
+    let cfg, stats =
+      if stabilize then
+        let wrapped, stats =
+          Gcs_core.Stabilize.wrap ~inner:(Gcs_core.Registry.get r.algo) ()
+        in
+        ({ cfg with Runner.override = Some wrapped }, Some stats)
+      else (cfg, None)
+    in
+    let res = Runner.run cfg in
+    Printf.printf "algorithm: %s%s on %s\n" (Algorithm.kind_name r.algo)
       (if stabilize then " (stabilized)" else "")
-      (Topology.spec_name topo);
-    (match churn with
+      (Topology.spec_name r.topo);
+    (match r.churn with
     | Some c -> Printf.printf "churn: %s\n" (Churn_plan.to_string c)
     | None -> ());
-    print_summary ~graph ~spec r;
-    if r.Runner.dropped > 0 then
-      Printf.printf "messages dropped  : %d\n" r.Runner.dropped;
+    print_summary res;
+    if res.Runner.dropped > 0 then
+      Printf.printf "messages dropped  : %d\n" res.Runner.dropped;
     (match stats with
     | Some st ->
         Printf.printf "monitor           : %d rounds, %d resets, last estimate %.4f\n"
@@ -326,7 +399,7 @@ let run_cmd =
           st.Gcs_core.Stabilize.last_estimate
     | None -> ());
     if check then begin
-      match Gcs_core.Invariant.check_result r ~algo with
+      match Gcs_core.Invariant.check_result res ~algo:r.algo with
       | [] -> Printf.printf "model check       : OK (no violations)\n"
       | violations ->
           Printf.printf "model check       : %d violation(s)\n"
@@ -340,7 +413,7 @@ let run_cmd =
     end;
     if profile then begin
       let p =
-        Metrics.max_gradient_profile graph r.Runner.samples
+        Metrics.max_gradient_profile res.Runner.graph res.Runner.samples
           ~after:cfg.Runner.warmup
       in
       Table.print ~title:"Gradient profile f(k)"
@@ -352,30 +425,45 @@ let run_cmd =
                 p))
     end
   in
+  let run =
+    run_term ~topo:(topology_arg ()) ~algo:algo_arg ~drift:drift_arg
+      ~horizon:(horizon_arg ()) ~seed:(seed_arg ()) ~loss:loss_arg
+      ~churn:churn_arg ~scheduler:scheduler_arg ~regions:regions_arg ()
+  in
   let term =
     Term.(
-      const action $ spec_term $ topology_arg $ algo_arg $ drift_arg
-      $ horizon_arg $ seed_arg $ profile_flag $ loss_arg $ stabilize_flag
-      $ fault_arg $ check_flag $ scheduler_arg $ regions_arg $ churn_arg)
+      const action $ run $ profile_flag $ stabilize_flag $ fault_arg
+      $ check_flag)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one synchronization simulation.") term
 
 let compare_cmd =
-  let action spec_result topo drift horizon seed trials =
-    let spec = or_die spec_result in
-    let graph = build_graph topo seed in
+  let trials_arg =
+    Arg.(
+      value & opt int 1
+      & info [ "trials" ] ~docv:"N"
+          ~doc:"Replicate over N seeds and report mean ± 95% CI.")
+  in
+  let action run trials =
+    let r = or_die run in
+    let drift = or_die (Drift.pattern_of_string r.drift) in
+    let graph = seed_graph r in
     let seeds =
-      if trials <= 1 then [ seed ]
-      else List.init trials (fun i -> seed + (7919 * i))
+      if trials <= 1 then [ r.seed ]
+      else List.init trials (fun i -> r.seed + (7919 * i))
     in
     let rows =
       List.map
         (fun algo ->
+          (* Every trial runs on the base seed's graph, so on a random
+             topology a trial is not the run its own key names: it gets a
+             direct config. *)
           let run_one seed =
             Runner.run
               (or_die_invalid (fun () ->
-                   Runner.config ~spec ~algo ~drift_of_node:(fun _ -> drift)
-                     ~horizon ~seed graph))
+                   Runner.config ~spec:r.spec ~algo
+                     ~drift_of_node:(fun _ -> drift)
+                     ~horizon:r.horizon ~seed graph))
           in
           let summarize f =
             Gcs_core.Replicate.measure ~seeds (fun seed ->
@@ -387,7 +475,7 @@ let compare_cmd =
           let global =
             summarize (fun r -> r.Runner.summary.Metrics.max_global)
           in
-          let one = run_one seed in
+          let one = run_one r.seed in
           let cell s =
             if trials <= 1 then
               Table.fmt_float ~digits:4 s.Gcs_core.Replicate.mean
@@ -403,7 +491,7 @@ let compare_cmd =
         Algorithm.all_kinds
     in
     Table.print
-      ~title:(Printf.sprintf "Algorithms on %s" (Topology.spec_name topo))
+      ~title:(Printf.sprintf "Algorithms on %s" (Topology.spec_name r.topo))
       ~columns:
         [
           Table.column ~align:Table.Left "algorithm";
@@ -414,11 +502,11 @@ let compare_cmd =
         ]
       ~rows
   in
-  let term =
-    Term.(
-      const action $ spec_term $ topology_arg $ drift_arg $ horizon_arg
-      $ seed_arg $ trials_arg)
+  let run =
+    run_term ~topo:(topology_arg ()) ~drift:drift_arg ~horizon:(horizon_arg ())
+      ~seed:(seed_arg ()) ()
   in
+  let term = Term.(const action $ run $ trials_arg) in
   Cmd.v (Cmd.info "compare" ~doc:"Compare all algorithms on one topology.") term
 
 let attack_cmd =
@@ -465,7 +553,9 @@ let attack_cmd =
     let spec = or_die spec_result in
     match kind with
     | `Fan_lynch ->
-        let cfg = Fan_lynch.default_config ~spec ~algo ~seed ~n () in
+        let cfg =
+          or_die_invalid (fun () -> Fan_lynch.default_config ~spec ~algo ~seed ~n ())
+        in
         let r = Fan_lynch.attack cfg in
         Printf.printf "fan-lynch attack on line:%d against %s\n" n
           (Algorithm.kind_name algo);
@@ -476,21 +566,24 @@ let attack_cmd =
         Printf.printf "theorem line  : %.4f (c u logD / loglogD)\n"
           r.Fan_lynch.lower_bound
     | `Linear ->
-        let r = Linear.attack ~spec ~algo ~seed ~n () in
+        let r = or_die_invalid (fun () -> Linear.attack ~spec ~algo ~seed ~n ()) in
         Printf.printf "linear attack on line:%d against %s\n" n
           (Algorithm.kind_name algo);
         Printf.printf "forced global : %.4f\n" r.Linear.forced_global;
         Printf.printf "forced local  : %.4f\n" r.Linear.forced_local;
         Printf.printf "bound u*D/4   : %.4f\n" r.Linear.lower_bound
     | `Bias ->
-        let r = Bias.attack_ring ~spec ~algo ~seed ~n () in
+        let r = or_die_invalid (fun () -> Bias.attack_ring ~spec ~algo ~seed ~n ()) in
         Printf.printf "ring-bias attack on ring:%d against %s\n" n
           (Algorithm.kind_name algo);
         Printf.printf "forced local  : %.4f\n" r.Bias.forced_local;
         Printf.printf "forced global : %.4f\n" r.Bias.forced_global
     | `Byz_search ->
         let module Search = Gcs_adversary.Search in
-        let cfg = Search.default_config ~spec ~algo ~segments ~beam ~seed ~n () in
+        let cfg =
+          or_die_invalid (fun () ->
+              Search.default_config ~spec ~algo ~segments ~beam ~seed ~n ())
+        in
         let r = or_die_invalid (fun () -> Search.byz_search ~f:liars cfg) in
         Printf.printf "byzantine co-search on line:%d against %s (%d liar%s)\n"
           n (Algorithm.kind_name algo) liars (if liars = 1 then "" else "s");
@@ -504,7 +597,7 @@ let attack_cmd =
   in
   let term =
     Term.(
-      const action $ spec_term $ algo_arg $ kind_arg $ n_arg $ seed_arg
+      const action $ spec_term $ algo_arg $ kind_arg $ n_arg $ seed_arg ()
       $ liars_arg $ segments_arg $ beam_arg)
   in
   Cmd.v (Cmd.info "attack" ~doc:"Run a lower-bound adversary.") term
@@ -552,12 +645,12 @@ let external_cmd =
       value & opt float 0.2
       & info [ "ref-wander" ] ~docv:"W" ~doc:"Reference error wander amplitude.")
   in
-  let action spec_result topo horizon seed anchors bias wander =
-    let spec = or_die spec_result in
-    let graph = build_graph topo seed in
+  let action run anchors bias wander =
+    let r = or_die run in
     let reference =
-      Gcs_core.External_sync.noisy_reference ~bias ~wander
-        ~period:(horizon /. 10.) ~phase:0.7
+      or_die_invalid (fun () ->
+          Gcs_core.External_sync.noisy_reference ~bias ~wander
+            ~period:(r.horizon /. 10.) ~phase:0.7)
     in
     let anchor_fn =
       match anchors with
@@ -567,99 +660,76 @@ let external_cmd =
       | `All -> fun _ -> Some reference
     in
     let algo = Gcs_core.External_sync.algorithm ~anchors:anchor_fn in
+    (* The override algorithm is outside what a key can name: a direct
+       config. *)
     let cfg =
       or_die_invalid (fun () ->
-          Runner.config ~spec ~algo:Algorithm.Gradient_sync ~override:algo
-            ~horizon ~seed graph)
+          Runner.config ~spec:r.spec ~algo:Algorithm.Gradient_sync
+            ~override:algo ~horizon:r.horizon ~seed:r.seed (seed_graph r))
     in
-    let r = Runner.run cfg in
+    let res = Runner.run cfg in
     let rt =
       Array.fold_left
         (fun acc (s : Metrics.sample) ->
-          if s.Metrics.time >= horizon /. 2. then
+          if s.Metrics.time >= r.horizon /. 2. then
             Float.max acc
               (Metrics.real_time_skew ~time:s.Metrics.time s.Metrics.values)
           else acc)
-        0. r.Runner.samples
+        0. res.Runner.samples
     in
-    Printf.printf "external synchronization on %s\n" (Topology.spec_name topo);
+    Printf.printf "external synchronization on %s\n" (Topology.spec_name r.topo);
     Printf.printf "real-time skew (post-convergence) : %.4f\n" rt;
     Printf.printf "max local skew                    : %.4f\n"
-      r.Runner.summary.Metrics.max_local;
+      res.Runner.summary.Metrics.max_local;
     Printf.printf "max global skew                   : %.4f\n"
-      r.Runner.summary.Metrics.max_global
+      res.Runner.summary.Metrics.max_global
   in
-  let term =
-    Term.(
-      const action $ spec_term $ topology_arg $ horizon_arg $ seed_arg
-      $ anchors_arg $ bias_arg $ wander_arg)
+  let run =
+    run_term ~topo:(topology_arg ()) ~horizon:(horizon_arg ()) ~seed:(seed_arg ())
+      ()
   in
+  let term = Term.(const action $ run $ anchors_arg $ bias_arg $ wander_arg) in
   Cmd.v
     (Cmd.info "external" ~doc:"Run external synchronization against a reference.")
     term
 
 let faults_cmd =
-  let plan_arg =
-    let doc =
-      "Fault plan, e.g. 'partition@100:cut=0;heal@200:cut=0' or \
-       'crash@100:node=3;recover@160:node=3:wipe'. Events are \
-       ';'-separated: partition@T:EDGES, heal@T:EDGES, crash@T:node=V, \
-       recover@T:node=V[:wipe], dup@T1..T2:p=P[:EDGES], \
-       reorder@T1..T2:p=P:extra=X[:EDGES], corrupt@T1..T2:p=P:mag=M[:EDGES], \
-       jump@T:node=V:delta=X, rate@T:node=V:rate=R, \
-       byz@T1..T2:node=V:STRAT where STRAT is off=X (constant lie), rate=R \
-       (drifting lie), mag=M (fresh random lie per message) or equiv=M \
-       (equivocation); EDGES is all, edges=U-V,... or cut=V,... (default: \
-       isolate node 0 for the middle quarter of the horizon)."
+  let action run =
+    let given = or_die run in
+    let default_plan =
+      (* Standard smoke battery: cut node 0 off for the middle quarter. *)
+      Fault_plan.of_events
+        [
+          Fault_plan.Link_partition
+            { at = 0.375 *. given.horizon; edges = Fault_plan.Cut [ 0 ] };
+          Fault_plan.Link_heal
+            { at = 0.625 *. given.horizon; edges = Fault_plan.Cut [ 0 ] };
+        ]
     in
-    Arg.(
-      value
-      & opt (some fault_plan_conv) None
-      & info [ "plan" ] ~docv:"PLAN" ~doc)
-  in
-  let action spec_result topo algo drift horizon seed plan churn =
-    let spec = or_die spec_result in
-    let graph = build_graph topo seed in
-    let plan =
-      match (plan, churn) with
+    let fault_plan =
+      match (given.fault_plan, given.churn) with
       | Some p, _ -> Some p
       | None, Some _ -> None (* churn alone is the plan *)
-      | None, None ->
-          (* Standard smoke battery: cut node 0 off for the middle quarter. *)
-          Some
-            (Fault_plan.of_events
-               [
-                 Fault_plan.Link_partition
-                   { at = 0.375 *. horizon; edges = Fault_plan.Cut [ 0 ] };
-                 Fault_plan.Link_heal
-                   { at = 0.625 *. horizon; edges = Fault_plan.Cut [ 0 ] };
-               ])
+      | None, None -> Some default_plan
     in
+    let r = with_churn { given with fault_plan } in
     let plan =
-      match apply_churn ?churn ~graph ~seed ~horizon plan with
+      match r.fault_plan with
       | Some p -> p
       | None -> or_die (Error "churn plan is inert and no fault plan given")
     in
-    (match Fault_plan.validate plan graph with
-    | Ok () -> ()
-    | Error msg -> or_die (Error ("fault plan: " ^ msg)));
-    let cfg =
-      or_die_invalid (fun () ->
-          Runner.config ~spec ~algo ~drift_of_node:(fun _ -> drift) ~horizon
-            ~seed ~fault_plan:plan graph)
-    in
-    let r = Runner.run cfg in
-    Printf.printf "algorithm: %s on %s\n" (Algorithm.kind_name algo)
-      (Topology.spec_name topo);
-    (match churn with
+    let res = Runner.run (config r (key r)) in
+    Printf.printf "algorithm: %s on %s\n" (Algorithm.kind_name r.algo)
+      (Topology.spec_name r.topo);
+    (match given.churn with
     | Some c -> Printf.printf "churn: %s\n" (Churn_plan.to_string c)
     | None -> ());
     Printf.printf "fault plan: %s\n" (Fault_plan.to_string plan);
-    print_summary ~graph ~spec r;
-    if r.Runner.dropped > 0 then
-      Printf.printf "messages dropped  : %d (loss law)\n" r.Runner.dropped;
+    print_summary res;
+    if res.Runner.dropped > 0 then
+      Printf.printf "messages dropped  : %d (loss law)\n" res.Runner.dropped;
     let report =
-      match r.Runner.fault_report with
+      match res.Runner.fault_report with
       | Some rep -> rep
       | None -> or_die (Error "internal: faulted run produced no report")
     in
@@ -710,32 +780,32 @@ let faults_cmd =
         Printf.printf "finite time-to-resync : no\n";
         exit 1)
   in
-  let term =
-    Term.(
-      const action $ spec_term $ topology_arg $ algo_arg $ drift_arg
-      $ horizon_arg $ seed_arg $ plan_arg $ churn_arg)
+  let run =
+    run_term ~topo:(topology_arg ()) ~algo:algo_arg ~drift:drift_arg
+      ~horizon:(horizon_arg ()) ~seed:(seed_arg ()) ~fault_plan:fault_plan_arg
+      ~churn:churn_arg ()
   in
   Cmd.v
     (Cmd.info "faults"
        ~doc:
-         "Run one simulation under a fault plan and report per-episode \
+         "Run one simulation under a fault plan (default: isolate node 0 for \
+          the middle quarter of the horizon) and report per-episode \
           recovery metrics (worst transient skew, time-to-resync). Exits \
           non-zero if any healed fault never resynchronized.")
-    term
+    Term.(const action $ run)
+
+let topologies_arg default =
+  Term.(
+    const (List.map or_die)
+    $ Arg.(
+        value
+        & opt (list topology_conv) (List.map Result.ok default)
+        & info [ "topologies" ] ~docv:"TOPO,..."
+            ~doc:
+              "Comma-separated topology specs forming one sweep axis, e.g. \
+               ring:8,ring:16,ring:32 or line:16,grid:4x8."))
 
 let sweep_cmd =
-  let topologies_arg =
-    let doc =
-      "Comma-separated topology specs forming one sweep axis, e.g. \
-       ring:8,ring:16,ring:32 or line:16,grid:4x8."
-    in
-    Term.(
-      const (List.map or_die)
-      $ Arg.(
-          value
-          & opt (list topology_conv) [ Ok (Topology.Ring 16) ]
-          & info [ "topologies" ] ~docv:"TOPO,..." ~doc))
-  in
   let algos_arg =
     let doc = "Comma-separated algorithms (default: all registered)." in
     Arg.(
@@ -754,29 +824,11 @@ let sweep_cmd =
       & info [ "seed-base" ] ~docv:"BASE"
           ~doc:"First seed of the replicate batch (Replicate.seeds).")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Shard the batch across N domains. Output is byte-identical for \
-             every N; 0 means one domain per core.")
-  in
   let out_arg =
     Arg.(
       value
       & opt string "-"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"CSV destination (- for stdout).")
-  in
-  let sweep_plan_arg =
-    Arg.(
-      value
-      & opt (some fault_plan_conv) None
-      & info [ "fault-plan" ] ~docv:"PLAN"
-          ~doc:
-            "Apply this fault plan to every cell (same spec syntax as the \
-             faults subcommand); adds fault_transient and fault_resync \
-             columns.")
   in
   let store_arg =
     Arg.(
@@ -790,123 +842,88 @@ let sweep_cmd =
              and repeated sweeps incremental; output stays byte-identical \
              to a storeless run.")
   in
-  let action spec_result topologies algos seeds seed_base jobs out horizon
-      loss fault_plan store_dir =
-    let spec = or_die spec_result in
-    let jobs = if jobs = 0 then Gcs_util.Pool.default_jobs () else jobs in
-    if jobs < 0 then or_die (Error "jobs must be >= 0");
+  let action run topologies algos seeds seed_base jobs out store_dir =
+    let base = or_die run in
     if seeds <= 0 then or_die (Error "seeds must be > 0");
-    let loss = if loss <= 0. then 0. else loss in
-    let loss_law = if loss = 0. then Runner.No_loss else Runner.Uniform_loss loss in
     let seed_list = Gcs_core.Replicate.seeds ~base:seed_base seeds in
     (* The grid is laid out topology-major, then algorithm, then seed; the
        pool preserves this order, so the CSV row order — and therefore the
        whole artifact — is independent of the domain count. *)
-    let cells =
+    let keys =
       List.concat_map
         (fun topo ->
           List.concat_map
-            (fun algo -> List.map (fun seed -> (topo, algo, seed)) seed_list)
+            (fun algo ->
+              List.map (fun seed -> key { base with topo; algo; seed }) seed_list)
             algos)
         topologies
-    in
-    let keyed_configs =
-      Array.of_list
-        (List.map
-           (fun (topo, algo, seed) ->
-             let graph = build_graph topo seed in
-             (match fault_plan with
-             | Some plan -> (
-                 match Fault_plan.validate plan graph with
-                 | Ok () -> ()
-                 | Error msg ->
-                     or_die
-                       (Error
-                          (Printf.sprintf "fault plan on %s: %s"
-                             (Topology.spec_name topo) msg)))
-             | None -> ());
-             or_die_invalid (fun () ->
-                 ( Some
-                     (Runner.store_key ~loss ?fault_plan ~spec ~topology:topo
-                        ~algo ~horizon ~seed ()),
-                   Runner.config ~spec ~algo ~horizon ~loss:loss_law ~seed
-                     ?fault_plan graph )))
-           cells)
+      |> Array.of_list
     in
     let store = Option.map (Gcs_store.Store.open_ ~create:true) store_dir in
     let outcomes, stats =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Gcs_store.Store.close store)
-        (fun () -> Parallel_run.run_cached ~jobs ?store keyed_configs)
+      or_die_invalid (fun () ->
+          Fun.protect
+            ~finally:(fun () -> Option.iter Gcs_store.Store.close store)
+            (fun () -> Parallel_run.run_cached ~jobs ?store keys))
     in
     let rows =
       List.mapi
-        (fun i (topo, algo, seed) ->
+        (fun i (k : Key.t) ->
           Report.outcome_row
-            ~label:(Topology.spec_name topo)
-            ~algo:(Algorithm.kind_name algo) ~seed outcomes.(i))
-        cells
+            ~label:(Topology.spec_name k.Key.topology)
+            ~algo:k.Key.algo ~seed:k.Key.seed outcomes.(i))
+        (Array.to_list keys)
     in
     if store_dir <> None then
       Printf.eprintf "store: %d hits, %d misses (%d fresh dispatches)\n"
         stats.Parallel_run.hits stats.Parallel_run.misses
         stats.Parallel_run.fresh_dispatches;
-    let header = Report.result_header ~faults:(fault_plan <> None) () in
+    let header = Report.result_header ~faults:(base.fault_plan <> None) () in
     if out = "-" then print_string (Gcs_util.Csv.render ~header ~rows)
     else begin
       Gcs_util.Csv.write ~path:out ~header ~rows;
       Printf.printf "wrote %d rows to %s (%d configs, %d domains)\n"
-        (List.length rows) out
-        (Array.length keyed_configs)
-        jobs
+        (List.length rows) out (Array.length keys) jobs
     end
+  in
+  let run =
+    run_term ~horizon:(horizon_arg ()) ~loss:loss_arg ~fault_plan:fault_plan_arg
+      ()
   in
   let term =
     Term.(
-      const action $ spec_term $ topologies_arg $ algos_arg $ seeds_arg
-      $ seed_base_arg $ jobs_arg $ out_arg $ horizon_arg $ loss_arg
-      $ sweep_plan_arg $ store_arg)
+      const action $ run $ topologies_arg [ Topology.Ring 16 ] $ algos_arg
+      $ seeds_arg $ seed_base_arg $ jobs_arg $ out_arg $ store_arg)
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
          "Run a seed x topology x algorithm campaign in parallel and emit one \
           CSV. Row order and contents are deterministic: --jobs changes only \
-          wall-clock time.")
+          wall-clock time. A fault plan applies to every cell and adds the \
+          fault_transient, fault_drops and fault_resync columns.")
     term
 
-(* Shared by trace and report: run --seeds replicate configs (seed,
-   seed+7919, ...) through the parallel runner with the given capture
-   request. Row/byte order is independent of --jobs. *)
-let run_batch ?(scheduler = Scheduler.Binary_heap) ?(regions = 1) ?churn ~spec
-    ~topo ~algo ~horizon ~seed ~seeds ~jobs ~fault_plan ~obs () =
+(* Shared by trace and report: the --seeds replicate runs of [r] (seeds
+   seed, seed+7919, ...) under the capture request [obs], through the
+   parallel runner. Row/byte order is independent of --jobs. *)
+let run_batch r ~seeds ~jobs ~obs =
   if seeds <= 0 then or_die (Error "seeds must be > 0");
-  let jobs = if jobs = 0 then Gcs_util.Pool.default_jobs () else jobs in
-  if jobs < 0 then or_die (Error "jobs must be >= 0");
-  let seed_list = Gcs_core.Replicate.seeds ~base:seed seeds in
   let configs =
     Array.of_list
       (List.map
          (fun seed ->
-           let graph = build_graph topo seed in
-           (match fault_plan with
-           | Some plan -> (
-               match Fault_plan.validate plan graph with
-               | Ok () -> ()
-               | Error msg -> or_die (Error ("fault plan: " ^ msg)))
-           | None -> ());
+           let r = { r with seed } in
+           let cfg = config ~obs r (key r) in
+           let n = Graph.n cfg.Runner.graph in
            List.iter
              (fun (u, v) ->
-               if u < 0 || v < 0 || u >= Graph.n graph || v >= Graph.n graph
-               then
+               if u < 0 || v < 0 || u >= n || v >= n then
                  or_die
                    (Error (Printf.sprintf "watch pair %d-%d out of range" u v)))
              obs.Capture.series_watch;
-           let fault_plan = apply_churn ?churn ~graph ~seed ~horizon fault_plan in
-           or_die_invalid (fun () ->
-               Runner.config ~spec ~algo ~horizon ~seed ?fault_plan ~obs
-                 ~scheduler ~regions graph))
-         seed_list)
+           cfg)
+         (Gcs_core.Replicate.seeds ~base:r.seed seeds))
   in
   Parallel_run.run ~jobs configs
 
@@ -915,21 +932,6 @@ let seeds_repl_arg =
     value & opt int 1
     & info [ "seeds" ] ~docv:"N"
         ~doc:"Replicate over N runs seeded seed, seed+7919, ....")
-
-let jobs_repl_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Shard the runs across N domains (0 = one per core). Exports are \
-           byte-identical for every N.")
-
-let plan_repl_arg =
-  Arg.(
-    value
-    & opt (some fault_plan_conv) None
-    & info [ "fault-plan" ] ~docv:"PLAN"
-        ~doc:"Apply this fault plan to every run (faults subcommand syntax).")
 
 let series_period_arg =
   Arg.(
@@ -957,6 +959,36 @@ let watch_arg =
           "Record each listed node pair's absolute skew as a dedicated \
            series column (watch0, watch1, ...) — e.g. the endpoints of a \
            churned edge, to plot its decay curve.")
+
+(* Write [header] and [rows] to [dest] (- for stdout); a file export
+   reports its row count on stderr. *)
+let export dest ~what ~header rows =
+  if dest = "-" then List.iter print_endline (header @ rows)
+  else begin
+    let oc = open_out dest in
+    List.iter
+      (fun l ->
+        output_string oc l;
+        output_char oc '\n')
+      (header @ rows);
+    close_out oc;
+    Printf.eprintf "wrote %d %s to %s\n" (List.length rows) what dest
+  end
+
+let check_schema_lines lines =
+  List.iteri
+    (fun i line ->
+      match Event_log.validate_line line with
+      | Ok _ -> ()
+      | Error msg ->
+          or_die
+            (Error (Printf.sprintf "schema violation on line %d: %s" (i + 1) msg)))
+    lines;
+  Printf.eprintf "schema: %d lines OK\n" (List.length lines)
+
+let last_n n xs =
+  let total = List.length xs in
+  if total <= n then xs else List.filteri (fun i _ -> i >= total - n) xs
 
 let trace_cmd =
   let events_arg =
@@ -1016,53 +1048,17 @@ let trace_cmd =
     if not (Sys.file_exists file) then
       or_die (Error (file ^ ": no such event log"));
     let lines =
-      let ic = open_in file in
-      let rec go acc =
-        match input_line ic with
-        | "" -> go acc
-        | line -> go (line :: acc)
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-      in
-      go []
+      In_channel.with_open_text file In_channel.input_lines
+      |> List.filter (fun l -> l <> "")
     in
-    (match events with
-    | None -> ()
-    | Some dest ->
-        if dest = "-" then List.iter print_endline lines
-        else begin
-          let oc = open_out dest in
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            lines;
-          close_out oc;
-          Printf.eprintf "wrote %d event lines to %s\n" (List.length lines)
-            dest
-        end);
-    if check_schema then begin
-      List.iteri
-        (fun i line ->
-          match Event_log.validate_line line with
-          | Ok _ -> ()
-          | Error msg ->
-              or_die
-                (Error
-                   (Printf.sprintf "schema violation on line %d: %s" (i + 1)
-                      msg)))
-        lines;
-      Printf.eprintf "schema: %d lines OK\n" (List.length lines)
-    end;
+    Option.iter
+      (fun dest -> export dest ~what:"event lines" ~header:[] lines)
+      events;
+    if check_schema then check_schema_lines lines;
     if events = None then begin
       Printf.printf "recorded log %s: %d events\n" file (List.length lines);
       if tail > 0 then begin
-        let total = List.length lines in
-        let last =
-          if total <= tail then lines
-          else List.filteri (fun i _ -> i >= total - tail) lines
-        in
+        let last = last_n tail lines in
         Printf.printf "\nlast %d events:\n" (List.length last);
         List.iter
           (fun line ->
@@ -1075,13 +1071,12 @@ let trace_cmd =
       end
     end
   in
-  let action spec_result topo algo horizon seed seeds jobs fault_plan events
-      format series series_period check_schema tail scheduler regions input
-      churn watch =
+  let action run seeds jobs events format series series_period check_schema
+      tail input watch =
     match input with
     | Some path -> trace_input path events check_schema tail
     | None ->
-    let spec = or_die spec_result in
+    let r = or_die run in
     let obs =
       {
         Capture.none with
@@ -1091,10 +1086,7 @@ let trace_cmd =
         series_watch = watch;
       }
     in
-    let results =
-      run_batch ~scheduler ~regions ?churn ~spec ~topo ~algo ~horizon ~seed
-        ~seeds ~jobs ~fault_plan ~obs ()
-    in
+    let results = run_batch r ~seeds ~jobs ~obs in
     let logs =
       Array.map
         (fun (r : Runner.result) ->
@@ -1117,40 +1109,21 @@ let trace_cmd =
                   (Event_log.entries log))
               logs))
     in
-    (match events with
-    | None -> ()
-    | Some dest ->
+    Option.iter
+      (fun dest ->
         let header =
           match format with
           | Event_log.Csv ->
               [ Gcs_util.Csv.render_row (Event_log.csv_header ~run:multi ()) ]
           | Event_log.Jsonl -> []
         in
-        let all = header @ lines in
-        if dest = "-" then List.iter print_endline all
-        else begin
-          let oc = open_out dest in
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            all;
-          close_out oc;
-          Printf.eprintf "wrote %d event lines to %s\n" (List.length lines) dest
-        end);
+        export dest ~what:"event lines" ~header lines)
+      events;
     if check_schema then begin
       (match format with
       | Event_log.Csv -> or_die (Error "--check-schema requires --format jsonl")
       | Event_log.Jsonl -> ());
-      List.iteri
-        (fun i line ->
-          match Event_log.validate_line line with
-          | Ok _ -> ()
-          | Error msg ->
-              or_die
-                (Error (Printf.sprintf "schema violation on line %d: %s" (i + 1) msg)))
-        lines;
-      Printf.eprintf "schema: %d lines OK\n" (List.length lines)
+      check_schema_lines lines
     end;
     (match series with
     | None -> ()
@@ -1177,21 +1150,12 @@ let trace_cmd =
                    (string_of_int i :: Series.csv_row p))
                merged.Parallel_run.series)
         in
-        let all = Gcs_util.Csv.render_row header :: rows in
-        if dest = "-" then List.iter print_endline all
-        else begin
-          let oc = open_out dest in
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            all;
-          close_out oc;
-          Printf.eprintf "wrote %d series rows to %s\n" (List.length rows) dest
-        end);
+        export dest ~what:"series rows"
+          ~header:[ Gcs_util.Csv.render_row header ]
+          rows);
     if events = None && series = None then begin
       Printf.printf "run: %s on %s, horizon %g, %d run(s)\n"
-        (Algorithm.kind_name algo) (Topology.spec_name topo) horizon
+        (Algorithm.kind_name r.algo) (Topology.spec_name r.topo) r.horizon
         (Array.length results);
       (* Per-kind totals over every run's log. Fault events are node
          down/up, edge cut/heal, fault drops, duplicates, corruptions and
@@ -1228,12 +1192,7 @@ let trace_cmd =
             r.Runner.summary.Metrics.final_global)
         results;
       if tail > 0 then begin
-        let entries = Event_log.entries logs.(0) in
-        let total = List.length entries in
-        let last =
-          if total <= tail then entries
-          else List.filteri (fun i _ -> i >= total - tail) entries
-        in
+        let last = last_n tail (Event_log.entries logs.(0)) in
         Printf.printf "\nlast %d events of run 0:\n" (List.length last);
         List.iter
           (fun (e : Event_log.entry) ->
@@ -1243,13 +1202,16 @@ let trace_cmd =
       end
     end
   in
+  let run =
+    run_term ~topo:(topology_arg ()) ~algo:algo_arg ~horizon:(horizon_arg ())
+      ~seed:(seed_arg ()) ~fault_plan:fault_plan_arg ~churn:churn_arg
+      ~scheduler:scheduler_arg ~regions:regions_arg ()
+  in
   let term =
     Term.(
-      const action $ spec_term $ topology_arg $ algo_arg $ horizon_arg
-      $ seed_arg $ seeds_repl_arg $ jobs_repl_arg $ plan_repl_arg $ events_arg
-      $ format_arg $ series_arg $ series_period_arg $ check_schema_flag
-      $ tail_arg $ scheduler_arg $ regions_arg $ input_arg $ churn_arg
-      $ watch_arg)
+      const action $ run $ seeds_repl_arg $ jobs_arg $ events_arg $ format_arg
+      $ series_arg $ series_period_arg $ check_schema_flag $ tail_arg
+      $ input_arg $ watch_arg)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1347,45 +1309,42 @@ let report_cmd =
              live --record') instead of simulating. Simulation arguments \
              are ignored.")
   in
-  let action spec_result topo algo horizon seed seeds jobs fault_plan
-      series_period recorded =
+  let action run seeds jobs series_period recorded =
     match recorded with
     | Some dir -> report_recorded dir
     | None ->
-    let spec = or_die spec_result in
-    let obs = Capture.full ~series_period () in
+    let r = or_die run in
     let results =
-      run_batch ~spec ~topo ~algo ~horizon ~seed ~seeds ~jobs ~fault_plan ~obs
-        ()
+      run_batch r ~seeds ~jobs ~obs:(Capture.full ~series_period ())
     in
     let merged = Parallel_run.merge results in
     Table.print
       ~title:
-        (Printf.sprintf "%s on %s, horizon %g" (Algorithm.kind_name algo)
-           (Topology.spec_name topo) horizon)
+        (Printf.sprintf "%s on %s, horizon %g" (Algorithm.kind_name r.algo)
+           (Topology.spec_name r.topo) r.horizon)
       ~columns:report_columns
       ~rows:
         (Array.to_list
            (Array.mapi
-              (fun i (r : Runner.result) ->
+              (fun i (res : Runner.result) ->
                 report_row ~label:(string_of_int i)
                   ~seed:
-                    (Gcs_core.Replicate.seeds ~base:seed seeds |> fun l ->
+                    (Gcs_core.Replicate.seeds ~base:r.seed seeds |> fun l ->
                      List.nth l i)
-                  r)
+                  res)
               results));
     print_newline ();
     Array.iteri
       (fun i r ->
         print_series_sparklines ~label:(Printf.sprintf "run %d" i) r)
       results;
-    (match fault_plan with
+    (match r.fault_plan with
     | None -> ()
     | Some plan ->
         Printf.printf "\nfault plan: %s\n" (Fault_plan.to_string plan);
         Array.iteri
-          (fun i (r : Runner.result) ->
-            match r.Runner.fault_report with
+          (fun i (res : Runner.result) ->
+            match res.Runner.fault_report with
             | None -> ()
             | Some rep ->
                 Printf.printf "run %d episodes:\n" i;
@@ -1396,11 +1355,14 @@ let report_cmd =
           results);
     print_profiler_section ?profile:merged.Parallel_run.profile results
   in
+  let run =
+    run_term ~topo:(topology_arg ()) ~algo:algo_arg ~horizon:(horizon_arg ())
+      ~seed:(seed_arg ()) ~fault_plan:fault_plan_arg ()
+  in
   let term =
     Term.(
-      const action $ spec_term $ topology_arg $ algo_arg $ horizon_arg
-      $ seed_arg $ seeds_repl_arg $ jobs_repl_arg $ plan_repl_arg
-      $ series_period_arg $ recorded_arg)
+      const action $ run $ seeds_repl_arg $ jobs_arg $ series_period_arg
+      $ recorded_arg)
   in
   Cmd.v
     (Cmd.info "report"
@@ -1413,12 +1375,6 @@ let report_cmd =
 (* gcs-cli live: the algorithm as real UDP processes. *)
 
 let live_cmd =
-  let horizon_arg =
-    Arg.(
-      value & opt float 6.
-      & info [ "horizon" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock run length after the start barrier.")
-  in
   let sample_period_arg =
     Arg.(
       value & opt float 0.5
@@ -1436,28 +1392,11 @@ let live_cmd =
       value & opt string "127.0.0.1"
       & info [ "host" ] ~docv:"HOST" ~doc:"Address the node sockets bind to.")
   in
-  let drift_arg =
-    Arg.(
-      value & opt string "random"
-      & info [ "drift" ] ~docv:"PATTERN"
-          ~doc:
-            "Simulated per-node drift pattern (same spellings as the run \
-             subcommand), applied on top of the wall clock.")
-  in
   let startup_arg =
     Arg.(
       value & opt float 0.5
       & info [ "startup" ] ~docv:"T"
           ~doc:"Barrier lead time for spawning the processes, in seconds.")
-  in
-  let plan_arg =
-    Arg.(
-      value
-      & opt (some fault_plan_conv) None
-      & info [ "plan"; "fault-plan" ] ~docv:"PLAN"
-          ~doc:
-            "Fault plan to inject deterministically (faults subcommand \
-             syntax); times are wall seconds after the barrier.")
   in
   let record_arg =
     Arg.(
@@ -1469,29 +1408,29 @@ let live_cmd =
              for later 'report --recorded', 'trace --input' and 'check run \
              --recorded'.")
   in
-  let action spec_result topo algo horizon sample_period seed base_port host
-      drift startup plan record =
-    let spec = or_die spec_result in
+  let action run sample_period base_port host startup record =
+    let r = or_die run in
     let cfg =
       or_die_invalid (fun () ->
-          Live_run.config ~topology:topo ~algo ~spec ~drift ~horizon
-            ~sample_period ~seed ~base_port ~host ?fault_plan:plan ~startup ())
+          Live_run.config ~topology:r.topo ~algo:r.algo ~spec:r.spec
+            ~drift:r.drift ~horizon:r.horizon ~sample_period ~seed:r.seed
+            ~base_port ~host ?fault_plan:r.fault_plan ~startup ())
     in
-    let graph = Live_run.build_graph cfg in
     Printf.printf "live: %s on %s — %d UDP processes on %s:%d+, horizon %gs \
                    (wall)\n%!"
-      (Algorithm.kind_name algo) (Topology.spec_name topo) (Graph.n graph)
-      host base_port horizon;
-    let r =
+      (Algorithm.kind_name r.algo) (Topology.spec_name r.topo)
+      (Graph.n (Live_run.build_graph cfg))
+      host base_port r.horizon;
+    let res =
       try Live_run.run cfg
       with Failure msg | Invalid_argument msg -> or_die (Error msg)
     in
-    print_summary ~graph ~spec r;
-    Printf.printf "dispatches        : %d\n" r.Runner.dispatches;
+    print_summary res;
+    Printf.printf "dispatches        : %d\n" res.Runner.dispatches;
     Printf.printf "dropped (wire)    : %d, dropped (faults) : %d\n"
-      r.Runner.dropped r.Runner.dropped_faults;
-    print_series_sparklines ~label:"live " r;
-    (match r.Runner.fault_report with
+      res.Runner.dropped res.Runner.dropped_faults;
+    print_series_sparklines ~label:"live " res;
+    (match res.Runner.fault_report with
     | None -> ()
     | Some rep ->
         List.iter
@@ -1500,21 +1439,29 @@ let live_cmd =
     match record with
     | None -> ()
     | Some dir ->
-        Live_run.save cfg r ~dir;
+        Live_run.save cfg res ~dir;
         Printf.printf "recorded to %s\n" dir
+  in
+  let run =
+    run_term ~topo:(topology_arg ()) ~algo:algo_arg ~drift:drift_arg
+      ~horizon:
+        (horizon_arg ~default:6. ~docv:"SECONDS"
+           ~doc:"Wall-clock run length after the start barrier." ())
+      ~seed:(seed_arg ()) ~fault_plan:fault_plan_arg ()
   in
   let term =
     Term.(
-      const action $ spec_term $ topology_arg $ algo_arg $ horizon_arg
-      $ sample_period_arg $ seed_arg $ base_port_arg $ host_arg $ drift_arg
-      $ startup_arg $ plan_arg $ record_arg)
+      const action $ run $ sample_period_arg $ base_port_arg $ host_arg
+      $ startup_arg $ record_arg)
   in
   Cmd.v
     (Cmd.info "live"
        ~doc:
          "Run the algorithm as one real UDP process per node (loopback by \
           default), record the execution through the standard event-log \
-          schema, and print the same summary a simulation gets.")
+          schema, and print the same summary a simulation gets. Drift \
+          patterns are simulated on top of the wall clock, and fault-plan \
+          times are wall seconds after the start barrier.")
     term
 
 (* gcs-cli check ... : conformance harness (online monitors, shrinking,
@@ -1524,7 +1471,6 @@ module Monitor = Gcs_check.Monitor
 module Check_run = Gcs_check.Check_run
 module Check_shrink = Gcs_check.Shrink
 module Repro = Gcs_check.Repro
-module Ckey = Gcs_store.Key
 
 let moves_conv =
   let parse s = Repro.moves_of_string s |> Result.map_error (fun e -> `Msg e) in
@@ -1542,14 +1488,22 @@ let edge_age_conv =
   let print ppf (f, s, r) = Format.fprintf ppf "%g,%g,%g" f s r in
   Arg.conv (parse, print)
 
+let shrink_flag =
+  Arg.(
+    value & flag
+    & info [ "shrink" ]
+        ~doc:
+          "On violation, delta-debug the counterexample down to a minimized \
+           one before writing the repro.")
+
+let repro_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "o"; "out" ] ~docv:"FILE"
+        ~doc:"Write a .repro artifact of the (minimized) violation to FILE.")
+
 let check_run_cmd =
-  let plan_arg =
-    Arg.(
-      value
-      & opt (some fault_plan_conv) None
-      & info [ "plan"; "fault-plan" ] ~docv:"PLAN"
-          ~doc:"Fault plan to run under (faults subcommand syntax).")
-  in
   let edge_age_arg =
     Arg.(
       value
@@ -1589,21 +1543,6 @@ let check_run_cmd =
       value & flag
       & info [ "abort" ]
           ~doc:"Stop the run at the first violation instead of finishing.")
-  in
-  let shrink_flag =
-    Arg.(
-      value & flag
-      & info [ "shrink" ]
-          ~doc:
-            "On violation, delta-debug the configuration down to a minimized \
-             counterexample before writing the repro.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write a .repro artifact of the (minimized) violation to FILE.")
   in
   let recorded_arg =
     Arg.(
@@ -1664,20 +1603,14 @@ let check_run_cmd =
           (Monitor.violation_to_string v);
         exit 1
   in
-  let action spec_result topo algo horizon seed loss plan moves segment_len
-      skew abort shrink out recorded churn edge_age =
+  let action run moves segment_len skew abort shrink out recorded edge_age =
     match recorded with
     | Some dir -> check_recorded dir skew
     | None ->
-    let spec = or_die spec_result in
-    let loss = if loss <= 0. then 0. else loss in
-    let graph = build_graph topo seed in
-    let plan = apply_churn ?churn ~graph ~seed ~horizon plan in
-    let key =
-      Runner.store_key ~loss ?fault_plan:plan ~spec ~topology:topo ~algo
-        ~horizon ~seed ()
-    in
-    let cfg = or_die (Runner.config_of_key key) in
+    let r = or_die run in
+    let key = key r in
+    let cfg = config r key in
+    let graph = cfg.Runner.graph and spec = r.spec in
     let skew_bound =
       if not skew then None
       else
@@ -1687,7 +1620,7 @@ let check_run_cmd =
        the conformance bound each up-pair must satisfy is parameterized by
        the edge's age, from the formation windows of the compiled plan. *)
     let edge_age_spec =
-      match (edge_age, churn) with
+      match (edge_age, r.churn) with
       | None, None -> None
       | _ ->
           let diameter = Shortest_path.diameter graph in
@@ -1704,22 +1637,23 @@ let check_run_cmd =
                 }
           in
           let windows =
-            match plan with
+            match cfg.Runner.fault_plan with
             | None -> []
-            | Some p -> Churn_plan.up_windows p ~graph ~horizon
+            | Some p -> Churn_plan.up_windows p ~graph ~horizon:r.horizon
           in
           Some { base with Monitor.windows }
     in
     let monitor =
       Check_run.default_spec
         ~mode:(if abort then `Abort else `Record)
-        ?skew_bound ?edge_age:edge_age_spec ~after:(horizon /. 4.) spec algo
+        ?skew_bound ?edge_age:edge_age_spec ~after:(r.horizon /. 4.) spec
+        r.algo
     in
     let checked =
       or_die_invalid (fun () -> Check_run.run ~monitor ~moves ~segment_len cfg)
     in
     Printf.printf "checked %s on %s: %d events monitored\n"
-      (Algorithm.kind_name algo) (Topology.spec_name topo)
+      (Algorithm.kind_name r.algo) (Topology.spec_name r.topo)
       checked.Check_run.events_checked;
     match checked.Check_run.violation with
     | None -> Printf.printf "verdict: CONFORMS\n"
@@ -1739,10 +1673,10 @@ let check_run_cmd =
                   o.Check_shrink.initial_size o.Check_shrink.final_size
                   o.Check_shrink.evaluations
                   (Topology.spec_name
-                     o.Check_shrink.minimized.Check_shrink.key.Ckey.topology)
-                  o.Check_shrink.minimized.Check_shrink.key.Ckey.seed
+                     o.Check_shrink.minimized.Check_shrink.key.Key.topology)
+                  o.Check_shrink.minimized.Check_shrink.key.Key.seed
                   (Printf.sprintf "%g"
-                     o.Check_shrink.minimized.Check_shrink.key.Ckey.horizon);
+                     o.Check_shrink.minimized.Check_shrink.key.Key.horizon);
                 (o.Check_shrink.minimized, o.Check_shrink.violation)
         in
         (match out with
@@ -1759,12 +1693,15 @@ let check_run_cmd =
             Printf.printf "wrote repro to %s\n" path);
         exit 1
   in
+  let run =
+    run_term ~topo:(topology_arg ()) ~algo:algo_arg ~horizon:(horizon_arg ())
+      ~seed:(seed_arg ()) ~loss:loss_arg ~fault_plan:fault_plan_arg
+      ~churn:churn_arg ()
+  in
   let term =
     Term.(
-      const action $ spec_term $ topology_arg $ algo_arg $ horizon_arg
-      $ seed_arg $ loss_arg $ plan_arg $ moves_arg $ segment_len_arg
-      $ skew_flag $ abort_flag $ shrink_flag $ out_arg $ recorded_arg
-      $ churn_arg $ edge_age_arg)
+      const action $ run $ moves_arg $ segment_len_arg $ skew_flag
+      $ abort_flag $ shrink_flag $ repro_out_arg $ recorded_arg $ edge_age_arg)
   in
   Cmd.v
     (Cmd.info "run"
@@ -1783,8 +1720,6 @@ let check_replay_cmd =
       & info [] ~docv:"REPRO" ~doc:".repro files to replay.")
   in
   let action files jobs =
-    let jobs = if jobs = 0 then Gcs_util.Pool.default_jobs () else jobs in
-    if jobs < 0 then or_die (Error "jobs must be >= 0");
     let repros =
       Array.of_list (List.map (fun f -> or_die (Repro.load f)) files)
     in
@@ -1801,7 +1736,7 @@ let check_replay_cmd =
       repros;
     if not !ok then exit 1
   in
-  let term = Term.(const action $ files_arg $ jobs_repl_arg) in
+  let term = Term.(const action $ files_arg $ jobs_arg) in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
@@ -1812,16 +1747,6 @@ let check_replay_cmd =
     term
 
 let check_battery_cmd =
-  let topologies_arg =
-    Term.(
-      const (List.map or_die)
-      $ Arg.(
-          value
-          & opt (list topology_conv)
-              [ Ok (Topology.Ring 8); Ok (Topology.Line 9) ]
-          & info [ "topologies" ] ~docv:"TOPO,..."
-              ~doc:"Comma-separated topology specs to sweep."))
-  in
   let algos_arg =
     Arg.(
       value
@@ -1871,8 +1796,6 @@ let check_battery_cmd =
   let action spec_result topologies algos seeds base_seed no_faults horizon
       jobs repro_dir byz churn =
     let spec = or_die spec_result in
-    let jobs = if jobs = 0 then Gcs_util.Pool.default_jobs () else jobs in
-    if jobs < 0 then or_die (Error "jobs must be >= 0");
     if byz <> None && churn <> None then
       or_die (Error "--byzantine and --churn cannot be combined");
     let algos =
@@ -1907,8 +1830,8 @@ let check_battery_cmd =
           (fun i c ->
             let v = Option.get c.Check_run.violation in
             Printf.printf "  %s %s seed %d: %s\n"
-              (Topology.spec_name c.Check_run.key.Ckey.topology)
-              c.Check_run.key.Ckey.algo c.Check_run.key.Ckey.seed
+              (Topology.spec_name c.Check_run.key.Key.topology)
+              c.Check_run.key.Key.algo c.Check_run.key.Key.seed
               (Monitor.violation_to_string v);
             match repro_dir with
             | None -> ()
@@ -1931,8 +1854,10 @@ let check_battery_cmd =
   in
   let term =
     Term.(
-      const action $ spec_term $ topologies_arg $ algos_arg $ seeds_arg
-      $ base_seed_arg $ no_faults_flag $ horizon_arg $ jobs_repl_arg
+      const action $ spec_term
+      $ topologies_arg [ Topology.Ring 8; Topology.Line 9 ]
+      $ algos_arg $ seeds_arg
+      $ base_seed_arg $ no_faults_flag $ horizon_arg () $ jobs_arg
       $ repro_dir_arg $ byz_arg $ churn_arg)
   in
   Cmd.v
@@ -1960,18 +1885,6 @@ module Explorer = Gcs_explore.Explorer
 module Verdict = Gcs_explore.Verdict
 
 let explore_cmd =
-  let topology_arg =
-    let doc = "Instance topology (2..6 nodes), e.g. line:2, ring:3." in
-    Term.(
-      const or_die
-      $ Arg.(
-          value
-          & opt topology_conv (Ok (Topology.Ring 3))
-          & info [ "t"; "topology" ] ~docv:"TOPOLOGY" ~doc))
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Run seed.")
-  in
   let segment_len_arg =
     Arg.(
       value & opt float 8.
@@ -1991,13 +1904,6 @@ let explore_cmd =
           ~doc:
             "Decision alphabet: all (9 moves), drift (3), delay (3), \
              extreme (4), or an explicit move list like LF;RB.")
-  in
-  let plan_arg =
-    Arg.(
-      value
-      & opt (some fault_plan_conv) None
-      & info [ "plan"; "fault-plan" ] ~docv:"PLAN"
-          ~doc:"Fault plan to explore under (faults subcommand syntax).")
   in
   let rate_lo_arg =
     Arg.(
@@ -2061,25 +1967,10 @@ let explore_cmd =
       value & flag
       & info [ "json" ] ~doc:"Emit the outcome as single-line JSON.")
   in
-  let shrink_flag =
-    Arg.(
-      value & flag
-      & info [ "shrink" ]
-          ~doc:
-            "On violation, delta-debug the trace down to a minimized \
-             counterexample before writing the repro.")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write a .repro artifact of the (minimized) violation to FILE.")
-  in
-  let action spec_result topo algo seed segment_len depth alphabet_s plan
-      rate_lo rate_hi skew_bound max_states dedup quantum strategy_s prove
-      json shrink out =
-    let spec = or_die spec_result in
+  let action run segment_len depth alphabet_s rate_lo rate_hi skew_bound
+      max_states dedup quantum strategy_s prove json shrink out =
+    let r = or_die run in
+    let spec = r.spec and algo = r.algo in
     let alphabet = or_die (Choice.alphabet_of_string alphabet_s) in
     let strategy = or_die (Explorer.strategy_of_string strategy_s) in
     let monitor =
@@ -2095,8 +1986,8 @@ let explore_cmd =
     in
     let inst =
       or_die_invalid (fun () ->
-          Instance.make ~spec ~topology:topo ~algo ~seed ~segment_len ~depth
-            ~alphabet ?fault_plan:plan ~monitor ())
+          Instance.make ~spec ~topology:r.topo ~algo ~seed:r.seed ~segment_len
+            ~depth ~alphabet ?fault_plan:r.fault_plan ~monitor ())
     in
     let outcome = Explorer.explore ~dedup ~quantum ~max_states ~strategy inst in
     let stats = outcome.Explorer.stats in
@@ -2105,7 +1996,7 @@ let explore_cmd =
       Printf.printf
         "explored %s on %s: depth %d, alphabet %d (%s), space %d prefixes / \
          %d executions\n"
-        (Algorithm.kind_name algo) (Topology.spec_name topo) depth
+        (Algorithm.kind_name algo) (Topology.spec_name r.topo) depth
         (List.length inst.Instance.alphabet)
         (Choice.alphabet_to_string inst.Instance.alphabet)
         (Instance.prefixes inst) (Instance.executions inst);
@@ -2153,12 +2044,20 @@ let explore_cmd =
             if not json then Printf.printf "wrote repro to %s\n" path);
         exit 1
   in
+  let run =
+    run_term
+      ~topo:
+        (topology_arg ~default:(Topology.Ring 3)
+           ~doc:"Instance topology (2..6 nodes), e.g. line:2, ring:3." ())
+      ~algo:algo_arg ~seed:(seed_arg ~default:1 ()) ~fault_plan:fault_plan_arg
+      ()
+  in
   let term =
     Term.(
-      const action $ spec_term $ topology_arg $ algo_arg $ seed_arg
-      $ segment_len_arg $ depth_arg $ alphabet_arg $ plan_arg $ rate_lo_arg
-      $ rate_hi_arg $ skew_arg $ max_states_arg $ dedup_flag $ quantum_arg
-      $ strategy_arg $ prove_flag $ json_flag $ shrink_flag $ out_arg)
+      const action $ run $ segment_len_arg $ depth_arg $ alphabet_arg
+      $ rate_lo_arg $ rate_hi_arg $ skew_arg $ max_states_arg $ dedup_flag
+      $ quantum_arg $ strategy_arg $ prove_flag $ json_flag $ shrink_flag
+      $ repro_out_arg)
   in
   Cmd.v
     (Cmd.info "explore"
@@ -2173,7 +2072,6 @@ let explore_cmd =
 (* gcs-cli store ... : inspect and gate against the experiment store. *)
 
 module Store = Gcs_store.Store
-module Store_key = Gcs_store.Key
 module Outcome = Gcs_store.Outcome
 
 let store_dir_arg =
@@ -2205,8 +2103,8 @@ let store_stats_cmd =
             (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
         in
         Store.iter st (fun k _ ->
-            bump by_schema k.Store_key.schema_version;
-            bump by_algo k.Store_key.algo);
+            bump by_schema k.Key.schema_version;
+            bump by_algo k.Key.algo);
         let sorted tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare in
         List.iter
           (fun (v, n) -> Printf.printf "schema %d  : %d entries\n" v n)
@@ -2248,7 +2146,7 @@ let store_gc_cmd =
   let keep_schema_arg =
     Arg.(
       value
-      & opt int Store_key.current_schema_version
+      & opt int Key.current_schema_version
       & info [ "keep-schema" ] ~docv:"N"
           ~doc:"Keep only records of this schema version (default: current).")
   in
@@ -2298,8 +2196,8 @@ let store_diff_cmd =
       (fun () ->
         Store.iter st (fun k o ->
             let triple =
-              (Topology.spec_name k.Store_key.topology, k.Store_key.algo,
-               k.Store_key.seed)
+              (Topology.spec_name k.Key.topology, k.Key.algo,
+               k.Key.seed)
             in
             Hashtbl.replace baseline triple
               (if Hashtbl.mem baseline triple then `Ambiguous else `One o)));

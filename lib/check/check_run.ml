@@ -177,11 +177,7 @@ let battery ?jobs ?(spec = Spec.make ()) ?(algos = Algorithm.all_kinds)
   let cells =
     List.concat_map
       (fun topology ->
-        let nodes =
-          Graph.n
-            (Topology.build topology
-               ~rng:(Prng.create ~seed:(base_seed lxor 0x5eed)))
-        in
+        let nodes = Graph.n (Topology.build_for_seed topology ~seed:base_seed) in
         List.concat_map
           (fun algo ->
             List.init seeds (fun i ->
@@ -198,11 +194,9 @@ let battery ?jobs ?(spec = Spec.make ()) ?(algos = Algorithm.all_kinds)
                       (* Compile against the cell's own graph: random
                          topologies rebuild per seed inside
                          [config_of_key], and the expansion must match. *)
-                      let graph =
-                        Topology.build topology
-                          ~rng:(Prng.create ~seed:(seed lxor 0x5eed))
-                      in
-                      Churn_plan.compile c ~graph ~seed ~horizon
+                      Churn_plan.compile c
+                        ~graph:(Topology.build_for_seed topology ~seed)
+                        ~seed ~horizon
                 in
                 let fault_plan =
                   match (base, churned) with
@@ -267,11 +261,7 @@ let containment_battery ?jobs ?spec
   let cells =
     List.concat_map
       (fun topology ->
-        let nodes =
-          Graph.n
-            (Topology.build topology
-               ~rng:(Prng.create ~seed:(base_seed lxor 0x5eed)))
-        in
+        let nodes = Graph.n (Topology.build_for_seed topology ~seed:base_seed) in
         List.concat_map
           (fun algo ->
             List.init seeds (fun i ->

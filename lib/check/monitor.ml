@@ -97,7 +97,6 @@ type t = {
 }
 
 let events_checked t = t.events_checked
-let first_violation t = t.violation
 
 let record t v =
   if t.violation = None then begin

@@ -93,9 +93,6 @@ val finalize : t -> violation option
     every node at the engine's current time to close that gap. Returns the
     first violation (idempotent). *)
 
-val first_violation : t -> violation option
-(** The first violation recorded so far, without flushing. *)
-
 val events_checked : t -> int
 (** Delivery/timer events the monitor has checked. *)
 

@@ -21,8 +21,26 @@ let clamp band r = Float.min band.rate_max (Float.max band.rate_min r)
 
 let midpoint band = 0.5 *. (band.rate_min +. band.rate_max)
 
+let positive_finite x = x > 0. && x < infinity
+
+(* The one parameter check behind both [schedule] and [pattern_of_string]. *)
+let check = function
+  | Square { period; _ } when not (positive_finite period) ->
+      Error "square period must be > 0 and finite"
+  | Sinusoid { period; step; _ }
+    when not (positive_finite period && positive_finite step) ->
+      Error "sinusoid period and step must be > 0 and finite"
+  | Random_walk { step; _ } when not (positive_finite step) ->
+      Error "walk step must be > 0 and finite"
+  | Random_walk { sigma; _ } when not (sigma >= 0. && sigma < infinity) ->
+      Error "walk sigma must be >= 0 and finite"
+  | _ -> Ok ()
+
 let schedule pattern ~band:b ~t0 ~horizon ~rng =
   if horizon < 0. then invalid_arg "Drift.schedule: negative horizon";
+  (match check pattern with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Drift: " ^ msg));
   let points =
     match pattern with
     | Constant r ->
@@ -34,7 +52,6 @@ let schedule pattern ~band:b ~t0 ~horizon ~rng =
         if switch <= t0 then [ (t0, after) ]
         else [ (t0, before); (switch, after) ]
     | Square { period; low; high; phase } ->
-        if period <= 0. then invalid_arg "Drift: square period must be > 0";
         (* [phase] counts half-periods of offset for the starting parity. *)
         let half = period /. 2. in
         let count = int_of_float (Float.ceil (horizon /. half)) + 1 in
@@ -44,8 +61,6 @@ let schedule pattern ~band:b ~t0 ~horizon ~rng =
             let r = if (i + parity0) mod 2 = 0 then high else low in
             (t, r))
     | Sinusoid { period; phase; step } ->
-        if period <= 0. || step <= 0. then
-          invalid_arg "Drift: sinusoid period and step must be > 0";
         let amp = (b.rate_max -. b.rate_min) /. 2. in
         let mid = midpoint b in
         let count = int_of_float (Float.ceil (horizon /. step)) + 1 in
@@ -53,7 +68,6 @@ let schedule pattern ~band:b ~t0 ~horizon ~rng =
             let t = t0 +. (float_of_int i *. step) in
             (t, mid +. (amp *. sin ((2. *. Float.pi *. (t +. phase)) /. period))))
     | Random_walk { step; sigma } ->
-        if step <= 0. then invalid_arg "Drift: walk step must be > 0";
         let count = int_of_float (Float.ceil (horizon /. step)) + 1 in
         let r = ref (Prng.uniform rng ~lo:b.rate_min ~hi:b.rate_max) in
         List.init count (fun i ->
@@ -97,6 +111,11 @@ let make_clock pattern ~band:b ~t0 ~horizon ~rng =
 
 let pattern_of_string s =
   let fail () = Error (Printf.sprintf "unrecognized drift pattern %S" s) in
+  let checked p =
+    match check p with
+    | Ok () -> Ok p
+    | Error msg -> Error (Printf.sprintf "bad drift pattern %S: %s" s msg)
+  in
   match String.split_on_char ':' s with
   | [ "perfect" ] -> Ok (Constant 1.)
   | [ "fast" ] -> Ok Extreme_high
@@ -105,14 +124,16 @@ let pattern_of_string s =
   | [ "random" ] -> Ok Random_constant
   | [ "walk"; step; sigma ] -> (
       match (float_of_string_opt step, float_of_string_opt sigma) with
-      | Some step, Some sigma -> Ok (Random_walk { step; sigma })
+      | Some step, Some sigma -> checked (Random_walk { step; sigma })
       | _ -> fail ())
   | [ "square"; period ] -> (
       match float_of_string_opt period with
-      | Some period -> Ok (Square { period; low = 1.; high = infinity; phase = 0. })
+      | Some period ->
+          checked (Square { period; low = 1.; high = infinity; phase = 0. })
       | None -> fail ())
   | [ "sin"; period ] -> (
       match float_of_string_opt period with
-      | Some period -> Ok (Sinusoid { period; phase = 0.; step = period /. 16. })
+      | Some period ->
+          checked (Sinusoid { period; phase = 0.; step = period /. 16. })
       | None -> fail ())
   | _ -> fail ()

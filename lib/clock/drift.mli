@@ -40,7 +40,10 @@ val schedule :
   rng:Gcs_util.Prng.t ->
   (float * float) list
 (** Expand a pattern into clamped [(time, rate)] change-points covering
-    [t0, t0 + horizon]. The first change-point is at [t0]. *)
+    [t0, t0 + horizon]. The first change-point is at [t0]. Raises
+    [Invalid_argument] on a square or sinusoid period, sinusoid step or
+    walk step that is not positive and finite, and on a walk sigma that
+    is negative or not finite. *)
 
 val make_clock :
   pattern ->
@@ -54,4 +57,6 @@ val make_clock :
 val pattern_of_string : string -> (pattern, string) result
 (** Parse CLI names: ["perfect"], ["fast"], ["slow"], ["mid"],
     ["random"], ["walk:<step>:<sigma>"], ["square:<period>"],
-    ["sin:<period>"]. *)
+    ["sin:<period>"]. [Error] on anything else and on every pattern
+    {!schedule} rejects (one check serves both), so every parsed pattern
+    builds a clock. *)

@@ -6,34 +6,38 @@ let map ?jobs ~f cfgs = Pool.map ?jobs (fun cfg -> f (Runner.run cfg)) cfgs
 
 type cache_stats = { hits : int; misses : int; fresh_dispatches : int }
 
-let run_cached ?jobs ?store cells =
-  let n = Array.length cells in
+let run_cached ?jobs ?store keys =
+  let n = Array.length keys in
   let outcomes : Gcs_store.Outcome.t option array = Array.make n None in
   let miss_rev = ref [] in
   Array.iteri
-    (fun i (key, _) ->
-      match (store, key) with
-      | Some st, Some k -> (
-          match Gcs_store.Store.find st k with
-          | Some o -> outcomes.(i) <- Some o
-          | None -> miss_rev := i :: !miss_rev)
-      | _ -> miss_rev := i :: !miss_rev)
-    cells;
+    (fun i key ->
+      match Option.bind store (fun st -> Gcs_store.Store.find st key) with
+      | Some o -> outcomes.(i) <- Some o
+      | None -> miss_rev := i :: !miss_rev)
+    keys;
   let miss = Array.of_list (List.rev !miss_rev) in
+  (* Every miss becomes a config before anything runs, so a key that names
+     no valid run fails the batch up front. *)
+  let cells =
+    Array.map
+      (fun i ->
+        match Runner.config_of_key keys.(i) with
+        | Ok cfg -> (keys.(i), cfg)
+        | Error msg -> invalid_arg msg)
+      miss
+  in
   (* Simulate only the misses, sharded like [run]; each worker persists
      its cell as soon as it finishes, so an interrupted batch resumes
      from whatever completed (the store serializes writers internally). *)
   let fresh =
     Pool.map ?jobs
-      (fun i ->
-        let key, cfg = cells.(i) in
+      (fun (key, cfg) ->
         let r = Runner.run cfg in
         let o = Runner.outcome r in
-        (match (store, key) with
-        | Some st, Some k -> Gcs_store.Store.put st k o
-        | _ -> ());
+        Option.iter (fun st -> Gcs_store.Store.put st key o) store;
         (o, r.Runner.dispatches))
-      miss
+      cells
   in
   let fresh_dispatches = ref 0 in
   Array.iteri

@@ -30,16 +30,18 @@ type cache_stats = { hits : int; misses : int; fresh_dispatches : int }
 val run_cached :
   ?jobs:int ->
   ?store:Gcs_store.Store.t ->
-  (Gcs_store.Key.t option * Runner.config) array ->
+  Gcs_store.Key.t array ->
   Gcs_store.Outcome.t array * cache_stats
-(** [run_cached ~store cells] serves each [(key, config)] cell from the
-    store when its key is present, and simulates the rest exactly as
-    {!run} would (same sharding, bit-identical results in input order).
-    Each worker persists its outcome the moment the run completes — not
-    at batch end — so a killed sweep keeps everything finished so far.
-    Cells with no key (configs a canonical key cannot describe) always
-    simulate and are never persisted. Without [?store] every cell is a
-    miss: the output equals [Array.map Runner.outcome (run cfgs)]. *)
+(** [run_cached ~store keys] serves each key's run from the store when the
+    key is present, and simulates the rest exactly as {!run} would on
+    their {!Runner.config_of_key} configs (same sharding, bit-identical
+    results in input order). A hit builds no graph and no config. Every
+    miss is turned into its config before any cell simulates, so a key
+    that names no valid run raises [Invalid_argument] (with
+    [config_of_key]'s message) before anything runs. Each worker
+    persists its outcome the moment the run completes — not at batch
+    end — so a killed sweep keeps everything finished so far. Without
+    [?store] every key is a miss. *)
 
 (** Order-preserving aggregate of a batch, merged deterministically. *)
 type merged = {

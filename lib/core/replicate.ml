@@ -9,7 +9,9 @@ type summary = {
   trials : int;
 }
 
-let summary_of xs =
+let measure ?(jobs = 1) ~seeds f =
+  if seeds = [] then invalid_arg "Replicate.measure: no seeds";
+  let xs = Gcs_util.Pool.map ~jobs f (Array.of_list seeds) in
   let n = Array.length xs in
   let stddev = Stats.stddev xs in
   {
@@ -20,18 +22,6 @@ let summary_of xs =
     ci95 = (if n < 2 then 0. else 1.96 *. stddev /. sqrt (float_of_int n));
     trials = n;
   }
-
-let measure ?(jobs = 1) ~seeds f =
-  if seeds = [] then invalid_arg "Replicate.measure: no seeds";
-  summary_of (Gcs_util.Pool.map ~jobs f (Array.of_list seeds))
-
-let measure_runs ?jobs ?store ~seeds ~key ~config ~metric () =
-  if seeds = [] then invalid_arg "Replicate.measure_runs: no seeds";
-  let cells =
-    Array.of_list (List.map (fun seed -> (key seed, config seed)) seeds)
-  in
-  let outcomes, stats = Parallel_run.run_cached ?jobs ?store cells in
-  (summary_of (Array.map metric outcomes), stats)
 
 let seeds ?(base = 1000) n = List.init n (fun i -> base + (7919 * i))
 

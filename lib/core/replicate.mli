@@ -22,23 +22,6 @@ val measure : ?jobs:int -> seeds:int list -> (int -> float) -> summary
     i.e. serial); [f] must be pure modulo its seed, in which case the
     summary is identical for every [jobs]. *)
 
-val measure_runs :
-  ?jobs:int ->
-  ?store:Gcs_store.Store.t ->
-  seeds:int list ->
-  key:(int -> Gcs_store.Key.t option) ->
-  config:(int -> Runner.config) ->
-  metric:(Gcs_store.Outcome.t -> float) ->
-  unit ->
-  summary * Parallel_run.cache_stats
-(** Cache-aware {!measure} for measurements that are full simulation runs:
-    [key seed] names the run (return [None] for uncacheable configs),
-    [config seed] builds it, [metric] reduces its stored outcome to the
-    scalar being replicated. Runs found in [store] are not re-simulated;
-    fresh runs are persisted as they complete. The summary is identical to
-    [measure ~seeds (fun s -> metric (Runner.outcome (Runner.run (config
-    s))))] whatever mix of hits and misses served it. *)
-
 val seeds : ?base:int -> int -> int list
 (** [seeds n] is a standard batch of [n] distinct seeds. *)
 

@@ -14,8 +14,6 @@ module Profiler = Gcs_obs.Profiler
 
 type delay_kind =
   | Uniform_delays
-  | Fixed_delays
-  | Midpoint_delays
   | Controlled_delays
   | Per_edge_delays of (int -> Delay_model.bounds)
 
@@ -289,7 +287,7 @@ let effective_regions (cfg : config) =
   else
     match cfg.delay_kind with
     | Controlled_delays -> 1
-    | Uniform_delays | Fixed_delays | Midpoint_delays | Per_edge_delays _ -> (
+    | Uniform_delays | Per_edge_delays _ -> (
         let has_byz =
           match cfg.fault_plan with
           | Some plan -> Fault_plan.byzantine_nodes plan <> []
@@ -325,8 +323,6 @@ let prepare (cfg : config) =
     let base =
       match cfg.delay_kind with
       | Uniform_delays -> Delay_model.uniform b
-      | Fixed_delays -> Delay_model.fixed b
-      | Midpoint_delays -> Delay_model.midpoint b
       | Controlled_delays ->
           Delay_model.controlled b ~default:(Delay_model.uniform b) chooser
       | Per_edge_delays edge_bounds -> Delay_model.per_edge edge_bounds
@@ -400,22 +396,15 @@ let prepare (cfg : config) =
   (match (series, cfg.obs.Capture.series_period) with
   | Some series, Some period ->
       let pctx =
-        if cfg.obs.Capture.series_profile then
-          Some
-            (Metrics.profile_ctx
-               ~dist:(Gcs_graph.Shortest_path.all_pairs cfg.graph))
-        else None
+        Metrics.profile_ctx ~dist:(Gcs_graph.Shortest_path.all_pairs cfg.graph)
       in
       let point () =
         let now = Engine.now engine in
         let values = snapshot_values live in
         let profile =
-          match pctx with
-          | None -> [||]
-          | Some ctx ->
-              Array.mapi
-                (fun i s -> (i + 1, s))
-                (Metrics.gradient_profile_ctx ctx values)
+          Array.mapi
+            (fun i s -> (i + 1, s))
+            (Metrics.gradient_profile_ctx pctx values)
         in
         {
           Series.time = now;
@@ -424,7 +413,7 @@ let prepare (cfg : config) =
           profile;
           values = (if cfg.obs.Capture.series_values then values else [||]);
           rates =
-            (if cfg.obs.Capture.series_rates then
+            (if cfg.obs.Capture.series_values then
                Array.map (fun c -> Hardware_clock.rate_at c ~now) clocks
              else [||]);
           watched =
@@ -553,42 +542,46 @@ let store_key ?(drift = "random") ?(loss = 0.) ?(sample_period = 1.) ?warmup
     ~algo:(Algorithm.kind_name algo) ~horizon ~sample_period ~warmup ~seed ()
 
 (* The inverse of [store_key] over the describable subset: rebuild the
-   runnable config a canonical key denotes. The graph is reconstructed with
-   the sweep convention (seed lxor 0x5eed), so re-simulating the config
-   reproduces the run the key addresses bit for bit. *)
-let config_of_key (key : Gcs_store.Key.t) =
+   runnable config a canonical key denotes, on the graph of the key's seed,
+   so re-simulating the config reproduces the run the key addresses bit
+   for bit. *)
+let config_of_key ?obs ?scheduler ?regions (key : Gcs_store.Key.t) =
+  let module K = Gcs_store.Key in
   match
-    ( Algorithm.kind_of_string key.Gcs_store.Key.algo,
-      Drift.pattern_of_string key.Gcs_store.Key.drift )
+    ( Algorithm.kind_of_string key.K.algo,
+      Drift.pattern_of_string key.K.drift )
   with
-  | Error msg, _ -> Error ("config_of_key: " ^ msg)
-  | _, Error msg -> Error ("config_of_key: " ^ msg)
+  | Error msg, _ | _, Error msg -> Error msg
   | Ok algo, Ok pattern -> (
       try
         let spec =
-          Spec.make ~rho:key.Gcs_store.Key.rho ~mu:key.Gcs_store.Key.mu
-            ~d_min:key.Gcs_store.Key.d_min ~d_max:key.Gcs_store.Key.d_max
-            ~beacon_period:key.Gcs_store.Key.beacon_period
-            ~kappa:key.Gcs_store.Key.kappa
-            ~staleness_limit:key.Gcs_store.Key.staleness_limit ()
+          Spec.make ~rho:key.K.rho ~mu:key.K.mu ~d_min:key.K.d_min
+            ~d_max:key.K.d_max ~beacon_period:key.K.beacon_period
+            ~kappa:key.K.kappa ~staleness_limit:key.K.staleness_limit ()
         in
         let graph =
-          Gcs_graph.Topology.build key.Gcs_store.Key.topology
-            ~rng:(Prng.create ~seed:(key.Gcs_store.Key.seed lxor 0x5eed))
+          Gcs_graph.Topology.build_for_seed key.K.topology ~seed:key.K.seed
         in
-        let loss =
-          if key.Gcs_store.Key.loss > 0. then
-            Uniform_loss key.Gcs_store.Key.loss
-          else No_loss
-        in
-        Ok
-          (config ~spec ~algo
-             ~drift_of_node:(fun _ -> pattern)
-             ~loss ~horizon:key.Gcs_store.Key.horizon
-             ~sample_period:key.Gcs_store.Key.sample_period
-             ~warmup:key.Gcs_store.Key.warmup ~seed:key.Gcs_store.Key.seed
-             ?fault_plan:key.Gcs_store.Key.fault_plan graph)
-      with Invalid_argument msg -> Error ("config_of_key: " ^ msg))
+        match
+          Option.map (fun p -> Fault_plan.validate p graph) key.K.fault_plan
+        with
+        | Some (Error msg) ->
+            Error
+              (Printf.sprintf "fault plan on %s: %s"
+                 (Gcs_graph.Topology.spec_name key.K.topology)
+                 msg)
+        | None | Some (Ok ()) ->
+            let loss =
+              if key.K.loss > 0. then Uniform_loss key.K.loss else No_loss
+            in
+            Ok
+              (config ~spec ~algo
+                 ~drift_of_node:(fun _ -> pattern)
+                 ~loss ~horizon:key.K.horizon
+                 ~sample_period:key.K.sample_period ~warmup:key.K.warmup
+                 ~seed:key.K.seed ?fault_plan:key.K.fault_plan ?obs ?scheduler
+                 ?regions graph)
+      with Invalid_argument msg -> Error msg)
 
 let outcome (r : result) =
   let fault =

@@ -7,8 +7,6 @@
 
 type delay_kind =
   | Uniform_delays  (** i.i.d. uniform in the delay band (benign default) *)
-  | Fixed_delays  (** always d_max: zero jitter, maximal latency *)
-  | Midpoint_delays  (** always the band midpoint: zero effective error *)
   | Controlled_delays
       (** uniform until a chooser is installed in [live.chooser] *)
   | Per_edge_delays of (int -> Gcs_sim.Delay_model.bounds)
@@ -171,21 +169,31 @@ val store_key :
     would perform. Defaults mirror {!config}: [drift] ["random"]
     (per-node random-constant), [loss] [0.], [sample_period] [1.],
     [warmup] [horizon /. 4.]. A key exists only for describable runs —
-    topology by spec (the graph must be built from it with the sweep
-    convention, [Topology.build ~rng:(Prng.create ~seed:(seed lxor
-    0x5eed))]), drift by pattern string, loss by uniform probability — so
-    custom delay choosers, overrides, or bespoke graphs are simply
-    uncacheable, not mis-cached. *)
+    topology by spec (the graph must be
+    {!Gcs_graph.Topology.build_for_seed} of the spec and seed), drift by
+    pattern string, loss by uniform probability — so custom delay
+    choosers, overrides, or bespoke graphs are simply uncacheable, not
+    mis-cached. *)
 
-val config_of_key : Gcs_store.Key.t -> (config, string) Stdlib.result
+val config_of_key :
+  ?obs:Gcs_obs.Capture.request ->
+  ?scheduler:Gcs_util.Scheduler.kind ->
+  ?regions:int ->
+  Gcs_store.Key.t ->
+  (config, string) Stdlib.result
 (** The inverse of {!store_key} over the describable subset: rebuild the
-    runnable config a canonical key denotes, reconstructing the graph from
-    the topology spec with the sweep convention, the drift law from its
-    pattern string, and the loss law from its probability. Re-running the
-    config reproduces the addressed run bit for bit — this is how the
-    conformance harness replays and shrinks counterexamples from a
-    [.repro] artifact alone. [Error] on unparseable algorithm or drift
-    names and on spec/config values {!config} would reject. *)
+    runnable config a canonical key denotes, on
+    {!Gcs_graph.Topology.build_for_seed} of its topology and seed, with
+    the drift law from its pattern string and the loss law from its
+    probability. Re-running the config reproduces the addressed run bit
+    for bit — this is how the CLI builds every describable run, and how
+    the conformance harness replays and shrinks counterexamples from a
+    [.repro] artifact alone. [obs], [scheduler] and [regions] are passed
+    to {!config} unchanged: they choose how the run executes and what it
+    captures, never its results, which is why the key leaves them out.
+    [Error] on unparseable algorithm or drift names, on a fault plan the
+    graph cannot carry ({!Gcs_sim.Fault_plan.validate}), and on
+    spec/config values {!config} would reject. *)
 
 val outcome : result -> Gcs_store.Outcome.t
 (** Flatten a result to the primitive record the store persists (summary,

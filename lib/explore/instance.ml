@@ -3,7 +3,6 @@ module Algorithm = Gcs_core.Algorithm
 module Runner = Gcs_core.Runner
 module Topology = Gcs_graph.Topology
 module Graph = Gcs_graph.Graph
-module Prng = Gcs_util.Prng
 module Fault_plan = Gcs_sim.Fault_plan
 module Monitor = Gcs_check.Monitor
 module Check_run = Gcs_check.Check_run
@@ -22,12 +21,6 @@ type t = {
 
 let max_nodes = 6
 
-(* The sweep convention: graphs of key-described runs are built from the
-   topology spec with an rng derived from the run seed, so [key] below
-   addresses exactly the run we simulate. *)
-let build_graph topology seed =
-  Topology.build topology ~rng:(Prng.create ~seed:(seed lxor 0x5eed))
-
 let dedup alphabet =
   List.fold_left
     (fun acc m -> if List.mem m acc then acc else acc @ [ m ])
@@ -41,7 +34,8 @@ let make ?(spec = Spec.make ()) ?(topology = Topology.Ring 3)
     invalid_arg "Instance.make: segment_len must be > 0";
   let alphabet = dedup alphabet in
   if alphabet = [] then invalid_arg "Instance.make: alphabet must be non-empty";
-  let graph = build_graph topology seed in
+  (* The graph every run [key] names is built on. *)
+  let graph = Topology.build_for_seed topology ~seed in
   let n = Graph.n graph in
   if n < 2 || n > max_nodes then
     invalid_arg
@@ -63,7 +57,7 @@ let make ?(spec = Spec.make ()) ?(topology = Topology.Ring 3)
   { spec; topology; algo; seed; segment_len; depth; alphabet; fault_plan;
     monitor }
 
-let nodes t = Graph.n (build_graph t.topology t.seed)
+let nodes t = Graph.n (Topology.build_for_seed t.topology ~seed:t.seed)
 let horizon t ~depth = float_of_int depth *. t.segment_len
 
 let key t ~depth =

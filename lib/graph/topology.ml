@@ -168,6 +168,9 @@ let build spec ~rng =
   | Random_gnp (n, p) -> random_gnp ~n ~p ~rng
   | Random_geometric (n, r) -> fst (random_geometric ~n ~radius:r ~rng)
 
+let build_for_seed spec ~seed =
+  build spec ~rng:(Prng.create ~seed:(seed lxor 0x5eed))
+
 let spec_name = function
   | Line n -> Printf.sprintf "line:%d" n
   | Ring n -> Printf.sprintf "ring:%d" n

@@ -61,6 +61,12 @@ val build : spec -> rng:Gcs_util.Prng.t -> Graph.t
 (** Build any topology from its description (randomized families draw from
     [rng]; deterministic families ignore it). *)
 
+val build_for_seed : spec -> seed:int -> Graph.t
+(** The graph of the run seeded [seed]: {!build} with an rng derived from
+    the run seed. Every run a store key names is built on this graph, so
+    the CLI, the store, the conformance harness, the explorer and live
+    runs all agree on it. *)
+
 val spec_name : spec -> string
 (** The spec's text, which {!spec_of_string} reads back exactly: [gnp] and
     [geometric] parameters print in shortest round-trip form. *)

@@ -8,7 +8,6 @@ module Fault_metrics = Gcs_core.Fault_metrics
 module Fault_plan = Gcs_sim.Fault_plan
 module Drift = Gcs_clock.Drift
 module Logical_clock = Gcs_clock.Logical_clock
-module Prng = Gcs_util.Prng
 module Event_log = Gcs_obs.Event_log
 module Series = Gcs_obs.Series
 module Capture = Gcs_obs.Capture
@@ -59,10 +58,7 @@ let config ?(topology = Topology.Ring 4) ?(algo = Algorithm.Gradient_sync)
     startup;
   }
 
-(* Same derivation the CLI sweep uses, so a live run and [gcs-cli sweep]
-   with the same topology and seed execute on the same graph. *)
-let build_graph cfg =
-  Topology.build cfg.topology ~rng:(Prng.create ~seed:(cfg.seed lxor 0x5eed))
+let build_graph cfg = Topology.build_for_seed cfg.topology ~seed:cfg.seed
 
 type info = {
   topology : Topology.spec;
@@ -538,9 +534,7 @@ let load dir =
           ~kappa:(getf "kappa") ~staleness_limit:(getf "staleness_limit") ()
       in
       let seed = geti "seed" in
-      let graph =
-        Topology.build topology ~rng:(Prng.create ~seed:(seed lxor 0x5eed))
-      in
+      let graph = Topology.build_for_seed topology ~seed in
       let samples =
         match read_lines samples_path with
         | [] | [ _ ] -> failwith "samples.csv: no data rows"

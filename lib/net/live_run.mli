@@ -65,8 +65,8 @@ val config :
     drift spelling. *)
 
 val build_graph : config -> Gcs_graph.Graph.t
-(** The run's graph, derived from topology and seed exactly as the CLI
-    sweep convention does. *)
+(** The run's graph: {!Gcs_graph.Topology.build_for_seed} of its topology
+    and seed, the graph a simulated run with the same key runs on. *)
 
 val run : config -> Gcs_core.Runner.result
 (** Fork the fleet, wait for every child, merge. Raises [Failure] if a

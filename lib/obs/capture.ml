@@ -4,8 +4,6 @@ type request = {
   events_capacity : int option;
   series_period : float option;
   series_values : bool;
-  series_rates : bool;
-  series_profile : bool;
   series_watch : (int * int) list;
   profile : bool;
 }
@@ -17,8 +15,6 @@ let none =
     events_capacity = None;
     series_period = None;
     series_values = false;
-    series_rates = false;
-    series_profile = true;
     series_watch = [];
     profile = false;
   }
@@ -29,7 +25,6 @@ let full ?(series_period = 1.) () =
     events = true;
     series_period = Some series_period;
     series_values = true;
-    series_rates = true;
     profile = true;
   }
 

@@ -12,10 +12,10 @@ type request = {
   events_format : Event_log.format;
   events_capacity : int option;  (** ring capacity; [None] = unbounded *)
   series_period : float option;
-      (** record a skew series every this many time units; [None] = off *)
-  series_values : bool;  (** include per-node logical clock values *)
-  series_rates : bool;  (** include per-node hardware rates *)
-  series_profile : bool;  (** include the per-hop gradient profile *)
+      (** record a skew series every this many time units, each point with
+          its per-hop gradient profile; [None] = off *)
+  series_values : bool;
+      (** also include per-node logical clock values and hardware rates *)
   series_watch : (int * int) list;
       (** node pairs whose absolute skew is recorded as a dedicated series
           column — e.g. a churned edge whose decay curve an experiment
@@ -28,7 +28,7 @@ val none : request
     behaviour. *)
 
 val full : ?series_period:float -> unit -> request
-(** Event log (unbounded JSONL) + series (values, rates, profile; period
+(** Event log (unbounded JSONL) + series (with values and rates; period
     defaults to 1.) + profiler. *)
 
 type captured = {

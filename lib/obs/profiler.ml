@@ -18,23 +18,24 @@ type t = {
 
 (* A sampled interval spans one full clock read (the return of the first
    call plus the entry of the second), which on syscall-backed clocks can
-   dwarf a sub-microsecond handler. Calibrate that cost once per process
-   and subtract it from every sample. *)
+   dwarf a sub-microsecond handler. Calibrate that cost once per process,
+   at start-up rather than lazily: profilers are created on several
+   domains at once, and forcing one lazy value from two domains raises
+   [Lazy.Undefined]. *)
 let clock_cost =
-  lazy
-    (let n = 256 in
-     let t0 = Unix.gettimeofday () in
-     for _ = 1 to n do
-       ignore (Sys.opaque_identity (Unix.gettimeofday ()))
-     done;
-     (Unix.gettimeofday () -. t0) /. float_of_int n)
+  let n = 256 in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Unix.gettimeofday ()))
+  done;
+  (Unix.gettimeofday () -. t0) /. float_of_int n
 
 let create ?(sample_every = 64) () =
   if sample_every <= 0 then
     invalid_arg "Profiler.create: sample_every must be > 0";
   {
     sample_every;
-    clock_cost = Lazy.force clock_cost;
+    clock_cost;
     t0 = 0.;
     sampled = Array.make n_kinds 0;
     sampled_wall = Array.make n_kinds 0.;

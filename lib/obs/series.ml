@@ -1,4 +1,3 @@
-module Csv = Gcs_util.Csv
 
 type point = {
   time : float;
@@ -36,29 +35,3 @@ let csv_row p =
   @ List.map fnum (Array.to_list p.values)
   @ List.map fnum (Array.to_list p.rates)
   @ List.map fnum (Array.to_list p.watched)
-
-let csv_rows t = List.map csv_row (List.rev t.rev)
-
-let write_csv t ~path =
-  let pts = points t in
-  let values, rates, hops, watched =
-    if Array.length pts = 0 then (0, 0, 0, 0)
-    else
-      let p = pts.(0) in
-      ( Array.length p.values,
-        Array.length p.rates,
-        Array.length p.profile,
-        Array.length p.watched )
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        (Csv.render_row (csv_header ~values ~rates ~hops ~watched ()));
-      output_char oc '\n';
-      Array.iter
-        (fun p ->
-          output_string oc (Csv.render_row (csv_row p));
-          output_char oc '\n')
-        pts)

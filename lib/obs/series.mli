@@ -38,10 +38,3 @@ val csv_header :
 
 val csv_row : point -> string list
 (** One row for one point, floats in ["%.17g"]. *)
-
-val csv_rows : t -> string list list
-(** One row per point; column count follows the widths of each point's
-    arrays. *)
-
-val write_csv : t -> path:string -> unit
-(** Header (sized from the first point) plus all rows. *)

@@ -404,37 +404,3 @@ let up_windows plan ~graph ~horizon =
     end
   done;
   !out
-
-(* Mobility-derived schedules *)
-
-let of_mobility mob ~graph ~range ~sample_period ~horizon =
-  if sample_period <= 0. then
-    invalid_arg "Churn_plan.of_mobility: sample_period must be > 0";
-  let in_range e now =
-    let a, b = Graph.edge_endpoints graph e in
-    Mobility.distance mob ~a ~b ~now <= range
-  in
-  let m = Graph.m graph in
-  let up = Array.init m (fun e -> in_range e 0.) in
-  let ps = ref [] in
-  let flip at e nup =
-    let edges = Fault_plan.Edges [ Graph.edge_endpoints graph e ] in
-    ps :=
-      (if nup then Edge_up { at; edges } else Edge_down { at; edges }) :: !ps
-  in
-  for e = 0 to m - 1 do
-    if not up.(e) then flip 0. e false
-  done;
-  let t = ref sample_period in
-  while !t <= horizon +. 1e-9 do
-    let now = !t in
-    for e = 0 to m - 1 do
-      let nup = in_range e now in
-      if nup <> up.(e) then begin
-        up.(e) <- nup;
-        flip now e nup
-      end
-    done;
-    t := !t +. sample_period
-  done;
-  of_processes (List.rev !ps)

@@ -110,17 +110,3 @@ val up_windows :
     still up. Only edges some event touches are listed — an absent pair
     is up for the whole run. This is what arms the {!Gcs_check.Monitor}
     edge-age check: interval starts are edge formation times. *)
-
-val of_mobility :
-  Mobility.t ->
-  graph:Gcs_graph.Graph.t ->
-  range:float ->
-  sample_period:float ->
-  horizon:float ->
-  t
-(** Derive an explicit churn schedule from node motion: at each sampling
-    instant an edge is up iff its endpoints are within [range] of each
-    other, and every state flip becomes an [edge-up]/[edge-down] process
-    at that instant (an edge already out of range at [t = 0] goes down at
-    0). Deterministic for a given trajectory set, so mobility-churned runs
-    replay bit-for-bit. *)

@@ -28,21 +28,6 @@ let clamp b d = Float.min b.d_max (Float.max b.d_min d)
 let draw t ~edge ~src ~dst ~now ~rng =
   clamp (t.edge_bounds edge) (t.draw_fn ~edge ~src ~dst ~now ~rng)
 
-let fixed b =
-  {
-    edge_bounds = (fun _ -> b);
-    draw_fn = (fun ~edge:_ ~src:_ ~dst:_ ~now:_ ~rng:_ -> b.d_max);
-    loss = 0.;
-  }
-
-let midpoint b =
-  let d = 0.5 *. (b.d_min +. b.d_max) in
-  {
-    edge_bounds = (fun _ -> b);
-    draw_fn = (fun ~edge:_ ~src:_ ~dst:_ ~now:_ ~rng:_ -> d);
-    loss = 0.;
-  }
-
 let uniform b =
   {
     edge_bounds = (fun _ -> b);

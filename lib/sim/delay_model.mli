@@ -25,13 +25,6 @@ val draw :
 (** Draw a delay for one message. The result is always within the edge's
     bounds (the engine additionally asserts this). *)
 
-val fixed : bounds -> t
-(** Every message takes exactly [d_max] (worst-case constant delay). *)
-
-val midpoint : bounds -> t
-(** Every message takes [(d_min + d_max) / 2]; zero effective uncertainty,
-    useful as a best-case baseline. *)
-
 val uniform : bounds -> t
 (** Uniform draw in [d_min, d_max] for every edge. *)
 

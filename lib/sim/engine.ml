@@ -1217,7 +1217,6 @@ let node_is_up t node = t.node_up.(node)
 let edge_is_up t edge = t.edge_up.(edge)
 let add_observer t f = t.observers <- Array.append t.observers [| f |]
 let clear_observer t = t.observers <- [||]
-let observer_count t = Array.length t.observers
 
 let dispatch_count t = function
   | Dispatch_deliver -> t.messages_delivered

@@ -214,8 +214,6 @@ val add_observer : 'msg t -> (float -> observation -> unit) -> unit
 val clear_observer : 'msg t -> unit
 (** Remove every observer. *)
 
-val observer_count : _ t -> int
-
 val dispatch_count : _ t -> dispatch_kind -> int
 (** Exact dispatches of a kind over the engine's lifetime (messages
     delivered to a handler, timers fired, control closures run) —

@@ -73,5 +73,3 @@ let fmt_round_trip x =
   else
     let s = try_digits 16 in
     if float_of_string s = x then s else try_digits 17
-
-let fmt_int = string_of_int

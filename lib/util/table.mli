@@ -28,5 +28,3 @@ val fmt_round_trip : float -> string
     [0.5] or [20] print as ["%g"] prints them while every other float
     survives a print and parse exactly. Used wherever text must name a
     float exactly: fault and churn plans, topology parameters. *)
-
-val fmt_int : int -> string

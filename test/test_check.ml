@@ -115,10 +115,7 @@ let test_skew_monitor_fires () =
    describable subset: rebuilding the config from the key reproduces the
    original run bit-for-bit. *)
 let test_config_of_key_roundtrip () =
-  let graph =
-    Topology.build (Topology.Ring 8)
-      ~rng:(Gcs_util.Prng.create ~seed:(42 lxor 0x5eed))
-  in
+  let graph = Topology.build_for_seed (Topology.Ring 8) ~seed:42 in
   let direct =
     Runner.config ~spec ~algo:Algorithm.Gradient_sync ~horizon:100. ~seed:42
       graph
@@ -126,6 +123,36 @@ let test_config_of_key_roundtrip () =
   let rebuilt = config (key ()) in
   Alcotest.(check bool) "same summary" true
     ((Runner.run direct).Runner.summary = (Runner.run rebuilt).Runner.summary)
+
+(* A key whose plan names a node or edge its graph lacks names no run. *)
+let test_config_of_key_rejects_bad_plan () =
+  match Runner.config_of_key (key ~fault_plan:(plan "crash@5:node=9") ()) with
+  | Ok _ -> Alcotest.fail "accepted a plan for a node ring:8 lacks"
+  | Error msg ->
+      Alcotest.(check string) "message"
+        "fault plan on ring:8: crash: node 9 out of range [0, 8)" msg
+
+(* The execution arguments reach the config and change no result. *)
+let test_config_of_key_execution_args () =
+  let k = key ~horizon:40. () in
+  let cfg =
+    match
+      Runner.config_of_key
+        ~obs:{ Gcs_obs.Capture.none with Gcs_obs.Capture.events = true }
+        ~scheduler:Gcs_util.Scheduler.Calendar ~regions:2 k
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "config_of_key: %s" e
+  in
+  Alcotest.(check int) "regions" 2 cfg.Runner.regions;
+  Alcotest.(check bool) "scheduler" true
+    (cfg.Runner.scheduler = Gcs_util.Scheduler.Calendar);
+  let r = Runner.run cfg and plain = Runner.run (config k) in
+  Alcotest.(check bool) "events captured" true
+    (r.Runner.obs.Gcs_obs.Capture.event_log <> None);
+  Alcotest.(check bool) "same summary" true
+    (r.Runner.summary = plain.Runner.summary);
+  Alcotest.(check int) "same events" plain.Runner.events r.Runner.events
 
 (* A store key must name exactly one run. The direct run is built the way
    [gcs-cli run] builds it; the other is rebuilt from the run's key, as
@@ -141,10 +168,7 @@ let run_observed ~log (cfg : Runner.config) =
 
 let key_rebuilds_direct_run ?(log = true) ?churn ?fault_plan ~topology ~algo
     ~horizon ~seed () =
-  let graph =
-    Topology.build topology
-      ~rng:(Gcs_util.Prng.create ~seed:(seed lxor 0x5eed))
-  in
+  let graph = Topology.build_for_seed topology ~seed in
   let compiled =
     Option.bind churn (fun c ->
         Gcs_sim.Churn_plan.compile c ~graph ~seed ~horizon)
@@ -307,10 +331,7 @@ let prop_key_rebuilds_direct_run =
     ~name:"run rebuilt from its store key = direct run (summary, events, log)"
     (QCheck.make ~print gen)
     (fun (topology, algo, seed, fault_plan, churn) ->
-      let graph =
-        Topology.build topology
-          ~rng:(Gcs_util.Prng.create ~seed:(seed lxor 0x5eed))
-      in
+      let graph = Topology.build_for_seed topology ~seed in
       QCheck.assume
         (match fault_plan with
         | None -> true
@@ -659,6 +680,10 @@ let suite =
       test_skew_monitor_fires;
     Alcotest.test_case "config_of_key inverts store_key" `Quick
       test_config_of_key_roundtrip;
+    Alcotest.test_case "config_of_key rejects a bad plan" `Quick
+      test_config_of_key_rejects_bad_plan;
+    Alcotest.test_case "config_of_key execution arguments" `Quick
+      test_config_of_key_execution_args;
     Alcotest.test_case "seed-777 flap run = its key's run" `Quick
       test_key_run_seed_777;
     QCheck_alcotest.to_alcotest prop_key_rebuilds_direct_run;

@@ -18,11 +18,11 @@ let test_bounds_validation () =
 let test_uncertainty () =
   Alcotest.(check (float 1e-12)) "u" 1. (Dm.uncertainty b)
 
+(* A fixed delay is a zero-width band; the engine tests build their
+   deterministic networks this way. *)
 let test_fixed () =
-  Alcotest.(check (float 1e-12)) "fixed = d_max" 1.5 (draw (Dm.fixed b))
-
-let test_midpoint () =
-  Alcotest.(check (float 1e-12)) "midpoint" 1.0 (draw (Dm.midpoint b))
+  Alcotest.(check (float 0.)) "zero-width band" 1.5
+    (draw (Dm.uniform (Dm.bounds ~d_min:1.5 ~d_max:1.5)))
 
 let prop_uniform_in_bounds =
   QCheck.Test.make ~name:"uniform draws stay in bounds" ~count:300
@@ -45,7 +45,9 @@ let test_per_edge () =
 
 let test_controlled_defaults_and_overrides () =
   let chooser = ref None in
-  let m = Dm.controlled b ~default:(Dm.midpoint b) chooser in
+  let m =
+    Dm.controlled b ~default:(Dm.uniform (Dm.bounds ~d_min:1. ~d_max:1.)) chooser
+  in
   Alcotest.(check (float 1e-12)) "default path" 1.0 (draw m);
   chooser := Some (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> 1.4);
   Alcotest.(check (float 1e-12)) "chooser path" 1.4 (draw m);
@@ -75,12 +77,12 @@ let test_cleared_chooser_matches_default_stream () =
 
 let test_loss_law_clamped () =
   let m =
-    Dm.with_loss 7. (Dm.midpoint b)
+    Dm.with_loss 7. (Dm.uniform b)
   in
   Alcotest.(check (float 1e-12)) "clamped to 1" 1.
     (Dm.drop_probability m);
   let m' =
-    Dm.with_loss (-3.) (Dm.midpoint b)
+    Dm.with_loss (-3.) (Dm.uniform b)
   in
   Alcotest.(check (float 1e-12)) "clamped to 0" 0.
     (Dm.drop_probability m')
@@ -90,7 +92,7 @@ let test_base_models_never_drop () =
     (fun m ->
       Alcotest.(check (float 1e-12)) "no drop" 0.
         (Dm.drop_probability m))
-    [ Dm.fixed b; Dm.midpoint b; Dm.uniform b ]
+    [ Dm.uniform b; Dm.per_edge (fun _ -> b) ]
 
 let test_controlled_keeps_default_loss () =
   (* A controlled model delegates delays but must keep the default's loss
@@ -107,7 +109,7 @@ let test_controlled_keeps_default_loss () =
 
 let test_controlled_clamps_rogue_chooser () =
   let chooser = ref (Some (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> 99.)) in
-  let m = Dm.controlled b ~default:(Dm.midpoint b) chooser in
+  let m = Dm.controlled b ~default:(Dm.uniform b) chooser in
   Alcotest.(check (float 1e-12)) "clamped to d_max" 1.5 (draw m);
   chooser := Some (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> -5.);
   Alcotest.(check (float 1e-12)) "clamped to d_min" 0.5 (draw m)
@@ -117,7 +119,6 @@ let suite =
     Alcotest.test_case "bounds validation" `Quick test_bounds_validation;
     Alcotest.test_case "uncertainty" `Quick test_uncertainty;
     Alcotest.test_case "fixed" `Quick test_fixed;
-    Alcotest.test_case "midpoint" `Quick test_midpoint;
     Alcotest.test_case "per edge" `Quick test_per_edge;
     Alcotest.test_case "controlled" `Quick test_controlled_defaults_and_overrides;
     Alcotest.test_case "controlled clamps" `Quick test_controlled_clamps_rogue_chooser;

@@ -120,9 +120,54 @@ let test_pattern_parsing () =
       | Ok _ -> ()
       | Error e -> Alcotest.fail e)
     [ "perfect"; "fast"; "slow"; "mid"; "random"; "walk:2:0.01"; "square:10"; "sin:30" ];
-  match Drift.pattern_of_string "bogus" with
-  | Ok _ -> Alcotest.fail "accepted bogus pattern"
-  | Error _ -> ()
+  List.iter
+    (fun s ->
+      match Drift.pattern_of_string s with
+      | Ok _ -> Alcotest.failf "accepted %S" s
+      | Error _ -> ())
+    [
+      "bogus"; "walk:0:1"; "walk:nan:1"; "walk:1:-1"; "walk:1:nan";
+      "walk:1:inf"; "square:0"; "square:inf"; "sin:-1"; "sin:nan";
+    ]
+
+(* Pattern strings over the CLI grammar with numeric fields drawn from 0,
+   signed zeros, negatives, nan, infinities and ordinary positives. The
+   positives stay coarse: a walk step many orders below the horizon would
+   need more change-points than memory holds, which no parser check can
+   see without the horizon. *)
+let pattern_string_gen =
+  let open QCheck.Gen in
+  let num =
+    oneof
+      [
+        oneofl [ "0"; "-0"; "-1"; "-2.5"; "nan"; "inf"; "-inf"; "1e400" ];
+        map (Printf.sprintf "%.17g") (float_range 0.01 1000.);
+        map (Printf.sprintf "%.17g") (float_range (-1000.) 0.);
+      ]
+  in
+  oneof
+    [
+      oneofl [ "perfect"; "fast"; "slow"; "mid"; "random"; "walk"; "bogus" ];
+      map2 (Printf.sprintf "walk:%s:%s") num num;
+      map (Printf.sprintf "square:%s") num;
+      map (Printf.sprintf "sin:%s") num;
+    ]
+
+let prop_parsed_patterns_build =
+  QCheck.Test.make ~name:"every parsed drift pattern builds a clock"
+    ~count:500
+    (QCheck.make ~print:Fun.id pattern_string_gen)
+    (fun s ->
+      match Drift.pattern_of_string s with
+      | Error _ -> true
+      | Ok p -> (
+          match
+            Drift.make_clock p ~band ~t0:0. ~horizon:50.
+              ~rng:(Prng.create ~seed:9)
+          with
+          | _ -> true
+          | exception Invalid_argument msg ->
+              QCheck.Test.fail_reportf "%S parsed but raised %s" s msg))
 
 let suite =
   [
@@ -139,4 +184,5 @@ let suite =
     Alcotest.test_case "pattern parsing" `Quick test_pattern_parsing;
     QCheck_alcotest.to_alcotest prop_walk_in_band;
     QCheck_alcotest.to_alcotest prop_sinusoid_in_band;
+    QCheck_alcotest.to_alcotest prop_parsed_patterns_build;
   ]

@@ -9,7 +9,7 @@ type msg = Ping of float | Pong
 
 let perfect_clocks n = Array.init n (fun _ -> Hc.create ~t0:0. ~rate:1. ())
 
-let make_engine ?(n = 2) ?(clocks = None) ?(delays = Dm.fixed (Dm.bounds ~d_min:1. ~d_max:1.))
+let make_engine ?(n = 2) ?(clocks = None) ?(delays = Dm.uniform (Dm.bounds ~d_min:1. ~d_max:1.))
     ?(graph = None) make_node =
   let graph = match graph with Some g -> g | None -> Topology.line n in
   let clocks =
@@ -44,7 +44,7 @@ let test_message_delivery_time () =
   let received = ref [] in
   let engine =
     make_engine ~n:2
-      ~delays:(Dm.fixed (Dm.bounds ~d_min:2.5 ~d_max:2.5))
+      ~delays:(Dm.uniform (Dm.bounds ~d_min:2.5 ~d_max:2.5))
       (fun v ->
         {
           null_handlers with
@@ -399,7 +399,7 @@ let test_pending_snapshot_pop_order () =
      control, sorted by dispatch time with payloads visible. *)
   let engine =
     make_engine ~n:2
-      ~delays:(Dm.fixed (Dm.bounds ~d_min:2. ~d_max:2.))
+      ~delays:(Dm.uniform (Dm.bounds ~d_min:2. ~d_max:2.))
       (fun v ->
         {
           null_handlers with
@@ -459,7 +459,7 @@ let test_rejects_wrong_clock_count () =
     (fun () ->
       ignore
         (Engine.create ~graph ~clocks:(perfect_clocks 2)
-           ~delays:(Dm.fixed (Dm.bounds ~d_min:1. ~d_max:1.))
+           ~delays:(Dm.uniform (Dm.bounds ~d_min:1. ~d_max:1.))
            ~rng:(Prng.create ~seed:1)
            ~make_node:(fun _ -> null_handlers)
            ~t0:0.))

@@ -20,7 +20,6 @@ module Metrics = Gcs_core.Metrics
 module Runner = Gcs_core.Runner
 module Engine = Gcs_sim.Engine
 module Fault_plan = Gcs_sim.Fault_plan
-module Prng = Gcs_util.Prng
 module Capture = Gcs_obs.Capture
 module Event_log = Gcs_obs.Event_log
 module Codec = Gcs_net.Codec
@@ -115,7 +114,7 @@ let shim_cfg ?obs case =
   let topo = shim_topologies.(case mod 4) (3 + (case mod 5)) in
   let algo = shim_algos.(case / 4 mod 4) in
   let seed = 100 + (case * 37) in
-  let graph = Topology.build topo ~rng:(Prng.create ~seed:(seed lxor 0x5eed)) in
+  let graph = Topology.build_for_seed topo ~seed in
   let fault_plan =
     match shim_plans.(case / 16 mod 4) with
     | None -> None

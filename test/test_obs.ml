@@ -195,7 +195,7 @@ let one_message_engine delays =
         on_timer = (fun _ ~tag:_ -> ());
       })
 
-let unit_delay = Dm.fixed (Dm.bounds ~d_min:1. ~d_max:1.)
+let unit_delay = Dm.uniform (Dm.bounds ~d_min:1. ~d_max:1.)
 
 let test_attach_to_engine () =
   let engine = one_message_engine unit_delay in

@@ -80,9 +80,8 @@ let test_delay_kinds_all_run () =
         (Array.length r.Runner.samples > 0))
     [
       Runner.Uniform_delays;
-      Runner.Fixed_delays;
-      Runner.Midpoint_delays;
       Runner.Controlled_delays;
+      Runner.Per_edge_delays (fun _ -> spec.Spec.delay);
     ]
 
 let test_warmup_excludes_transient () =

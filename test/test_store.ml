@@ -6,8 +6,6 @@ module Topology = Gcs_graph.Topology
 module Runner = Gcs_core.Runner
 module Algorithm = Gcs_core.Algorithm
 module Parallel_run = Gcs_core.Parallel_run
-module Replicate = Gcs_core.Replicate
-module Prng = Gcs_util.Prng
 
 let temp_dir () =
   let f = Filename.temp_file "gcs_store" "" in
@@ -318,31 +316,39 @@ let test_iter_deterministic () =
 
 (* --- cache-aware execution --- *)
 
-let sweep_cells seeds =
+let sweep_topo = Topology.Ring 8
+
+let sweep_keys seeds =
   Array.of_list
     (List.map
        (fun seed ->
-         let topo = Topology.Ring 8 in
-         let graph =
-           Topology.build topo ~rng:(Prng.create ~seed:(seed lxor 0x5eed))
-         in
-         ( Some
-             (Runner.store_key ~spec:(Gcs_core.Spec.make ()) ~topology:topo
-                ~algo:Algorithm.Gradient_sync ~horizon:20. ~seed ()),
-           Runner.config ~spec:(Gcs_core.Spec.make ())
-             ~algo:Algorithm.Gradient_sync ~horizon:20. ~seed graph ))
+         Runner.store_key ~spec:(Gcs_core.Spec.make ()) ~topology:sweep_topo
+           ~algo:Algorithm.Gradient_sync ~horizon:20. ~seed ())
        seeds)
 
 let test_run_cached_cold_warm () =
   with_dir (fun dir ->
-      let cells = sweep_cells [ 1; 2; 3; 4 ] in
-      let fresh, _ = Parallel_run.run_cached cells in
+      let seeds = [ 1; 2; 3; 4 ] in
+      let keys = sweep_keys seeds in
+      let direct =
+        Array.of_list
+          (List.map
+             (fun seed ->
+               Runner.outcome
+                 (Runner.run
+                    (Runner.config ~algo:Algorithm.Gradient_sync ~horizon:20.
+                       ~seed
+                       (Topology.build_for_seed sweep_topo ~seed))))
+             seeds)
+      in
+      let fresh, _ = Parallel_run.run_cached keys in
+      Alcotest.(check bool) "storeless = direct runs" true (fresh = direct);
       let st = Store.open_ dir in
-      let cold, cold_stats = Parallel_run.run_cached ~store:st cells in
+      let cold, cold_stats = Parallel_run.run_cached ~store:st keys in
       Alcotest.(check int) "cold misses" 4 cold_stats.Parallel_run.misses;
       Alcotest.(check bool) "cold simulated" true
         (cold_stats.Parallel_run.fresh_dispatches > 0);
-      let warm, warm_stats = Parallel_run.run_cached ~store:st cells in
+      let warm, warm_stats = Parallel_run.run_cached ~store:st keys in
       Alcotest.(check int) "warm hits" 4 warm_stats.Parallel_run.hits;
       Alcotest.(check int) "warm misses" 0 warm_stats.Parallel_run.misses;
       Alcotest.(check int) "warm dispatches" 0
@@ -350,78 +356,49 @@ let test_run_cached_cold_warm () =
       Alcotest.(check bool) "warm = cold" true (warm = cold);
       Alcotest.(check bool) "cached = storeless" true (warm = fresh);
       (* Sharding must not change cached results either. *)
-      let par, _ = Parallel_run.run_cached ~jobs:2 ~store:st cells in
+      let par, _ = Parallel_run.run_cached ~jobs:2 ~store:st keys in
       Alcotest.(check bool) "jobs-independent" true (par = warm);
       Store.close st)
 
 let test_run_cached_resume_half () =
   with_dir (fun dir ->
-      let cells = sweep_cells [ 1; 2; 3; 4; 5; 6 ] in
+      let keys = sweep_keys [ 1; 2; 3; 4; 5; 6 ] in
       let st = Store.open_ dir in
       (* Pretend a killed sweep finished only the first half. *)
-      let _ = Parallel_run.run_cached ~store:st (Array.sub cells 0 3) in
+      let _ = Parallel_run.run_cached ~store:st (Array.sub keys 0 3) in
       Store.close st;
       let st = Store.open_ dir in
-      let resumed, stats = Parallel_run.run_cached ~store:st cells in
+      let resumed, stats = Parallel_run.run_cached ~store:st keys in
       Alcotest.(check int) "resume hits" 3 stats.Parallel_run.hits;
       Alcotest.(check int) "resume misses" 3 stats.Parallel_run.misses;
-      let full, _ = Parallel_run.run_cached cells in
+      let full, _ = Parallel_run.run_cached keys in
       Alcotest.(check bool) "resumed = uninterrupted" true (resumed = full);
       Store.close st)
 
-let test_run_cached_keyless_cells () =
+(* A key naming no valid run fails the whole batch before any cell runs:
+   the good cells ahead of it are neither simulated nor persisted. *)
+let test_run_cached_bad_key_first () =
   with_dir (fun dir ->
-      let cells = sweep_cells [ 1; 2 ] in
-      let keyless = Array.map (fun (_, cfg) -> (None, cfg)) cells in
+      let bad =
+        Runner.store_key ~spec:(Gcs_core.Spec.make ()) ~topology:sweep_topo
+          ~algo:Algorithm.Gradient_sync ~horizon:20. ~seed:3
+          ~fault_plan:(plan_of_string "crash@5:node=9")
+          ()
+      in
+      let keys = Array.append (sweep_keys [ 1; 2 ]) [| bad |] in
       let st = Store.open_ dir in
-      let _, stats = Parallel_run.run_cached ~store:st keyless in
-      Alcotest.(check int) "keyless cells always miss" 2
-        stats.Parallel_run.misses;
-      Alcotest.(check int) "nothing persisted" 0 (Store.length st);
-      let _, again = Parallel_run.run_cached ~store:st keyless in
-      Alcotest.(check int) "still missing" 2 again.Parallel_run.misses;
+      Alcotest.check_raises "bad key"
+        (Invalid_argument
+           "fault plan on ring:8: crash: node 9 out of range [0, 8)")
+        (fun () -> ignore (Parallel_run.run_cached ~jobs:1 ~store:st keys));
+      Alcotest.(check int) "nothing simulated or persisted" 0 (Store.length st);
       Store.close st)
-
-let test_measure_runs () =
-  with_dir (fun dir ->
-      let spec = Gcs_core.Spec.make () in
-      let seeds = [ 1; 2; 3 ] in
-      let topo = Topology.Ring 8 in
-      let config seed =
-        let graph =
-          Topology.build topo ~rng:(Prng.create ~seed:(seed lxor 0x5eed))
-        in
-        Runner.config ~spec ~algo:Algorithm.Gradient_sync ~horizon:20. ~seed
-          graph
-      in
-      let key seed =
-        Some
-          (Runner.store_key ~spec ~topology:topo ~algo:Algorithm.Gradient_sync
-             ~horizon:20. ~seed ())
-      in
-      let metric o = o.Outcome.max_local in
-      let plain =
-        Replicate.measure ~seeds (fun seed ->
-            metric (Runner.outcome (Runner.run (config seed))))
-      in
-      let st = Store.open_ dir in
-      let cold, cold_stats =
-        Replicate.measure_runs ~store:st ~seeds ~key ~config ~metric ()
-      in
-      let warm, warm_stats =
-        Replicate.measure_runs ~store:st ~seeds ~key ~config ~metric ()
-      in
-      Store.close st;
-      Alcotest.(check int) "cold misses" 3 cold_stats.Parallel_run.misses;
-      Alcotest.(check int) "warm hits" 3 warm_stats.Parallel_run.hits;
-      Alcotest.(check bool) "cold = plain measure" true (cold = plain);
-      Alcotest.(check bool) "warm = plain measure" true (warm = plain))
 
 (* Fresh results and their stored outcomes must render the same CSV row. *)
 let test_outcome_row_identity () =
   let topo = Topology.Ring 8 in
   let seed = 5 in
-  let graph = Topology.build topo ~rng:(Prng.create ~seed:(seed lxor 0x5eed)) in
+  let graph = Topology.build_for_seed topo ~seed in
   let plan = plan_of_string "partition@5:cut=0,1;heal@10:cut=0,1" in
   let cfg =
     Runner.config ~algo:Algorithm.Gradient_sync ~horizon:20. ~seed
@@ -461,7 +438,7 @@ let suite =
     Alcotest.test_case "iter deterministic" `Quick test_iter_deterministic;
     Alcotest.test_case "run_cached cold/warm" `Quick test_run_cached_cold_warm;
     Alcotest.test_case "run_cached resume" `Quick test_run_cached_resume_half;
-    Alcotest.test_case "run_cached keyless" `Quick test_run_cached_keyless_cells;
-    Alcotest.test_case "measure_runs" `Quick test_measure_runs;
+    Alcotest.test_case "run_cached bad key fails first" `Quick
+      test_run_cached_bad_key_first;
     Alcotest.test_case "outcome_row identity" `Quick test_outcome_row_identity;
   ]
