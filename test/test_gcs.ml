@@ -21,6 +21,7 @@ let () =
       ("sim.churn_plan", Test_churn_plan.suite);
       ("sim.engine", Test_engine.suite);
       ("obs.sinks", Test_obs.suite);
+      ("obs.export", Test_event_log_export.suite);
       ("store", Test_store.suite);
       ("sim.mobility", Test_mobility.suite);
       ("core.spec", Test_spec.suite);
