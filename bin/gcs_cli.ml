@@ -64,6 +64,20 @@ let or_die = function
    on the command line those are user errors. *)
 let or_die_invalid f = try f () with Invalid_argument msg -> or_die (Error msg)
 
+(* An output the command cannot write is a user error: exit 2 with one
+   line naming it, not an uncaught [Sys_error]. The system's message reads
+   "FILE: REASON", where FILE may be a temporary beside [path] or a
+   directory above it. *)
+let writing path f =
+  try f ()
+  with Sys_error msg ->
+    let reason =
+      match String.rindex_opt msg ':' with
+      | Some i -> String.trim (String.sub msg (i + 1) (String.length msg - i - 1))
+      | None -> msg
+    in
+    or_die (Error (path ^ ": " ^ reason))
+
 (* Shared argument converters *)
 
 (* A topology spec parses to a result that the command checks when it
@@ -881,7 +895,7 @@ let sweep_cmd =
     let header = Report.result_header ~faults:(base.fault_plan <> None) () in
     if out = "-" then print_string (Gcs_util.Csv.render ~header ~rows)
     else begin
-      Gcs_util.Csv.write ~path:out ~header ~rows;
+      writing out (fun () -> Gcs_util.Csv.write ~path:out ~header ~rows);
       Printf.printf "wrote %d rows to %s (%d configs, %d domains)\n"
         (List.length rows) out (Array.length keys) jobs
     end
@@ -904,28 +918,27 @@ let sweep_cmd =
           fault_transient, fault_drops and fault_resync columns.")
     term
 
-(* Shared by trace and report: the --seeds replicate runs of [r] (seeds
-   seed, seed+7919, ...) under the capture request [obs], through the
-   parallel runner. Row/byte order is independent of --jobs. *)
-let run_batch r ~seeds ~jobs ~obs =
+(* Shared by trace and report: the configs of the --seeds replicate runs
+   of [r] (seeds seed, seed+7919, ...) under the capture request [obs].
+   Building them checks every flag, so a command can open its outputs
+   after this and before the parallel runner simulates them. Row/byte
+   order is independent of --jobs. *)
+let batch_configs r ~seeds ~obs =
   if seeds <= 0 then or_die (Error "seeds must be > 0");
-  let configs =
-    Array.of_list
-      (List.map
-         (fun seed ->
-           let r = { r with seed } in
-           let cfg = config ~obs r (key r) in
-           let n = Graph.n cfg.Runner.graph in
-           List.iter
-             (fun (u, v) ->
-               if u < 0 || v < 0 || u >= n || v >= n then
-                 or_die
-                   (Error (Printf.sprintf "watch pair %d-%d out of range" u v)))
-             obs.Capture.series_watch;
-           cfg)
-         (Gcs_core.Replicate.seeds ~base:r.seed seeds))
-  in
-  Parallel_run.run ~jobs configs
+  Array.of_list
+    (List.map
+       (fun seed ->
+         let r = { r with seed } in
+         let cfg = config ~obs r (key r) in
+         let n = Graph.n cfg.Runner.graph in
+         List.iter
+           (fun (u, v) ->
+             if u < 0 || v < 0 || u >= n || v >= n then
+               or_die
+                 (Error (Printf.sprintf "watch pair %d-%d out of range" u v)))
+           obs.Capture.series_watch;
+         cfg)
+       (Gcs_core.Replicate.seeds ~base:r.seed seeds))
 
 let seeds_repl_arg =
   Arg.(
@@ -960,35 +973,59 @@ let watch_arg =
            series column (watch0, watch1, ...) — e.g. the endpoints of a \
            churned edge, to plot its decay curve.")
 
-(* Write [header] and [rows] to [dest] (- for stdout); a file export
-   reports its row count on stderr. *)
-let export dest ~what ~header rows =
-  if dest = "-" then List.iter print_endline (header @ rows)
-  else begin
-    let oc = open_out dest in
-    List.iter
-      (fun l ->
-        output_string oc l;
-        output_char oc '\n')
-      (header @ rows);
-    close_out oc;
-    Printf.eprintf "wrote %d %s to %s\n" (List.length rows) what dest
-  end
+(* An export destination: stdout for "-", else the file, opened before
+   any simulation so that an unwritable path fails first. *)
+type dest = { oc : out_channel; path : string option }
 
-let check_schema_lines lines =
-  List.iteri
-    (fun i line ->
-      match Event_log.validate_line line with
-      | Ok _ -> ()
-      | Error msg ->
-          or_die
-            (Error (Printf.sprintf "schema violation on line %d: %s" (i + 1) msg)))
-    lines;
-  Printf.eprintf "schema: %d lines OK\n" (List.length lines)
+let open_dest = function
+  | "-" -> { oc = stdout; path = None }
+  | path -> { oc = writing path (fun () -> open_out path); path = Some path }
 
-let last_n n xs =
-  let total = List.length xs in
-  if total <= n then xs else List.filteri (fun i _ -> i >= total - n) xs
+(* A file export reports its count of [what] on stderr. *)
+let close_dest d ~what n =
+  match d.path with
+  | None -> flush d.oc
+  | Some path ->
+      writing path (fun () -> close_out d.oc);
+      Printf.eprintf "wrote %d %s to %s\n" n what path
+
+(* The one event export: every line, encoded from a run's log or read
+   from a recorded file, is schema-checked when asked and then written. *)
+type sink = { out : dest option; check : bool; mutable lines : int }
+
+let sink_line s line =
+  s.lines <- s.lines + 1;
+  (if s.check then
+     match Event_log.validate_line line with
+     | Ok _ -> ()
+     | Error msg ->
+         Option.iter (fun d -> flush d.oc) s.out;
+         or_die
+           (Error (Printf.sprintf "schema violation on line %d: %s" s.lines msg)));
+  Option.iter
+    (fun d ->
+      output_string d.oc line;
+      output_char d.oc '\n')
+    s.out
+
+let close_sink s =
+  Option.iter (fun d -> close_dest d ~what:"event lines" s.lines) s.out;
+  if s.check then Printf.eprintf "schema: %d lines OK\n" s.lines
+
+(* The last [n] items of a stream, in [n] slots. *)
+type 'a last = { slots : 'a option array; mutable seen : int }
+
+let last_n n = { slots = Array.make (max n 0) None; seen = 0 }
+
+let keep l x =
+  let n = Array.length l.slots in
+  if n > 0 then l.slots.(l.seen mod n) <- Some x;
+  l.seen <- l.seen + 1
+
+let kept l =
+  let n = Array.length l.slots in
+  let k = min n l.seen in
+  List.init k (fun i -> Option.get l.slots.((l.seen - k + i) mod n))
 
 let trace_cmd =
   let events_arg =
@@ -1037,8 +1074,8 @@ let trace_cmd =
              'gcs-cli live --record', or an events.jsonl file) instead of \
              simulating. Simulation arguments are ignored.")
   in
-  (* Recorded mode: the log already exists; apply the same export /
-     schema-check / tail machinery to it without running anything. *)
+  (* Recorded mode: the log already exists; stream it line by line through
+     the same export, schema check and tail, without running anything. *)
   let trace_input path events check_schema tail =
     let file =
       if Sys.file_exists path && Sys.is_directory path then
@@ -1047,18 +1084,24 @@ let trace_cmd =
     in
     if not (Sys.file_exists file) then
       or_die (Error (file ^ ": no such event log"));
-    let lines =
-      In_channel.with_open_text file In_channel.input_lines
-      |> List.filter (fun l -> l <> "")
-    in
-    Option.iter
-      (fun dest -> export dest ~what:"event lines" ~header:[] lines)
-      events;
-    if check_schema then check_schema_lines lines;
+    let sink = { out = Option.map open_dest events; check = check_schema; lines = 0 } in
+    let last = last_n (if events = None then tail else 0) in
+    In_channel.with_open_text file (fun ic ->
+        let rec go () =
+          match In_channel.input_line ic with
+          | None -> ()
+          | Some "" -> go ()
+          | Some line ->
+              sink_line sink line;
+              keep last line;
+              go ()
+        in
+        go ());
+    close_sink sink;
     if events = None then begin
-      Printf.printf "recorded log %s: %d events\n" file (List.length lines);
+      Printf.printf "recorded log %s: %d events\n" file sink.lines;
       if tail > 0 then begin
-        let last = last_n tail lines in
+        let last = kept last in
         Printf.printf "\nlast %d events:\n" (List.length last);
         List.iter
           (fun line ->
@@ -1073,6 +1116,8 @@ let trace_cmd =
   in
   let action run seeds jobs events format series series_period check_schema
       tail input watch =
+    if check_schema && format = Event_log.Csv then
+      or_die (Error "--check-schema requires --format jsonl");
     match input with
     | Some path -> trace_input path events check_schema tail
     | None ->
@@ -1086,7 +1131,10 @@ let trace_cmd =
         series_watch = watch;
       }
     in
-    let results = run_batch r ~seeds ~jobs ~obs in
+    let configs = batch_configs r ~seeds ~obs in
+    let sink = { out = Option.map open_dest events; check = check_schema; lines = 0 } in
+    let series_out = Option.map open_dest series in
+    let results = Parallel_run.run ~jobs configs in
     let logs =
       Array.map
         (fun (r : Runner.result) ->
@@ -1096,38 +1144,26 @@ let trace_cmd =
         results
     in
     let multi = Array.length logs > 1 in
-    (* Per-run logs are concatenated in input (seed) order with an explicit
-       run tag, so the export bytes do not depend on --jobs. *)
-    let lines =
-      List.concat
-        (Array.to_list
-           (Array.mapi
-              (fun i log ->
-                let run = if multi then Some i else None in
-                List.map
-                  (fun e -> Event_log.encode_line ?run format e)
-                  (Event_log.entries log))
-              logs))
-    in
-    Option.iter
-      (fun dest ->
-        let header =
-          match format with
-          | Event_log.Csv ->
-              [ Gcs_util.Csv.render_row (Event_log.csv_header ~run:multi ()) ]
-          | Event_log.Jsonl -> []
-        in
-        export dest ~what:"event lines" ~header lines)
-      events;
-    if check_schema then begin
-      (match format with
-      | Event_log.Csv -> or_die (Error "--check-schema requires --format jsonl")
-      | Event_log.Jsonl -> ());
-      check_schema_lines lines
+    (* Per-run logs are streamed in input (seed) order with an explicit run
+       tag, so the export bytes do not depend on --jobs. *)
+    if events <> None || check_schema then begin
+      (match (format, sink.out) with
+      | Event_log.Csv, Some d ->
+          output_string d.oc
+            (Gcs_util.Csv.render_row (Event_log.csv_header ~run:multi ()));
+          output_char d.oc '\n'
+      | _ -> ());
+      Array.iteri
+        (fun i log ->
+          let run = if multi then Some i else None in
+          Event_log.iter_lines ?run log (fun line ->
+              sink_line sink (Buffer.contents line)))
+        logs;
+      close_sink sink
     end;
-    (match series with
+    (match series_out with
     | None -> ()
-    | Some dest ->
+    | Some d ->
         let merged = Parallel_run.merge results in
         let widths =
           if Array.length merged.Parallel_run.series = 0 then (0, 0, 0, 0)
@@ -1142,29 +1178,28 @@ let trace_cmd =
         let header =
           "run" :: Series.csv_header ~values ~rates ~hops ~watched ()
         in
-        let rows =
-          Array.to_list
-            (Array.map
-               (fun (i, p) ->
-                 Gcs_util.Csv.render_row
-                   (string_of_int i :: Series.csv_row p))
-               merged.Parallel_run.series)
-        in
-        export dest ~what:"series rows"
-          ~header:[ Gcs_util.Csv.render_row header ]
-          rows);
+        output_string d.oc (Gcs_util.Csv.render_row header);
+        output_char d.oc '\n';
+        Array.iter
+          (fun (i, p) ->
+            output_string d.oc
+              (Gcs_util.Csv.render_row (string_of_int i :: Series.csv_row p));
+            output_char d.oc '\n')
+          merged.Parallel_run.series;
+        close_dest d ~what:"series rows"
+          (Array.length merged.Parallel_run.series));
     if events = None && series = None then begin
       Printf.printf "run: %s on %s, horizon %g, %d run(s)\n"
         (Algorithm.kind_name r.algo) (Topology.spec_name r.topo) r.horizon
         (Array.length results);
-      (* Per-kind totals over every run's log. Fault events are node
-         down/up, edge cut/heal, fault drops, duplicates, corruptions and
-         lies. *)
+      (* Per-kind totals over every run's log and the tail of run 0, in
+         one pass. Fault events are node down/up, edge cut/heal, fault
+         drops, duplicates, corruptions and lies. *)
       let totals = Array.make 6 0 in
-      Array.iter
-        (fun log ->
-          List.iter
-            (fun (e : Event_log.entry) ->
+      let last = last_n tail in
+      Array.iteri
+        (fun i log ->
+          Event_log.iter log (fun (e : Event_log.entry) ->
               let k =
                 match e.Event_log.obs with
                 | Engine.Obs_send _ -> 0
@@ -1178,8 +1213,8 @@ let trace_cmd =
                 | Engine.Obs_corrupt _ | Engine.Obs_lie _ ->
                     5
               in
-              totals.(k) <- totals.(k) + 1)
-            (Event_log.entries log))
+              totals.(k) <- totals.(k) + 1;
+              if i = 0 then keep last e))
         logs;
       Printf.printf
         "observations: %d sends, %d delivers, %d drops, %d timers, %d rate \
@@ -1192,7 +1227,7 @@ let trace_cmd =
             r.Runner.summary.Metrics.final_global)
         results;
       if tail > 0 then begin
-        let last = last_n tail (Event_log.entries logs.(0)) in
+        let last = kept last in
         Printf.printf "\nlast %d events of run 0:\n" (List.length last);
         List.iter
           (fun (e : Event_log.entry) ->
@@ -1315,7 +1350,8 @@ let report_cmd =
     | None ->
     let r = or_die run in
     let results =
-      run_batch r ~seeds ~jobs ~obs:(Capture.full ~series_period ())
+      Parallel_run.run ~jobs
+        (batch_configs r ~seeds ~obs:(Capture.full ~series_period ()))
     in
     let merged = Parallel_run.merge results in
     Table.print
@@ -1682,14 +1718,15 @@ let check_run_cmd =
         (match out with
         | None -> ()
         | Some path ->
-            Repro.save ~path
-              {
-                Repro.monitor = { monitor with Monitor.mode = `Record };
-                expected = violation;
-                segment_len = candidate.Check_shrink.segment_len;
-                moves = candidate.Check_shrink.moves;
-                key = candidate.Check_shrink.key;
-              };
+            writing path (fun () ->
+                Repro.save ~path
+                  {
+                    Repro.monitor = { monitor with Monitor.mode = `Record };
+                    expected = violation;
+                    segment_len = candidate.Check_shrink.segment_len;
+                    moves = candidate.Check_shrink.moves;
+                    key = candidate.Check_shrink.key;
+                  });
             Printf.printf "wrote repro to %s\n" path);
         exit 1
   in
@@ -2040,7 +2077,9 @@ let explore_cmd =
         (match out with
         | None -> ()
         | Some path ->
-            Repro.save ~path (Verdict.repro_of_candidate inst cand ~violation:viol);
+            writing path (fun () ->
+                Repro.save ~path
+                  (Verdict.repro_of_candidate inst cand ~violation:viol));
             if not json then Printf.printf "wrote repro to %s\n" path);
         exit 1
   in

@@ -93,7 +93,7 @@ let write_outcome path (o : Live_node.outcome) =
   p "#samples\n";
   List.iter (fun (t, v) -> p "%.17g %.17g\n" t v) o.samples;
   p "#events\n";
-  List.iter (fun line -> p "%s\n" line) (Event_log.to_lines o.events);
+  Event_log.output o.events oc;
   close_out oc
 
 type child = {

@@ -167,8 +167,21 @@ let format t = t.format_
 let recorded t = t.recorded
 
 (* %.17g round-trips every double exactly, so export -> parse -> re-export
-   is byte-identical — the property the schema checker enforces. *)
-let fnum x = Printf.sprintf "%.17g" x
+   is byte-identical — the property the schema checker enforces. The
+   runtime's formatter is the C call Printf's "%.17g" ends in: the same
+   bytes, without interpreting a format string for every float. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let fnum x = format_float "%.17g" x
+
+(* Decimal digits straight into the buffer. Negative ints, which only a
+   parsed line can carry, go through [string_of_int]. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n else Buffer.add_string buf (string_of_int n)
 
 let tag_of_obs = function
   | Engine.Obs_send _ -> "send"
@@ -185,59 +198,9 @@ let tag_of_obs = function
   | Engine.Obs_corrupt _ -> "corrupt"
   | Engine.Obs_lie _ -> "lie"
 
-type field = I of int | F of float | B of bool
-
-let fields_of_obs = function
-  | Engine.Obs_send { src; dst; edge; delay } ->
-      [ ("src", I src); ("dst", I dst); ("edge", I edge); ("delay", F delay) ]
-  | Engine.Obs_drop { src; dst; edge }
-  | Engine.Obs_fault_drop { src; dst; edge }
-  | Engine.Obs_duplicate { src; dst; edge }
-  | Engine.Obs_corrupt { src; dst; edge }
-  | Engine.Obs_lie { src; dst; edge } ->
-      [ ("src", I src); ("dst", I dst); ("edge", I edge) ]
-  | Engine.Obs_deliver { dst; port } -> [ ("dst", I dst); ("port", I port) ]
-  | Engine.Obs_timer { node; tag } -> [ ("node", I node); ("tag", I tag) ]
-  | Engine.Obs_rate_change { node; rate } ->
-      [ ("node", I node); ("rate", F rate) ]
-  | Engine.Obs_node_down { node } -> [ ("node", I node) ]
-  | Engine.Obs_node_up { node; wipe } -> [ ("node", I node); ("wipe", B wipe) ]
-  | Engine.Obs_edge_down { edge } | Engine.Obs_edge_up { edge } ->
-      [ ("edge", I edge) ]
-
-let field_to_string = function
-  | I i -> string_of_int i
-  | F x -> fnum x
-  | B b -> if b then "true" else "false"
-
-let encode_jsonl ?run e =
-  let buf = Buffer.create 96 in
-  Buffer.add_char buf '{';
-  (match run with
-  | Some r ->
-      Buffer.add_string buf "\"run\":";
-      Buffer.add_string buf (string_of_int r);
-      Buffer.add_char buf ','
-  | None -> ());
-  Buffer.add_string buf "\"seq\":";
-  Buffer.add_string buf (string_of_int e.seq);
-  Buffer.add_string buf ",\"t\":";
-  Buffer.add_string buf (fnum e.time);
-  Buffer.add_string buf ",\"ev\":\"";
-  Buffer.add_string buf (tag_of_obs e.obs);
-  Buffer.add_char buf '"';
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf ",\"";
-      Buffer.add_string buf k;
-      Buffer.add_string buf "\":";
-      Buffer.add_string buf (field_to_string v))
-    (fields_of_obs e.obs);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
 (* One fixed CSV column set covering every event kind; fields a kind does
-   not carry stay empty. *)
+   not carry stay empty. No cell ever needs quoting: cells are integers,
+   %.17g floats, tags and booleans. *)
 let csv_columns =
   [
     "seq"; "time"; "ev"; "src"; "dst"; "edge"; "delay"; "node"; "port"; "tag";
@@ -247,23 +210,120 @@ let csv_columns =
 let csv_header ?(run = false) () =
   if run then "run" :: csv_columns else csv_columns
 
-let encode_csv ?run e =
-  let fields = fields_of_obs e.obs in
-  let cell name =
-    match List.assoc_opt name fields with
-    | Some v -> field_to_string v
-    | None -> ""
+(* The per-kind cells that follow seq, time and ev. *)
+let csv_cells = List.length csv_columns - 3
+
+(* One export pass: the line buffer it reuses, the text in front of each
+   line's seq (the run tag, and JSONL's opening), the CSV cells written so
+   far, and the last time printed with its text. A send shares its timer's
+   time, so about a third of a run's lines repeat their predecessor's time;
+   the memo compares bits, so 0. and -0. keep their own texts. *)
+type encoder = {
+  buf : Buffer.t;
+  csv : bool;
+  prefix : string;
+  mutable cells : int;
+  last_time : float array;
+  mutable last_text : string;
+}
+
+let encoder ?run format_ =
+  let csv = format_ = Csv in
+  let prefix =
+    match (run, csv) with
+    | None, false -> "{\"seq\":"
+    | Some r, false -> "{\"run\":" ^ string_of_int r ^ ",\"seq\":"
+    | None, true -> ""
+    | Some r, true -> string_of_int r ^ ","
   in
-  let row =
-    [ string_of_int e.seq; fnum e.time; tag_of_obs e.obs ]
-    @ List.map cell [ "src"; "dst"; "edge"; "delay"; "node"; "port"; "tag";
-                      "rate"; "wipe" ]
-  in
-  let row = match run with Some r -> string_of_int r :: row | None -> row in
-  Csv.render_row row
+  {
+    buf = Buffer.create 128;
+    csv;
+    prefix;
+    cells = 0;
+    last_time = [| 0. |];
+    last_text = "0" (* fnum 0. *);
+  }
+
+let time_text e t =
+  if Int64.bits_of_float t = Int64.bits_of_float e.last_time.(0) then
+    e.last_text
+  else begin
+    let text = fnum t in
+    e.last_time.(0) <- t;
+    e.last_text <- text;
+    text
+  end
+
+(* Start the field that CSV keeps in cell [cell]: JSONL writes its literal
+   [key], CSV the comma before every cell up to that one. *)
+let start_field e cell key =
+  if e.csv then
+    while e.cells <= cell do
+      Buffer.add_char e.buf ',';
+      e.cells <- e.cells + 1
+    done
+  else Buffer.add_string e.buf key
+
+let int_field e cell key v =
+  start_field e cell key;
+  add_int e.buf v
+
+let float_field e cell key x =
+  start_field e cell key;
+  Buffer.add_string e.buf (fnum x)
+
+let src_dst_edge e src dst edge =
+  int_field e 0 ",\"src\":" src;
+  int_field e 1 ",\"dst\":" dst;
+  int_field e 2 ",\"edge\":" edge
+
+let add_fields e = function
+  | Engine.Obs_send { src; dst; edge; delay } ->
+      src_dst_edge e src dst edge;
+      float_field e 3 ",\"delay\":" delay
+  | Engine.Obs_drop { src; dst; edge }
+  | Engine.Obs_fault_drop { src; dst; edge }
+  | Engine.Obs_duplicate { src; dst; edge }
+  | Engine.Obs_corrupt { src; dst; edge }
+  | Engine.Obs_lie { src; dst; edge } ->
+      src_dst_edge e src dst edge
+  | Engine.Obs_deliver { dst; port } ->
+      int_field e 1 ",\"dst\":" dst;
+      int_field e 5 ",\"port\":" port
+  | Engine.Obs_timer { node; tag } ->
+      int_field e 4 ",\"node\":" node;
+      int_field e 6 ",\"tag\":" tag
+  | Engine.Obs_rate_change { node; rate } ->
+      int_field e 4 ",\"node\":" node;
+      float_field e 7 ",\"rate\":" rate
+  | Engine.Obs_node_down { node } -> int_field e 4 ",\"node\":" node
+  | Engine.Obs_node_up { node; wipe } ->
+      int_field e 4 ",\"node\":" node;
+      start_field e 8 ",\"wipe\":";
+      Buffer.add_string e.buf (if wipe then "true" else "false")
+  | Engine.Obs_edge_down { edge } | Engine.Obs_edge_up { edge } ->
+      int_field e 2 ",\"edge\":" edge
+
+(* Append [entry]'s line, without a newline, to the encoder's buffer. *)
+let add_entry e { seq; time; obs } =
+  let b = e.buf in
+  Buffer.add_string b e.prefix;
+  add_int b seq;
+  Buffer.add_string b (if e.csv then "," else ",\"t\":");
+  Buffer.add_string b (time_text e time);
+  Buffer.add_string b (if e.csv then "," else ",\"ev\":\"");
+  Buffer.add_string b (tag_of_obs obs);
+  if not e.csv then Buffer.add_char b '"';
+  e.cells <- 0;
+  add_fields e obs;
+  (* CSV: the cells the kind does not carry stay empty. *)
+  if e.csv then start_field e (csv_cells - 1) "" else Buffer.add_char b '}'
 
 let encode_line ?run format e =
-  match format with Jsonl -> encode_jsonl ?run e | Csv -> encode_csv ?run e
+  let enc = encoder ?run format in
+  add_entry enc e;
+  Buffer.contents enc.buf
 
 let entry_to_string time obs =
   match obs with
@@ -335,38 +395,62 @@ let attach t engine =
     | Grow g -> fun time obs -> record_grow t g time obs
     | Ring r -> fun time obs -> record_ring t r time obs)
 
-let entries t =
+let iter t f =
   match t.store with
   | Grow g ->
-      List.init t.recorded (fun i ->
-          let cols = g.chunks.(i lsr chunk_bits) in
-          let off = i land chunk_mask in
-          { seq = i; time = cols.times.(off); obs = get t cols off i })
+      for i = 0 to t.recorded - 1 do
+        let cols = g.chunks.(i lsr chunk_bits) in
+        let off = i land chunk_mask in
+        f { seq = i; time = cols.times.(off); obs = get t cols off i }
+      done
   | Ring r ->
       let cap = Array.length r.cols.packed in
       let count = min t.recorded cap in
       let start = if t.recorded > cap then r.next else 0 in
-      List.init count (fun k ->
-          let i = (start + k) mod cap in
-          { seq = t.recorded - count + k;
+      for k = 0 to count - 1 do
+        let i = start + k in
+        let i = if i >= cap then i - cap else i in
+        f
+          {
+            seq = t.recorded - count + k;
             time = r.cols.times.(i);
-            obs = get t r.cols i i })
+            obs = get t r.cols i i;
+          }
+      done
+
+let entries t =
+  let acc = ref [] in
+  iter t (fun e -> acc := e :: !acc);
+  List.rev !acc
 
 let retained t =
   match t.store with
   | Grow _ -> t.recorded
   | Ring r -> min t.recorded (Array.length r.cols.packed)
 
-let to_lines ?run t = List.map (fun e -> encode_line ?run t.format_ e) (entries t)
+let iter_lines ?run t f =
+  let enc = encoder ?run t.format_ in
+  iter t (fun e ->
+      Buffer.clear enc.buf;
+      add_entry enc e;
+      f enc.buf)
+
+let to_lines ?run t =
+  let acc = ref [] in
+  iter_lines ?run t (fun line -> acc := Buffer.contents line :: !acc);
+  List.rev !acc
 
 let to_string ?run t =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (encode_line ?run t.format_ e);
-      Buffer.add_char buf '\n')
-    (entries t);
-  Buffer.contents buf
+  let out = Buffer.create 4096 in
+  iter_lines ?run t (fun line ->
+      Buffer.add_buffer out line;
+      Buffer.add_char out '\n');
+  Buffer.contents out
+
+let output ?run t oc =
+  iter_lines ?run t (fun line ->
+      Buffer.output_buffer oc line;
+      output_char oc '\n')
 
 let write ?run t ~path =
   let oc = open_out path in
@@ -378,7 +462,7 @@ let write ?run t ~path =
           output_string oc (Csv.render_row (csv_header ~run:(run <> None) ()));
           output_char oc '\n'
       | Jsonl -> ());
-      output_string oc (to_string ?run t))
+      output ?run t oc)
 
 (* --- JSONL parsing (the schema checker and round-trip tests) ----------- *)
 
@@ -386,131 +470,228 @@ type parsed = { run : int option; entry : entry }
 
 exception Bad of string
 
-let parse_obj line =
-  (* Flat {"key":value,...} objects only — exactly what [encode_jsonl]
-     emits. Values are integers, floats, booleans, or quote-delimited
-     strings without escapes. *)
+let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
+
+(* The parser reads a line where it lies: each key is matched in place
+   against the keys the schema knows, and its value is kept as a span of
+   the line in that key's slot. Only an unknown key, a float, or an
+   integer that is not plain decimal is ever copied out. *)
+let keys =
+  [| "run"; "seq"; "t"; "ev"; "src"; "dst"; "edge"; "delay"; "node"; "port";
+     "tag"; "rate"; "wipe" |]
+
+let k_run = 0 and k_seq = 1 and k_t = 2 and k_ev = 3 and k_src = 4
+and k_dst = 5 and k_edge = 6 and k_delay = 7 and k_node = 8 and k_port = 9
+and k_tag = 10 and k_rate = 11 and k_wipe = 12
+
+(* In the order of the packed kind tags. *)
+let tags =
+  [| "send"; "drop"; "deliver"; "timer"; "rate"; "node_down"; "node_up";
+     "edge_down"; "edge_up"; "fault_drop"; "dup"; "corrupt"; "lie" |]
+
+let rec same_from line a s i =
+  i = String.length s
+  || String.unsafe_get line (a + i) = String.unsafe_get s i
+     && same_from line a s (i + 1)
+
+(* [line.[a .. b-1]] is [s]. *)
+let span_is line a b s = b - a = String.length s && same_from line a s 0
+
+let rec index_of names line a b i =
+  if i = Array.length names then -1
+  else if span_is line a b names.(i) then i
+  else index_of names line a b (i + 1)
+
+let expect line pos c =
+  if pos >= String.length line || String.unsafe_get line pos <> c then
+    bad "expected '%c' at offset %d" c pos
+
+(* The offset of the quote that closes a string whose bytes start at
+   [pos]. *)
+let rec string_end line pos =
+  if pos >= String.length line then bad "unterminated string"
+  else
+    match String.unsafe_get line pos with
+    | '"' -> pos
+    | '\\' -> bad "escapes are not part of the schema"
+    | _ -> string_end line (pos + 1)
+
+let rec raw_end line pos =
+  if pos >= String.length line then pos
+  else
+    match String.unsafe_get line pos with
+    | ',' | '}' -> pos
+    | _ -> raw_end line (pos + 1)
+
+(* Flat {"key":value,...} objects only — exactly what the encoder emits.
+   A value is a quote-delimited string without escapes, or the raw bytes
+   up to the next ',' or '}'; either way only its bytes count, so "5"
+   reads as 5. Slot [k] of [spans] gets the value's start, its end and
+   its key's offset, and stays -1 while key [k] is absent. The spans of
+   unknown keys are returned in line order. *)
+let scan_object line spans =
   let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Bad msg) in
-  let expect c =
-    if !pos >= n || line.[!pos] <> c then
-      fail (Printf.sprintf "expected '%c' at offset %d" c !pos);
-    incr pos
-  in
-  let quoted () =
-    expect '"';
-    let start = !pos in
-    while !pos < n && line.[!pos] <> '"' do
-      if line.[!pos] = '\\' then fail "escapes are not part of the schema";
-      incr pos
-    done;
-    if !pos >= n then fail "unterminated string";
-    let s = String.sub line start (!pos - start) in
-    incr pos;
-    s
-  in
-  let raw_value () =
-    if !pos < n && line.[!pos] = '"' then quoted ()
-    else begin
-      let start = !pos in
-      while !pos < n && line.[!pos] <> ',' && line.[!pos] <> '}' do
-        incr pos
-      done;
-      String.sub line start (!pos - start)
+  expect line 0 '{';
+  let pos = ref 1 and unknown = ref [] in
+  if !pos < n && String.unsafe_get line !pos <> '}' then begin
+    let more = ref true in
+    while !more do
+      expect line !pos '"';
+      let ka = !pos + 1 in
+      let kb = string_end line ka in
+      expect line (kb + 1) ':';
+      let quoted = kb + 2 < n && String.unsafe_get line (kb + 2) = '"' in
+      let va = if quoted then kb + 3 else kb + 2 in
+      let vb = if quoted then string_end line va else raw_end line va in
+      pos := if quoted then vb + 1 else vb;
+      let k = index_of keys line ka kb 0 in
+      if k >= 0 then begin
+        if spans.(3 * k) >= 0 then bad "duplicate key %s" keys.(k);
+        spans.(3 * k) <- va;
+        spans.((3 * k) + 1) <- vb;
+        spans.((3 * k) + 2) <- ka
+      end
+      else begin
+        let name = String.sub line ka (kb - ka) in
+        if List.exists (fun (a, b) -> span_is line a b name) !unknown then
+          bad "duplicate key %s" name;
+        unknown := (ka, kb) :: !unknown
+      end;
+      if !pos < n && String.unsafe_get line !pos = ',' then incr pos
+      else more := false
+    done
+  end;
+  expect line !pos '}';
+  if !pos + 1 <> n then bad "trailing bytes after object";
+  List.rev !unknown
+
+let rec all_digits line a b =
+  a >= b
+  || match String.unsafe_get line a with
+     | '0' .. '9' -> all_digits line (a + 1) b
+     | _ -> false
+
+let rec digits_value line a b acc =
+  if a >= b then acc
+  else
+    digits_value line (a + 1) b
+      ((acc * 10) + Char.code (String.unsafe_get line a) - 48)
+
+(* Plain decimal — an optional '-' and 1 to 18 digits, too few to
+   overflow — is read in place. Anything else goes to [int_of_string],
+   whose rules on signs, base prefixes, underscores and range decide. *)
+let int_value line k a b =
+  let neg = a < b && String.unsafe_get line a = '-' in
+  let d = if neg then a + 1 else a in
+  if b - d >= 1 && b - d <= 18 && all_digits line d b then
+    let v = digits_value line d b 0 in
+    if neg then -v else v
+  else
+    let v = String.sub line a (b - a) in
+    match int_of_string v with
+    | i -> i
+    | exception Failure _ -> bad "%s is not an integer: %s" keys.(k) v
+
+let start spans k =
+  let a = spans.(3 * k) in
+  if a < 0 then bad "missing field %s" keys.(k);
+  a
+
+let int_at line spans k = int_value line k (start spans k) spans.((3 * k) + 1)
+
+let float_at line spans k =
+  let a = start spans k in
+  let v = String.sub line a (spans.((3 * k) + 1) - a) in
+  match float_of_string v with
+  | x -> x
+  | exception Failure _ -> bad "%s is not a number: %s" keys.(k) v
+
+let bool_at line spans k =
+  let a = start spans k and b = spans.((3 * k) + 1) in
+  if span_is line a b "true" then true
+  else if span_is line a b "false" then false
+  else bad "%s is not a boolean: %s" keys.(k) (String.sub line a (b - a))
+
+let bit k = 1 lsl k
+let src_dst_edge = bit k_src lor bit k_dst lor bit k_edge
+
+(* The observation tagged [tags.(tag)], and the slots it reads. *)
+let obs_of line spans tag =
+  let int = int_at line spans in
+  match tag with
+  | 0 ->
+      ( Engine.Obs_send
+          { src = int k_src; dst = int k_dst; edge = int k_edge;
+            delay = float_at line spans k_delay },
+        src_dst_edge lor bit k_delay )
+  | 1 ->
+      ( Engine.Obs_drop { src = int k_src; dst = int k_dst; edge = int k_edge },
+        src_dst_edge )
+  | 2 ->
+      ( Engine.Obs_deliver { dst = int k_dst; port = int k_port },
+        bit k_dst lor bit k_port )
+  | 3 ->
+      ( Engine.Obs_timer { node = int k_node; tag = int k_tag },
+        bit k_node lor bit k_tag )
+  | 4 ->
+      ( Engine.Obs_rate_change
+          { node = int k_node; rate = float_at line spans k_rate },
+        bit k_node lor bit k_rate )
+  | 5 -> (Engine.Obs_node_down { node = int k_node }, bit k_node)
+  | 6 ->
+      ( Engine.Obs_node_up
+          { node = int k_node; wipe = bool_at line spans k_wipe },
+        bit k_node lor bit k_wipe )
+  | 7 -> (Engine.Obs_edge_down { edge = int k_edge }, bit k_edge)
+  | 8 -> (Engine.Obs_edge_up { edge = int k_edge }, bit k_edge)
+  | 9 ->
+      ( Engine.Obs_fault_drop
+          { src = int k_src; dst = int k_dst; edge = int k_edge },
+        src_dst_edge )
+  | 10 ->
+      ( Engine.Obs_duplicate
+          { src = int k_src; dst = int k_dst; edge = int k_edge },
+        src_dst_edge )
+  | 11 ->
+      ( Engine.Obs_corrupt
+          { src = int k_src; dst = int k_dst; edge = int k_edge },
+        src_dst_edge )
+  | _ ->
+      ( Engine.Obs_lie { src = int k_src; dst = int k_dst; edge = int k_edge },
+        src_dst_edge )
+
+(* Reject the first key, in line order, that the entry did not read. *)
+let check_unexpected line spans unknown used =
+  let first = ref max_int and name = ref "" in
+  (match unknown with
+  | (ka, kb) :: _ ->
+      first := ka;
+      name := String.sub line ka (kb - ka)
+  | [] -> ());
+  for k = 0 to Array.length keys - 1 do
+    let ka = spans.((3 * k) + 2) in
+    if ka >= 0 && used land bit k = 0 && ka < !first then begin
+      first := ka;
+      name := keys.(k)
     end
-  in
-  expect '{';
-  let pairs = ref [] in
-  let rec loop () =
-    let k = quoted () in
-    expect ':';
-    let v = raw_value () in
-    if List.mem_assoc k !pairs then fail ("duplicate key " ^ k);
-    pairs := (k, v) :: !pairs;
-    if !pos < n && line.[!pos] = ',' then begin
-      incr pos;
-      loop ()
-    end
-  in
-  if !pos < n && line.[!pos] <> '}' then loop ();
-  expect '}';
-  if !pos <> n then fail "trailing bytes after object";
-  List.rev !pairs
+  done;
+  if !first < max_int then bad "unexpected field %s" !name
 
 let parse_line line =
   try
-    let pairs = parse_obj line in
-    let used = ref [] in
-    let take k =
-      match List.assoc_opt k pairs with
-      | Some v ->
-          used := k :: !used;
-          v
-      | None -> raise (Bad ("missing field " ^ k))
+    let spans = Array.make (3 * Array.length keys) (-1) in
+    let unknown = scan_object line spans in
+    let run =
+      if spans.(3 * k_run) < 0 then None else Some (int_at line spans k_run)
     in
-    let take_opt k =
-      Option.map
-        (fun v ->
-          used := k :: !used;
-          v)
-        (List.assoc_opt k pairs)
-    in
-    let int_of k v =
-      match int_of_string_opt v with
-      | Some i -> i
-      | None -> raise (Bad (k ^ " is not an integer: " ^ v))
-    in
-    let float_of k v =
-      match float_of_string_opt v with
-      | Some x -> x
-      | None -> raise (Bad (k ^ " is not a number: " ^ v))
-    in
-    let bool_of k = function
-      | "true" -> true
-      | "false" -> false
-      | v -> raise (Bad (k ^ " is not a boolean: " ^ v))
-    in
-    let int k = int_of k (take k) in
-    let float k = float_of k (take k) in
-    let bool k = bool_of k (take k) in
-    let run = Option.map (int_of "run") (take_opt "run") in
-    let seq = int "seq" in
-    let time = float "t" in
-    let obs =
-      match take "ev" with
-      | "send" ->
-          Engine.Obs_send
-            { src = int "src"; dst = int "dst"; edge = int "edge";
-              delay = float "delay" }
-      | "drop" ->
-          Engine.Obs_drop { src = int "src"; dst = int "dst"; edge = int "edge" }
-      | "deliver" -> Engine.Obs_deliver { dst = int "dst"; port = int "port" }
-      | "timer" -> Engine.Obs_timer { node = int "node"; tag = int "tag" }
-      | "rate" ->
-          Engine.Obs_rate_change { node = int "node"; rate = float "rate" }
-      | "node_down" -> Engine.Obs_node_down { node = int "node" }
-      | "node_up" -> Engine.Obs_node_up { node = int "node"; wipe = bool "wipe" }
-      | "edge_down" -> Engine.Obs_edge_down { edge = int "edge" }
-      | "edge_up" -> Engine.Obs_edge_up { edge = int "edge" }
-      | "fault_drop" ->
-          Engine.Obs_fault_drop
-            { src = int "src"; dst = int "dst"; edge = int "edge" }
-      | "dup" ->
-          Engine.Obs_duplicate
-            { src = int "src"; dst = int "dst"; edge = int "edge" }
-      | "corrupt" ->
-          Engine.Obs_corrupt
-            { src = int "src"; dst = int "dst"; edge = int "edge" }
-      | "lie" ->
-          Engine.Obs_lie
-            { src = int "src"; dst = int "dst"; edge = int "edge" }
-      | ev -> raise (Bad ("unknown event tag " ^ ev))
-    in
-    List.iter
-      (fun (k, _) ->
-        if not (List.mem k !used) then raise (Bad ("unexpected field " ^ k)))
-      pairs;
+    let seq = int_at line spans k_seq in
+    let time = float_at line spans k_t in
+    let a = start spans k_ev and b = spans.((3 * k_ev) + 1) in
+    let tag = index_of tags line a b 0 in
+    if tag < 0 then bad "unknown event tag %s" (String.sub line a (b - a));
+    let obs, used = obs_of line spans tag in
+    check_unexpected line spans unknown
+      (used lor bit k_run lor bit k_seq lor bit k_t lor bit k_ev);
     Ok { run; entry = { seq; time; obs } }
   with Bad msg -> Error msg
 
@@ -518,6 +699,5 @@ let validate_line line =
   match parse_line line with
   | Error _ as e -> e
   | Ok p ->
-      let again = encode_jsonl ?run:p.run p.entry in
-      if String.equal again line then Ok p
+      if String.equal (encode_line ?run:p.run Jsonl p.entry) line then Ok p
       else Error "line is valid but not in canonical form"

@@ -41,8 +41,12 @@ val recorded : t -> int
 val retained : t -> int
 (** Events currently held. *)
 
+val iter : t -> (entry -> unit) -> unit
+(** Visit the retained entries in chronological order, straight from the
+    columns: a grown log, a wrapped ring and escape-path ids alike. *)
+
 val entries : t -> entry list
-(** Retained entries in chronological order. *)
+(** Retained entries in chronological order, as a list. *)
 
 (** {1 Export}
 
@@ -52,7 +56,13 @@ val entries : t -> entry list
     tag and ["run"] is present only when the [?run] argument is given.
     Floats are printed with ["%.17g"] so they round-trip exactly; the
     output is therefore byte-identical across processes and [--jobs]
-    values. *)
+    values.
+
+    Every export encodes through one direct encoder: literal keys, the
+    runtime's ["%.17g"] formatter, and within one pass the previous line's
+    time text when the time has the same bits. A whole-log export streams:
+    it encodes each entry into one reused buffer and never builds an entry
+    or line list, so its memory is the recorded columns. *)
 
 val encode_line : ?run:int -> format -> entry -> string
 (** Format one entry (no trailing newline). *)
@@ -69,8 +79,17 @@ val csv_header : ?run:bool -> unit -> string list
 (** Fixed CSV column set covering every event kind; [~run:true] prepends
     a [run] column. *)
 
+val iter_lines : ?run:int -> t -> (Buffer.t -> unit) -> unit
+(** [iter_lines ?run t f] calls [f] with each retained entry's line (no
+    trailing newline), in order, in the log's format. The buffer is reused
+    for the next line, so [f] must not keep it. *)
+
 val to_lines : ?run:int -> t -> string list
 val to_string : ?run:int -> t -> string
+
+val output : ?run:int -> t -> out_channel -> unit
+(** Stream the retained entries' lines, each ending in a newline, to a
+    channel: no header row. *)
 
 val write : ?run:int -> t -> path:string -> unit
 (** Write retained entries to [path]; CSV output starts with a header
@@ -82,7 +101,8 @@ type parsed = { run : int option; entry : entry }
 
 val parse_line : string -> (parsed, string) result
 (** Parse one JSONL line, rejecting unknown tags, missing fields, extra
-    fields, and malformed values. *)
+    fields, and malformed values. It scans the line in place: keys are
+    matched where they lie and plain decimal integers are read there. *)
 
 val validate_line : string -> (parsed, string) result
 (** [parse_line] plus a canonical-form check: re-encoding the parsed
