@@ -73,7 +73,8 @@ let writing path f =
   with Sys_error msg ->
     let reason =
       match String.rindex_opt msg ':' with
-      | Some i -> String.trim (String.sub msg (i + 1) (String.length msg - i - 1))
+      | Some i ->
+          String.trim (String.sub msg (i + 1) (String.length msg - i - 1))
       | None -> msg
     in
     or_die (Error (path ^ ": " ^ reason))
@@ -993,6 +994,9 @@ let close_dest d ~what n =
    from a recorded file, is schema-checked when asked and then written. *)
 type sink = { out : dest option; check : bool; mutable lines : int }
 
+let open_sink events ~check =
+  { out = Option.map open_dest events; check; lines = 0 }
+
 let sink_line s line =
   s.lines <- s.lines + 1;
   (if s.check then
@@ -1084,7 +1088,7 @@ let trace_cmd =
     in
     if not (Sys.file_exists file) then
       or_die (Error (file ^ ": no such event log"));
-    let sink = { out = Option.map open_dest events; check = check_schema; lines = 0 } in
+    let sink = open_sink events ~check:check_schema in
     let last = last_n (if events = None then tail else 0) in
     In_channel.with_open_text file (fun ic ->
         let rec go () =
@@ -1132,7 +1136,7 @@ let trace_cmd =
       }
     in
     let configs = batch_configs r ~seeds ~obs in
-    let sink = { out = Option.map open_dest events; check = check_schema; lines = 0 } in
+    let sink = open_sink events ~check:check_schema in
     let series_out = Option.map open_dest series in
     let results = Parallel_run.run ~jobs configs in
     let logs =

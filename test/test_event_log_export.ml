@@ -231,8 +231,8 @@ module Reference = struct
     match parse_line line with
     | Error _ as e -> e
     | Ok p ->
-        if String.equal (encode_jsonl ?run:p.Event_log.run p.Event_log.entry) line
-        then Ok p
+        let canonical = encode_jsonl ?run:p.Event_log.run p.Event_log.entry in
+        if String.equal canonical line then Ok p
         else Error "line is valid but not in canonical form"
 end
 
@@ -246,7 +246,7 @@ let gen_id =
     [
       (6, int_range 0 40);
       (3, int_range 524_280 524_295);
-      (1, oneofl [ 0; 524_287; 524_288; 1 lsl 30; max_int; -1; -524_288; min_int ]);
+      (1, oneofl [ 524_287; 524_288; 1 lsl 30; max_int; -1; -524_288; min_int ]);
       (1, int_range 0 (1 lsl 40));
     ]
 
@@ -294,40 +294,39 @@ let gen_timed =
   let* n = int_range 0 60 in
   let* obs = list_repeat n gen_obs in
   let* fresh = list_repeat n gen_float in
-  let+ repeat = list_repeat n (frequency [ (2, return true); (3, return false) ])
+  let+ repeat = list_repeat n (frequencyl [ (2, true); (3, false) ])
   and+ zero_pair = bool in
-  let times =
-    List.rev
-      (snd
-         (List.fold_left2
-            (fun (prev, acc) t rep ->
-              let t = if rep then prev else t in
-              (t, t :: acc))
-            (0., []) fresh repeat))
+  let _, times =
+    List.fold_left2
+      (fun (prev, acc) t rep ->
+        let t = if rep then prev else t in
+        (t, t :: acc))
+      (0., []) fresh repeat
   in
-  let times = if zero_pair then 0. :: -0. :: times else times in
-  let obs =
-    if zero_pair then
-      Engine.Obs_timer { node = 0; tag = 0 } :: Engine.Obs_timer { node = 1; tag = 0 } :: obs
-    else obs
-  in
-  List.combine times obs
+  let timed = List.combine (List.rev times) obs in
+  if zero_pair then
+    (0., Engine.Obs_timer { node = 0; tag = 0 })
+    :: (-0., Engine.Obs_timer { node = 1; tag = 0 })
+    :: timed
+  else timed
 
 let gen_run =
   QCheck.Gen.(
     frequency
-      [ (2, return None); (2, map Option.some (int_range 0 9));
-        (1, map Option.some gen_id) ])
+      [
+        (2, return None);
+        (2, map Option.some (int_range 0 9));
+        (1, map Option.some gen_id);
+      ])
 
 let gen_format = QCheck.Gen.oneofl [ Event_log.Jsonl; Event_log.Csv ]
 
-let print_entry (e : Event_log.entry) = Reference.encode_jsonl e
+(* The entries [timed] records, in order from seq 0. *)
+let entries_of timed =
+  List.mapi (fun seq (time, obs) -> { Event_log.seq; time; obs }) timed
 
 let print_timed timed =
-  String.concat "\n"
-    (List.mapi
-       (fun seq (time, obs) -> print_entry { Event_log.seq; time; obs })
-       timed)
+  String.concat "\n" (List.map Reference.encode_jsonl (entries_of timed))
 
 let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt
 
@@ -337,46 +336,36 @@ let prop_encode_line =
   QCheck.Test.make ~name:"encode_line = reference, every kind and format"
     ~count:500
     (QCheck.make
-       ~print:(fun (run, _, timed) -> Option.fold ~none:"" ~some:string_of_int run ^ "\n" ^ print_timed timed)
+       ~print:(fun (run, _, timed) ->
+         Printf.sprintf "run %s\n%s"
+           (Option.fold ~none:"none" ~some:string_of_int run)
+           (print_timed timed))
        QCheck.Gen.(triple gen_run gen_format gen_timed))
     (fun (run, format, timed) ->
       List.for_all
-        (fun (seq, (time, obs)) ->
-          let e = { Event_log.seq; time; obs } in
+        (fun e ->
           let got = Event_log.encode_line ?run format e
           and want = Reference.encode_line ?run format e in
           String.equal got want || fail "got  %s\nwant %s" got want)
-        (List.mapi (fun i x -> (i, x)) timed))
+        (entries_of timed))
 
-(* The retained entries of [timed] recorded into a log of [capacity]: all
-   of them, or the last [capacity] with their original seqs. *)
-let retained ?capacity timed =
-  let entries =
-    List.mapi (fun seq (time, obs) -> { Event_log.seq; time; obs }) timed
-  in
-  match capacity with
-  | None -> entries
-  | Some c ->
-      let drop = max 0 (List.length entries - c) in
-      List.filteri (fun i _ -> i >= drop) entries
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
 let same_obs a b =
   match (a, b) with
   | Engine.Obs_send x, Engine.Obs_send y ->
       x.src = y.src && x.dst = y.dst && x.edge = y.edge
-      && Int64.equal (Int64.bits_of_float x.delay) (Int64.bits_of_float y.delay)
+      && same_bits x.delay y.delay
   | Engine.Obs_rate_change x, Engine.Obs_rate_change y ->
-      x.node = y.node
-      && Int64.equal (Int64.bits_of_float x.rate) (Int64.bits_of_float y.rate)
+      x.node = y.node && same_bits x.rate y.rate
   | a, b -> a = b
 
 let same_entry (a : Event_log.entry) (b : Event_log.entry) =
-  a.seq = b.seq
-  && Int64.equal (Int64.bits_of_float a.time) (Int64.bits_of_float b.time)
-  && same_obs a.obs b.obs
+  a.seq = b.seq && same_bits a.time b.time && same_obs a.obs b.obs
 
-(* Whole logs: a grown log and a ring (wrapped or not) export exactly the
-   reference lines of their retained entries, through every export. *)
+(* Whole logs: a grown log and a ring, wrapped or not, export exactly the
+   reference lines of the entries they retain (the last [capacity], with
+   their seqs), through every export. *)
 let prop_whole_log =
   QCheck.Test.make ~name:"log exports = reference lines of retained entries"
     ~count:300
@@ -385,28 +374,33 @@ let prop_whole_log =
          Printf.sprintf "capacity %s\n%s"
            (Option.fold ~none:"none" ~some:string_of_int capacity)
            (print_timed timed))
-       QCheck.Gen.(
-         quad gen_run gen_format (opt (int_range 1 40)) gen_timed))
+       QCheck.Gen.(quad gen_run gen_format (opt (int_range 1 40)) gen_timed))
     (fun (run, format_, capacity, timed) ->
       let log = Event_log.create ?capacity ~format_ () in
       List.iter (fun (time, obs) -> Event_log.record log time obs) timed;
-      let want = retained ?capacity timed in
+      let all = entries_of timed in
+      let evicted =
+        Option.fold ~none:0 ~some:(fun c -> max 0 (List.length all - c)) capacity
+      in
+      let want = List.filteri (fun i _ -> i >= evicted) all in
       let lines = List.map (Reference.encode_line ?run format_) want in
       let text = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+      let header =
+        match format_ with
+        | Event_log.Csv ->
+            Gcs_util.Csv.render_row (Event_log.csv_header ~run:(run <> None) ())
+            ^ "\n"
+        | Event_log.Jsonl -> ""
+      in
       let path = Filename.temp_file "event_log" ".out" in
       Event_log.write ?run log ~path;
       let written = In_channel.with_open_bin path In_channel.input_all in
       Sys.remove path;
-      let header =
-        match format_ with
-        | Event_log.Csv ->
-            Gcs_util.Csv.render_row
-              (Event_log.csv_header ~run:(run <> None) ())
-            ^ "\n"
-        | Event_log.Jsonl -> ""
-      in
       let got = Event_log.entries log in
-      if not (List.length got = List.length want && List.for_all2 same_entry got want)
+      if
+        not
+          (List.length got = List.length want
+          && List.for_all2 same_entry got want)
       then fail "entries differ"
       else if Event_log.to_lines ?run log <> lines then fail "to_lines differs"
       else if Event_log.to_string ?run log <> text then fail "to_string differs"
@@ -422,13 +416,6 @@ let same_result a b =
   | Error _, Error _ -> true
   | _ -> false
 
-(* The canonical line's fields, split at the top-level commas (no value of
-   the schema contains one). *)
-let fields_of line =
-  String.split_on_char ',' (String.sub line 1 (String.length line - 2))
-
-let of_fields fields = "{" ^ String.concat "," fields ^ "}"
-
 let odd_values =
   [
     "-0"; "007"; "+5"; "0x1F"; "1_0"; "nan"; "-nan"; "inf"; "-inf"; "infinity";
@@ -440,82 +427,101 @@ let odd_values =
     "0u5"; "1__2"; "_1"; "1e400"; "0x1p3"; "5}"; "5,\"x\":1"; "null";
   ]
 
+let odd_keys =
+  [
+    "\"run\""; "\"seq\""; "\"t\""; "\"ev\""; "\"src\""; "\"x\""; "\"\"";
+    "\"rate\""; "\"wipe\""; "\"tag\""; "run"; "\"se\\q\"";
+  ]
+
 let odd_bytes = "{}\",:\\0123456789-+.enatfx_ \t"
 
+let splice line i ~drop s =
+  String.sub line 0 i ^ s
+  ^ String.sub line (i + drop) (String.length line - i - drop)
+
+(* The canonical line's fields, split at the top-level commas (no value of
+   the schema contains one), and the line they make. *)
+let fields_of line =
+  String.split_on_char ',' (String.sub line 1 (String.length line - 2))
+
+let of_fields fields = "{" ^ String.concat "," fields ^ "}"
+
+let key_and_rest field =
+  match String.index_opt field ':' with
+  | Some i -> (String.sub field 0 i, String.sub field i (String.length field - i))
+  | None -> (field, "")
+
 (* One mutation of a canonical line: a byte deleted, inserted or replaced;
-   a field duplicated, dropped or swapped; a value replaced by an odd one;
-   or bytes appended. *)
+   a field duplicated, dropped or swapped; a value or key replaced by an
+   odd one; or bytes appended. *)
 let gen_mutant line =
   let open QCheck.Gen in
   let n = String.length line in
   let fields = fields_of line in
-  let k = List.length fields in
-  let nth_replaced i f = List.mapi (fun j x -> if j = i then f x else x) fields in
-  let key_of field =
-    match String.index_opt field ':' with
-    | Some i -> String.sub field 0 i
-    | None -> field
+  let field = int_bound (List.length fields - 1) in
+  let byte =
+    frequency
+      [
+        (3, map (String.get odd_bytes) (int_bound (String.length odd_bytes - 1)));
+        (1, map Char.chr (int_range 32 126));
+      ]
   in
-  let byte = map (fun i -> odd_bytes.[i]) (int_bound (String.length odd_bytes - 1)) in
-  let any_byte = map Char.chr (int_range 32 126) in
+  let edit f =
+    map (fun i ->
+        of_fields (List.mapi (fun j x -> if j = i then f x else x) fields))
+  in
   frequency
     [
-      ( 2,
-        map
-          (fun i -> String.sub line 0 i ^ String.sub line (i + 1) (n - i - 1))
-          (int_bound (n - 1)) );
+      (2, map (fun i -> splice line i ~drop:1 "") (int_bound (n - 1)));
       ( 2,
         map2
-          (fun i c -> String.sub line 0 i ^ String.make 1 c ^ String.sub line i (n - i))
-          (int_bound n) (frequency [ (3, byte); (1, any_byte) ]) );
+          (fun i c -> splice line i ~drop:0 (String.make 1 c))
+          (int_bound n) byte );
       ( 2,
         map2
-          (fun i c ->
-            String.sub line 0 i ^ String.make 1 c ^ String.sub line (i + 1) (n - i - 1))
-          (int_bound (n - 1)) (frequency [ (3, byte); (1, any_byte) ]) );
+          (fun i c -> splice line i ~drop:1 (String.make 1 c))
+          (int_bound (n - 1)) byte );
       ( 1,
         map2
           (fun i j ->
-            let f = List.nth fields i in
+            let copy = List.nth fields i in
             of_fields
-              (List.concat
-                 (List.mapi (fun p x -> if p = j then [ f; x ] else [ x ]) fields)))
-          (int_bound (k - 1)) (int_bound (k - 1)) );
-      (1, map (fun i -> of_fields (List.filteri (fun j _ -> j <> i) fields)) (int_bound (k - 1)));
+              (List.concat_map
+                 (fun (p, x) -> if p = j then [ copy; x ] else [ x ])
+                 (List.mapi (fun p x -> (p, x)) fields)))
+          field field );
+      ( 1,
+        map (fun i -> of_fields (List.filteri (fun j _ -> j <> i) fields)) field
+      );
       ( 1,
         map2
           (fun i j ->
             let a = List.nth fields i and b = List.nth fields j in
             of_fields
-              (List.mapi (fun p x -> if p = i then b else if p = j then a else x) fields))
-          (int_bound (k - 1)) (int_bound (k - 1)) );
+              (List.mapi
+                 (fun p x -> if p = i then b else if p = j then a else x)
+                 fields))
+          field field );
       ( 4,
-        map2
-          (fun i v -> of_fields (nth_replaced i (fun f -> key_of f ^ ":" ^ v)))
-          (int_bound (k - 1)) (oneofl odd_values) );
+        oneofl odd_values >>= fun v ->
+        edit (fun f -> fst (key_and_rest f) ^ ":" ^ v) field );
       ( 1,
-        map2
-          (fun i key -> of_fields (nth_replaced i (fun f ->
-            match String.index_opt f ':' with
-            | Some c -> key ^ String.sub f c (String.length f - c)
-            | None -> f)))
-          (int_bound (k - 1))
-          (oneofl [ "\"run\""; "\"seq\""; "\"t\""; "\"ev\""; "\"src\""; "\"x\"";
-                    "\"\""; "\"rate\""; "\"wipe\""; "\"tag\""; "run"; "\"se\\q\"" ]) );
+        oneofl odd_keys >>= fun k ->
+        edit (fun f -> k ^ snd (key_and_rest f)) field );
       (1, map (fun s -> line ^ s) (oneofl [ "x"; " "; "}"; ","; "\n"; "{}" ]));
     ]
 
+(* A canonical line of a random entry, as it is or mutated once or twice. *)
 let gen_line =
   let open QCheck.Gen in
-  let* run = gen_run and* timed = gen_timed in
-  let entries = retained timed in
-  let* e =
-    match entries with
-    | [] -> map (fun obs -> { Event_log.seq = 0; time = 0.; obs }) gen_obs
-    | _ -> oneofl entries
-  in
-  let line = Reference.encode_jsonl ?run e in
-  frequency [ (1, return line); (6, gen_mutant line); (1, gen_mutant line >>= gen_mutant) ]
+  let* run = gen_run and* seq = gen_id and* time = gen_float and* obs = gen_obs in
+  let line = Reference.encode_jsonl ?run { Event_log.seq; time; obs } in
+  frequency
+    [
+      (1, return line);
+      (6, gen_mutant line);
+      (1, gen_mutant line >>= gen_mutant);
+    ]
 
 let prop_parse_line =
   QCheck.Test.make ~name:"parse_line and validate_line = reference"
