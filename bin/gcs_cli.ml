@@ -1088,6 +1088,14 @@ let trace_cmd =
     in
     if not (Sys.file_exists file) then
       or_die (Error (file ^ ": no such event log"));
+    (* The copy is written while the log is read, so opening the log
+       itself as the destination would truncate it first. *)
+    (match events with
+    | Some dest when dest <> "-" && Sys.file_exists dest ->
+        let id f = Unix.((stat f).st_dev, (stat f).st_ino) in
+        if id dest = id file then
+          or_die (Error (dest ^ ": is the --input log; export it elsewhere"))
+    | _ -> ());
     let sink = open_sink events ~check:check_schema in
     let last = last_n (if events = None then tail else 0) in
     In_channel.with_open_text file (fun ic ->
