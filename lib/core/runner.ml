@@ -46,16 +46,26 @@ let config ?(spec = Spec.make ()) ?(algo = Algorithm.Gradient_sync)
     ?(obs = Capture.none) ?(scheduler = Scheduler.Binary_heap) ?(regions = 1)
     graph =
   let warmup = match warmup with Some w -> w | None -> horizon /. 4. in
+  (* Every test is written so that NaN fails it: a NaN time breaks the
+     event queue's total order, and an infinite horizon never ends. *)
+  let finite name v =
+    if not (Float.is_finite v) then
+      invalid_arg (Printf.sprintf "Runner.config: %s must be finite" name)
+  in
+  finite "horizon" horizon;
   if horizon <= 0. then invalid_arg "Runner.config: horizon must be > 0";
+  finite "sample_period" sample_period;
   if sample_period <= 0. then
     invalid_arg "Runner.config: sample_period must be > 0";
+  finite "warmup" warmup;
   if regions < 1 then invalid_arg "Runner.config: regions must be >= 1";
   (match obs.Capture.series_period with
-  | Some p when p <= 0. ->
-      invalid_arg "Runner.config: series period must be > 0"
-  | Some _ | None -> ());
+  | Some p ->
+      finite "series period" p;
+      if p <= 0. then invalid_arg "Runner.config: series period must be > 0"
+  | None -> ());
   (match loss with
-  | Uniform_loss p when p < 0. || p > 1. ->
+  | Uniform_loss p when not (p >= 0. && p <= 1.) ->
       invalid_arg "Runner.config: loss probability out of [0, 1]"
   | No_loss | Uniform_loss _ -> ());
   {
@@ -571,8 +581,10 @@ let config_of_key ?obs ?scheduler ?regions (key : Gcs_store.Key.t) =
                  (Gcs_graph.Topology.spec_name key.K.topology)
                  msg)
         | None | Some (Ok ()) ->
+            (* Anything but an exact zero, NaN included, reaches [config]'s
+               range check. *)
             let loss =
-              if key.K.loss > 0. then Uniform_loss key.K.loss else No_loss
+              if key.K.loss = 0. then No_loss else Uniform_loss key.K.loss
             in
             Ok
               (config ~spec ~algo

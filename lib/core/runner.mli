@@ -85,7 +85,9 @@ val config :
     uniform delays, horizon 200, sampling every 1, warm-up 1/4 of the
     horizon, seed 42, all clocks starting at 0, no faults, no capture
     ([Gcs_obs.Capture.none]), binary-heap scheduler, serial execution
-    ([regions = 1]). *)
+    ([regions = 1]). Raises [Invalid_argument] unless the horizon, sample
+    period and series period are finite and positive, the warm-up is
+    finite, and a uniform loss lies in [\[0, 1\]] (NaN fails each test). *)
 
 type live = {
   cfg : config;

@@ -29,17 +29,33 @@ let estimate_error_bound t =
 
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if t.rho < 0. then err "rho must be >= 0 (got %g)" t.rho
-  else if t.mu <= 0. then err "mu must be > 0 (got %g)" t.mu
-  else if t.mu <= t.rho then
-    err "mu (%g) must exceed rho (%g) for the gradient algorithm to catch up"
-      t.mu t.rho
-  else if t.beacon_period <= 0. then
-    err "beacon_period must be > 0 (got %g)" t.beacon_period
-  else if t.kappa <= 0. then err "kappa must be > 0 (got %g)" t.kappa
-  else if t.staleness_limit <= 0. then
-    err "staleness_limit must be > 0 (got %g)" t.staleness_limit
-  else Ok ()
+  let fields =
+    [
+      ("rho", t.rho);
+      ("mu", t.mu);
+      ("d_min", t.delay.Delay_model.d_min);
+      ("d_max", t.delay.Delay_model.d_max);
+      ("beacon_period", t.beacon_period);
+      ("kappa", t.kappa);
+      ("staleness_limit", t.staleness_limit);
+    ]
+  in
+  (* NaN fails every range test below, so finiteness comes first. *)
+  match List.find_opt (fun (_, v) -> not (Float.is_finite v)) fields with
+  | Some (name, v) -> err "%s must be finite (got %g)" name v
+  | None ->
+      if t.rho < 0. then err "rho must be >= 0 (got %g)" t.rho
+      else if t.mu <= 0. then err "mu must be > 0 (got %g)" t.mu
+      else if t.mu <= t.rho then
+        err
+          "mu (%g) must exceed rho (%g) for the gradient algorithm to catch up"
+          t.mu t.rho
+      else if t.beacon_period <= 0. then
+        err "beacon_period must be > 0 (got %g)" t.beacon_period
+      else if t.kappa <= 0. then err "kappa must be > 0 (got %g)" t.kappa
+      else if t.staleness_limit <= 0. then
+        err "staleness_limit must be > 0 (got %g)" t.staleness_limit
+      else Ok ()
 
 let make ?(rho = 0.01) ?(mu = 0.1) ?(d_min = 0.5) ?(d_max = 1.5)
     ?(beacon_period = 1.) ?kappa ?staleness_limit () =

@@ -3,6 +3,8 @@ module Prng = Gcs_util.Prng
 type bounds = { d_min : float; d_max : float }
 
 let bounds ~d_min ~d_max =
+  if not (Float.is_finite d_min && Float.is_finite d_max) then
+    invalid_arg "Delay_model.bounds: d_min and d_max must be finite";
   if d_min < 0. || d_max < d_min then
     invalid_arg "Delay_model.bounds: need 0 <= d_min <= d_max";
   { d_min; d_max }

@@ -10,7 +10,7 @@
 type bounds = { d_min : float; d_max : float }
 
 val bounds : d_min:float -> d_max:float -> bounds
-(** Validates [0 <= d_min <= d_max]. *)
+(** Validates finite [0 <= d_min <= d_max]. *)
 
 val uncertainty : bounds -> float
 (** [d_max - d_min]. *)

@@ -18,14 +18,6 @@ type 'msg handlers = {
   on_timer : 'msg api -> tag:int -> unit;
 }
 
-(* Timer identity is (slot, gen) in the owning region's slot pool: a heap
-   entry fires only if the slot still holds that generation, so re-keying
-   and cancellation are one generation bump, never a queue traversal. *)
-type 'msg event =
-  | Deliver of { dst : int; port : int; edge : int; msg : 'msg }
-  | Timer_fire of { node : int; slot : int; gen : int }
-  | Control of (unit -> unit)
-
 type observation =
   | Obs_send of { src : int; dst : int; edge : int; delay : float }
   | Obs_drop of { src : int; dst : int; edge : int }
@@ -62,16 +54,17 @@ type dispatch_hook = {
 
 (* ------------------------------------------------------------------ *)
 (* Per-node timer state, struct-of-arrays: one slot pool per region     *)
-(* holding hardware deadlines, tags, owners, and generation counters in *)
-(* parallel columns, with per-node intrusive doubly-linked slot lists   *)
-(* so re-keying and crash cancellation walk only the node's own slots.  *)
+(* holding hardware deadlines, tags, owners, and the sequence number of *)
+(* each slot's live queue entry in parallel columns, with per-node      *)
+(* intrusive doubly-linked slot lists so re-keying and crash            *)
+(* cancellation walk only the node's own slots.                         *)
 (* ------------------------------------------------------------------ *)
 
 type timer_pool = {
   mutable tp_h : float array; (* hardware deadline *)
   mutable tp_tag : int array;
   mutable tp_owner : int array; (* node id; -1 = free *)
-  mutable tp_gen : int array; (* bumped on free/re-key: stale entries no-op *)
+  mutable tp_seq : int array; (* sequence of the live queue entry; -1 = none *)
   mutable tp_next : int array; (* per-node slot list links *)
   mutable tp_prev : int array;
   mutable tp_free : int array; (* free-slot stack *)
@@ -84,7 +77,7 @@ let pool_create () =
     tp_h = [||];
     tp_tag = [||];
     tp_owner = [||];
-    tp_gen = [||];
+    tp_seq = [||];
     tp_next = [||];
     tp_prev = [||];
     tp_free = [||];
@@ -102,7 +95,7 @@ let pool_grow p =
   p.tp_h <- extend p.tp_h 0.;
   p.tp_tag <- extend p.tp_tag 0;
   p.tp_owner <- extend p.tp_owner (-1);
-  p.tp_gen <- extend p.tp_gen 0;
+  p.tp_seq <- extend p.tp_seq (-1);
   p.tp_next <- extend p.tp_next (-1);
   p.tp_prev <- extend p.tp_prev (-1);
   let nfree = Array.make ncap 0 in
@@ -136,12 +129,141 @@ let pool_free p heads s =
   if pv >= 0 then p.tp_next.(pv) <- nx else heads.(node) <- nx;
   if nx >= 0 then p.tp_prev.(nx) <- pv;
   p.tp_owner.(s) <- -1;
-  p.tp_gen.(s) <- p.tp_gen.(s) + 1;
+  p.tp_seq.(s) <- -1;
   p.tp_free.(p.tp_free_top) <- s;
   p.tp_free_top <- p.tp_free_top + 1
 
-let[@inline] pool_live p ~slot ~gen =
-  p.tp_gen.(slot) = gen && p.tp_owner.(slot) >= 0
+(* Whether the queue entry [(seq, slot)] is its slot's live entry. Every
+   queued entry has its own sequence number, so re-keying a timer (a new
+   entry) or freeing its slot leaves every older entry dead, and no queue
+   traversal is ever needed. *)
+let[@inline] pool_live p ~slot ~seq = p.tp_seq.(slot) = seq
+
+(* ------------------------------------------------------------------ *)
+(* Event queues: a scheduler ordering int handles, plus the columns of  *)
+(* the events those handles name, so a send, a timer arm or a control   *)
+(* allocates no event block and no sift writes a pointer.               *)
+(* - A timer's handle is [lnot slot] (negative) in the region's timer   *)
+(*   pool, which the queue owns: a timer needs no other column.         *)
+(* - Deliveries and controls are non-negative handles into the queue's  *)
+(*   event pool, four words per handle: [ev_head] packs the kind into   *)
+(*   its low bit, over a delivery's receiver or a control's index into  *)
+(*   the closure side table; [ev_x] and [ev_y] hold a delivery's port   *)
+(*   and edge; [ev_msg] its message.                                    *)
+(* Free handles chain through [ev_x]. A free message slot holds the     *)
+(* filler (the first message the queue saw) and a free closure slot a   *)
+(* no-op, so a released event keeps nothing else reachable.             *)
+(* ------------------------------------------------------------------ *)
+
+let kind_deliver = 0
+let kind_control = 1
+
+type 'msg queue = {
+  sched : Scheduler.t; (* orders the handles by (time, seq) *)
+  timers : timer_pool; (* the region's timer slots *)
+  mutable ev_head : int array;
+  mutable ev_x : int array;
+  mutable ev_y : int array;
+  mutable ev_msg : 'msg array; (* [||] until the first delivery *)
+  mutable ev_fill : 'msg option; (* filler of free message slots *)
+  mutable ev_free : int; (* head of the free-handle chain; -1 = none *)
+  mutable ctl_fn : (unit -> unit) array; (* control closures *)
+  mutable ctl_next : int array; (* free chain of the closure table *)
+  mutable ctl_free : int;
+}
+
+let queue_create kind =
+  {
+    sched = Scheduler.make kind;
+    timers = pool_create ();
+    ev_head = [||];
+    ev_x = [||];
+    ev_y = [||];
+    ev_msg = [||];
+    ev_fill = None;
+    ev_free = -1;
+    ctl_fn = [||];
+    ctl_next = [||];
+    ctl_free = -1;
+  }
+
+let no_control () = ()
+
+let queue_grow qu =
+  let cap = Array.length qu.ev_head in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let extend a =
+    let na = Array.make ncap 0 in
+    Array.blit a 0 na 0 cap;
+    na
+  in
+  qu.ev_head <- extend qu.ev_head;
+  qu.ev_x <- extend qu.ev_x;
+  qu.ev_y <- extend qu.ev_y;
+  (match qu.ev_fill with
+  | None -> ()
+  | Some fill ->
+      let nm = Array.make ncap fill in
+      Array.blit qu.ev_msg 0 nm 0 cap;
+      qu.ev_msg <- nm);
+  (* Chain the fresh handles so that low ones are handed out first. *)
+  for h = ncap - 1 downto cap do
+    qu.ev_x.(h) <- qu.ev_free;
+    qu.ev_free <- h
+  done
+
+let[@inline] alloc qu =
+  if qu.ev_free < 0 then queue_grow qu;
+  let h = qu.ev_free in
+  qu.ev_free <- qu.ev_x.(h);
+  h
+
+let[@inline] release qu h =
+  qu.ev_x.(h) <- qu.ev_free;
+  qu.ev_free <- h
+
+let alloc_deliver qu ~dst ~port ~edge msg =
+  let h = alloc qu in
+  (match qu.ev_fill with
+  | Some _ -> ()
+  | None ->
+      qu.ev_fill <- Some msg;
+      qu.ev_msg <- Array.make (Array.length qu.ev_head) msg);
+  qu.ev_head.(h) <- (dst lsl 1) lor kind_deliver;
+  qu.ev_x.(h) <- port;
+  qu.ev_y.(h) <- edge;
+  qu.ev_msg.(h) <- msg;
+  h
+
+let alloc_control qu f =
+  if qu.ctl_free < 0 then begin
+    let cap = Array.length qu.ctl_fn in
+    let ncap = if cap = 0 then 4 else 2 * cap in
+    let nf = Array.make ncap no_control in
+    let nn = Array.make ncap (-1) in
+    Array.blit qu.ctl_fn 0 nf 0 cap;
+    Array.blit qu.ctl_next 0 nn 0 cap;
+    qu.ctl_fn <- nf;
+    qu.ctl_next <- nn;
+    for i = ncap - 1 downto cap do
+      nn.(i) <- qu.ctl_free;
+      qu.ctl_free <- i
+    done
+  end;
+  let i = qu.ctl_free in
+  qu.ctl_free <- qu.ctl_next.(i);
+  qu.ctl_fn.(i) <- f;
+  let h = alloc qu in
+  qu.ev_head.(h) <- (i lsl 1) lor kind_control;
+  h
+
+(* Release a control's side-table entry and return its closure. *)
+let take_control qu i =
+  let f = qu.ctl_fn.(i) in
+  qu.ctl_fn.(i) <- no_control;
+  qu.ctl_next.(i) <- qu.ctl_free;
+  qu.ctl_free <- i;
+  f
 
 (* ------------------------------------------------------------------ *)
 (* Region context: one event queue, clock position, window buffers and  *)
@@ -155,7 +277,9 @@ type 'msg witem =
   | W_nop
   | W_obs of { at : float; obs : observation }
   | W_imm of int (* lane index of a push already made into the region queue *)
-  | W_push of { prio : float; ev : 'msg event } (* arrival beyond the window *)
+  | W_push of { prio : float; h : int }
+      (* arrival beyond the window: a handle in the region's queue pool,
+         queued at the barrier *)
   | W_cross of {
       at : float;
       src : int;
@@ -168,8 +292,7 @@ type 'msg witem =
 
 type 'msg rctx = {
   rid : int;
-  q : 'msg event Scheduler.t;
-  pool : timer_pool;
+  q : 'msg queue; (* the region's events and timer slots *)
   now_ref : float ref;
   mutable cur_wend : float;
   (* pop log: the window's dispatch order, (prio, seq, first-item index) *)
@@ -196,8 +319,7 @@ type 'msg rctx = {
 let rctx_create ~rid ~kind =
   {
     rid;
-    q = Scheduler.make kind;
-    pool = pool_create ();
+    q = queue_create kind;
     now_ref = ref 0.;
     cur_wend = infinity;
     pop_prio = [||];
@@ -229,7 +351,7 @@ type 'msg t = {
   edge_cross : bool array;
   lookahead : float; (* min d_min over cross-region edges *)
   regions : 'msg rctx array;
-  ctrl_q : 'msg event Scheduler.t; (* separate only when nregions > 1 *)
+  ctrl_q : 'msg queue; (* separate only when nregions > 1 *)
   mutable next_seq : int;
   mutable handlers : 'msg handlers array;
   make_node : int -> 'msg handlers; (* kept for state-wiping recovery *)
@@ -405,21 +527,40 @@ let[@inline] emit t wctx at obs =
   | None -> observe t obs
   | Some c -> if Array.length t.observers > 0 then witem_add c (W_obs { at; obs })
 
-(* Push an event destined for [region]'s queue. In window mode ([wctx]) a
-   push landing inside the current window enters the queue immediately
-   under a lane sequence (and is recorded for barrier re-sequencing);
-   anything at or beyond the window end is deferred to the barrier so the
-   region queues only ever hold finally-sequenced events between windows. *)
-let push_region_event t wctx ~region ~prio ev =
+(* Queue handle [h], already filled in [qu]'s columns, at time [prio], and
+   return the sequence it is queued under. In window mode ([wctx]) a push
+   landing inside the current window enters the queue immediately under a
+   lane sequence (and is recorded for barrier re-sequencing; it is also
+   popped within the window); anything at or beyond the window end waits
+   in a [W_push] for the barrier to queue it, and gets -1 here, so the
+   region queues only ever hold finally-sequenced events between windows.
+   A window pushes only into its own region's queue: cross-region sends are
+   replayed at the barrier. *)
+let enqueue t wctx qu ~prio h =
   match wctx with
-  | None -> Scheduler.(t.regions.(region).q.push) ~prio ~seq:(fresh_seq t) ev
+  | None ->
+      let seq = fresh_seq t in
+      qu.sched.Scheduler.push ~prio ~seq h;
+      seq
   | Some c ->
+      assert (qu == c.q);
       if prio < c.cur_wend then begin
         let k = lane_reserve c in
         witem_add c (W_imm k);
-        c.q.Scheduler.push ~prio ~seq:(lane_base + (k * t.nregions) + c.rid) ev
+        let seq = lane_base + (k * t.nregions) + c.rid in
+        qu.sched.Scheduler.push ~prio ~seq h;
+        seq
       end
-      else witem_add c (W_push { prio; ev })
+      else begin
+        witem_add c (W_push { prio; h });
+        -1
+      end
+
+(* Queue a control or delivery handle. *)
+let enqueue_event t wctx qu ~prio h = ignore (enqueue t wctx qu ~prio h : int)
+
+(* The region queue holding [node]'s timers. *)
+let[@inline] timer_queue t node = t.regions.(t.node_region.(node)).q
 
 let[@inline] hw_value t v ~now =
   let ep = Hardware_clock.breakpoint_count t.clocks.(v) in
@@ -434,7 +575,9 @@ let[@inline] hw_value t v ~now =
   end;
   t.seg_v.(v) +. (t.seg_r.(v) *. (now -. t.seg_t.(v)))
 
-let push_timer_event t wctx ~node ~slot ~gen ~h_target ~now =
+(* Queue [slot]'s timer of [node] and record the entry as the slot's live
+   one; any older entry of the slot is dead from here on. *)
+let push_timer_event t wctx ~node ~slot ~h_target ~now =
   let h_now = hw_value t node ~now in
   let fire_at =
     (* A deadline already reached (or predating the clock) fires now. On
@@ -446,8 +589,8 @@ let push_timer_event t wctx ~node ~slot ~gen ~h_target ~now =
         (t.seg_t.(node) +. ((h_target -. t.seg_v.(node)) /. t.seg_r.(node)))
     else Float.max now (Hardware_clock.inverse t.clocks.(node) ~h:h_target)
   in
-  push_region_event t wctx ~region:t.node_region.(node) ~prio:fire_at
-    (Timer_fire { node; slot; gen })
+  let qu = timer_queue t node in
+  qu.timers.tp_seq.(slot) <- enqueue t wctx qu ~prio:fire_at (lnot slot)
 
 (* The send path. Serial mode ([wctx = None]) performs every draw and push
    directly, exactly like the classic single-queue engine. Window mode
@@ -508,7 +651,8 @@ let do_send t wctx v ~port msg =
                 ~rng:t.link_rngs.(edge)
             in
             let b = Delay_model.edge_bounds t.delays edge in
-            if delay < b.Delay_model.d_min || delay > b.Delay_model.d_max
+            if
+              not (delay >= b.Delay_model.d_min && delay <= b.Delay_model.d_max)
             then
               invalid_arg
                 (Printf.sprintf
@@ -554,9 +698,9 @@ let do_send t wctx v ~port msg =
                   (delay +. extra, msg)
             in
             emit t wctx at (Obs_send { src = v; dst; edge; delay });
-            push_region_event t wctx ~region:t.node_region.(dst)
-              ~prio:(at +. delay)
-              (Deliver { dst; port = dst_port; edge; msg });
+            let qu = t.regions.(t.node_region.(dst)).q in
+            enqueue_event t wctx qu ~prio:(at +. delay)
+              (alloc_deliver qu ~dst ~port:dst_port ~edge msg);
             match t.tamper with
             | Some tm
               when tm.duplicate ~edge ~now:at ~rng:t.fault_rngs.(edge) ->
@@ -569,9 +713,8 @@ let do_send t wctx v ~port msg =
                   Delay_model.draw t.delays ~edge ~src:v ~dst ~now:at
                     ~rng:t.fault_rngs.(edge)
                 in
-                push_region_event t wctx ~region:t.node_region.(dst)
-                  ~prio:(at +. dup_delay)
-                  (Deliver { dst; port = dst_port; edge; msg })
+                enqueue_event t wctx qu ~prio:(at +. dup_delay)
+                  (alloc_deliver qu ~dst ~port:dst_port ~edge msg)
             | _ -> ()
           end
         end
@@ -592,10 +735,13 @@ let make_api t v =
     send = (fun ~port msg -> do_send t (wctx ()) v ~port msg);
     set_timer =
       (fun ~h ~tag ->
-        let pool = t.regions.(t.node_region.(v)).pool in
-        let slot = pool_alloc pool t.node_timer_head ~node:v ~h ~tag in
-        push_timer_event t (wctx ()) ~node:v ~slot ~gen:pool.tp_gen.(slot)
-          ~h_target:h ~now:(node_now t v));
+        if Float.is_nan h then invalid_arg "Engine.set_timer: h is NaN";
+        let slot =
+          pool_alloc (timer_queue t v).timers t.node_timer_head ~node:v ~h
+            ~tag
+        in
+        push_timer_event t (wctx ()) ~node:v ~slot ~h_target:h
+          ~now:(node_now t v));
     rng = Prng.create ~seed:0 (* replaced in [of_config] *);
   }
 
@@ -663,7 +809,7 @@ let of_config (cfg : 'msg config) =
             let c = rctx_create ~rid ~kind:cfg.cfg_scheduler in
             c.now_ref := cfg.cfg_t0;
             c);
-      ctrl_q = Scheduler.make cfg.cfg_scheduler;
+      ctrl_q = queue_create cfg.cfg_scheduler;
       next_seq = 0;
       handlers = Array.init n cfg.cfg_make_node;
       make_node = cfg.cfg_make_node;
@@ -743,13 +889,46 @@ let[@inline] hook_after t kind =
         h.after kind
       end
 
-let dispatch t wctx event =
+(* Dispatch the entry [(seq, h)] just popped from [qu]. A timer entry
+   fires only if it is still its slot's live entry. A delivery's or a
+   control's columns are read and its handle released (dropping its
+   message or closure) before any handler runs, so the handler's own pushes
+   may reuse the handle. *)
+let dispatch t wctx qu ~seq h =
   (match wctx with
   | None -> t.events_processed <- t.events_processed + 1
   | Some c -> c.c_events <- c.c_events + 1);
   let now = match wctx with None -> t.now | Some c -> !(c.now_ref) in
-  match event with
-  | Deliver { dst; port; edge; msg } ->
+  if h < 0 then begin
+    let pool = qu.timers and slot = lnot h in
+    if pool_live pool ~slot ~seq then begin
+      let node = pool.tp_owner.(slot) in
+      let h_target = pool.tp_h.(slot) in
+      let h_now = hw_value t node ~now in
+      if h_now +. 1e-9 >= h_target then begin
+        let tag = pool.tp_tag.(slot) in
+        pool_free pool t.node_timer_head slot;
+        (match wctx with
+        | None -> t.timers_fired <- t.timers_fired + 1
+        | Some c -> c.c_timers <- c.c_timers + 1);
+        emit t wctx now (Obs_timer { node; tag });
+        hook_before t Dispatch_timer;
+        t.handlers.(node).on_timer t.apis.(node) ~tag;
+        hook_after t Dispatch_timer
+      end
+      else
+        (* The clock slowed after this entry was pushed; re-aim. *)
+        push_timer_event t wctx ~node ~slot ~h_target ~now
+    end
+    (* else: re-keyed, cancelled or already fired *)
+  end
+  else begin
+    let head = qu.ev_head.(h) in
+    if head land 1 = kind_deliver then begin
+      let dst = head lsr 1 and port = qu.ev_x.(h) and edge = qu.ev_y.(h) in
+      let msg = qu.ev_msg.(h) in
+      (match qu.ev_fill with Some fill -> qu.ev_msg.(h) <- fill | None -> ());
+      release qu h;
       (* Messages in flight when a partition starts or the receiver crashes
          are lost at delivery time. *)
       if (not t.node_up.(dst)) || not t.edge_up.(edge) then begin
@@ -769,32 +948,16 @@ let dispatch t wctx event =
         t.handlers.(dst).on_message t.apis.(dst) ~port msg;
         hook_after t Dispatch_deliver
       end
-  | Timer_fire { node; slot; gen } ->
-      let pool = t.regions.(t.node_region.(node)).pool in
-      if pool_live pool ~slot ~gen then begin
-        let h_target = pool.tp_h.(slot) in
-        let h_now = hw_value t node ~now in
-        if h_now +. 1e-9 >= h_target then begin
-          let tag = pool.tp_tag.(slot) in
-          pool_free pool t.node_timer_head slot;
-          (match wctx with
-          | None -> t.timers_fired <- t.timers_fired + 1
-          | Some c -> c.c_timers <- c.c_timers + 1);
-          emit t wctx now (Obs_timer { node; tag });
-          hook_before t Dispatch_timer;
-          t.handlers.(node).on_timer t.apis.(node) ~tag;
-          hook_after t Dispatch_timer
-        end
-        else
-          (* The clock slowed after this entry was pushed; re-aim. *)
-          push_timer_event t wctx ~node ~slot ~gen ~h_target ~now
-      end
-      (* else: rescheduled or already fired under an old generation *)
-  | Control f ->
+    end
+    else begin
+      let f = take_control qu (head lsr 1) in
+      release qu h;
       t.controls_run <- t.controls_run + 1;
       hook_before t Dispatch_control;
       f ();
       hook_after t Dispatch_control
+    end
+  end
 
 (* ---------------- serial execution (one region) ---------------- *)
 
@@ -804,15 +967,17 @@ let[@inline] note_heap_depth t sz =
   if sz > t.heap_high_water then t.heap_high_water <- sz
 
 let run_until_serial t horizon =
-  let q = serial_q t in
+  let qu = serial_q t in
+  let q = qu.sched in
   let continue = ref true in
   while !continue && not t.stop_requested do
     note_heap_depth t (q.Scheduler.size ());
     let time = q.Scheduler.min_prio () in
     if q.Scheduler.size () > 0 && time <= horizon then begin
-      let event = q.Scheduler.pop_min () in
+      let seq = q.Scheduler.min_seq () in
+      let h = q.Scheduler.pop_min () in
       t.now <- Float.max t.now time;
-      dispatch t None event
+      dispatch t None qu ~seq h
     end
     else continue := false
   done;
@@ -851,14 +1016,14 @@ let run_until_serial t horizon =
 let run_region_window t c ~wend =
   c.cur_wend <- wend;
   Domain.DLS.set dls_region_now (Some c.now_ref);
-  let q = c.q in
+  let q = c.q.sched in
   while q.Scheduler.min_prio () < wend do
     let prio = q.Scheduler.min_prio () in
     let seq = q.Scheduler.min_seq () in
-    let ev = q.Scheduler.pop_min () in
+    let h = q.Scheduler.pop_min () in
     if prio > !(c.now_ref) then c.now_ref := prio;
     pop_log_add c prio seq;
-    dispatch t (Some c) ev
+    dispatch t (Some c) c.q ~seq h
   done;
   Domain.DLS.set dls_region_now None
 
@@ -902,7 +1067,7 @@ let replay_cross t ~at ~src ~dst ~edge ~dst_port ~msg ~lied =
         ~rng:t.link_rngs.(edge)
     in
     let b = Delay_model.edge_bounds t.delays edge in
-    if delay < b.Delay_model.d_min || delay > b.Delay_model.d_max then
+    if not (delay >= b.Delay_model.d_min && delay <= b.Delay_model.d_max) then
       invalid_arg
         (Printf.sprintf
            "Engine.send: delay %g outside bounds [%g, %g] on edge %d (%d -> \
@@ -929,9 +1094,9 @@ let replay_cross t ~at ~src ~dst ~edge ~dst_port ~msg ~lied =
           (delay +. extra, msg)
     in
     observe_at t at (Obs_send { src; dst; edge; delay });
-    Scheduler.(t.regions.(t.node_region.(dst)).q.push) ~prio:(at +. delay)
-      ~seq:(fresh_seq t)
-      (Deliver { dst; port = dst_port; edge; msg });
+    let qu = t.regions.(t.node_region.(dst)).q in
+    enqueue_event t None qu ~prio:(at +. delay)
+      (alloc_deliver qu ~dst ~port:dst_port ~edge msg);
     match t.tamper with
     | Some tm when tm.duplicate ~edge ~now:at ~rng:t.fault_rngs.(edge) ->
         t.messages_duplicated <- t.messages_duplicated + 1;
@@ -940,9 +1105,8 @@ let replay_cross t ~at ~src ~dst ~edge ~dst_port ~msg ~lied =
           Delay_model.draw t.delays ~edge ~src ~dst ~now:at
             ~rng:t.fault_rngs.(edge)
         in
-        Scheduler.(t.regions.(t.node_region.(dst)).q.push)
-          ~prio:(at +. dup_delay) ~seq:(fresh_seq t)
-          (Deliver { dst; port = dst_port; edge; msg })
+        enqueue_event t None qu ~prio:(at +. dup_delay)
+          (alloc_deliver qu ~dst ~port:dst_port ~edge msg)
     | _ -> ()
   end
 
@@ -961,14 +1125,9 @@ let merge_window t =
     | W_nop -> ()
     | W_obs { at; obs } -> observe_at t at obs
     | W_imm k -> c.final_seq.(k) <- fresh_seq t
-    | W_push { prio; ev } ->
-        let region =
-          match ev with
-          | Deliver { dst; _ } -> t.node_region.(dst)
-          | Timer_fire { node; _ } -> t.node_region.(node)
-          | Control _ -> 0
-        in
-        Scheduler.(t.regions.(region).q.push) ~prio ~seq:(fresh_seq t) ev
+    | W_push { prio; h } ->
+        let seq = enqueue t None c.q ~prio h in
+        if h < 0 then c.q.timers.tp_seq.(lnot h) <- seq
     | W_cross { at; src; dst; edge; dst_port; msg; lied } ->
         replay_cross t ~at ~src ~dst ~edge ~dst_port ~msg ~lied
   in
@@ -1012,23 +1171,24 @@ let merge_window t =
 (* Minimum (prio, seq) over every queue; returns the queue holding it. *)
 let global_min t =
   let best = ref t.ctrl_q in
-  let bp = ref (t.ctrl_q.Scheduler.min_prio ()) in
-  let bs = ref (t.ctrl_q.Scheduler.min_seq ()) in
+  let bp = ref (t.ctrl_q.sched.Scheduler.min_prio ()) in
+  let bs = ref (t.ctrl_q.sched.Scheduler.min_seq ()) in
   Array.iter
     (fun c ->
-      let p = c.q.Scheduler.min_prio () in
-      if p < !bp || (p = !bp && c.q.Scheduler.min_seq () < !bs) then begin
+      let q = c.q.sched in
+      let p = q.Scheduler.min_prio () in
+      if p < !bp || (p = !bp && q.Scheduler.min_seq () < !bs) then begin
         best := c.q;
         bp := p;
-        bs := c.q.Scheduler.min_seq ()
+        bs := q.Scheduler.min_seq ()
       end)
     t.regions;
   (!bp, !best)
 
 let total_pending t =
   Array.fold_left
-    (fun acc c -> acc + c.q.Scheduler.size ())
-    (t.ctrl_q.Scheduler.size ())
+    (fun acc c -> acc + c.q.sched.Scheduler.size ())
+    (t.ctrl_q.sched.Scheduler.size ())
     t.regions
 
 (* Window synchronisation: persistent worker domains for the duration of
@@ -1105,7 +1265,8 @@ let run_until_parallel t horizon =
       note_heap_depth t (total_pending t);
       let wend =
         Float.min
-          (Float.min (next_p +. t.lookahead) (t.ctrl_q.Scheduler.min_prio ()))
+          (Float.min (next_p +. t.lookahead)
+             (t.ctrl_q.sched.Scheduler.min_prio ()))
           horizon
       in
       if wend > next_p then release_window wend;
@@ -1120,12 +1281,13 @@ let run_until_parallel t horizon =
          stay exact. *)
       let boundary = ref true in
       while !boundary && not t.stop_requested do
-        let p, q = global_min t in
+        let p, qu = global_min t in
         if total_pending t > 0 && p <= wend then begin
           note_heap_depth t (total_pending t);
-          let ev = q.Scheduler.pop_min () in
+          let seq = qu.sched.Scheduler.min_seq () in
+          let h = qu.sched.Scheduler.pop_min () in
           t.now <- Float.max t.now p;
-          dispatch t None ev
+          dispatch t None qu ~seq h
         end
         else boundary := false
       done
@@ -1154,17 +1316,19 @@ let step t =
   note_heap_depth t (total_pending t);
   if total_pending t = 0 then false
   else begin
-    let p, q = global_min t in
-    let event = q.Scheduler.pop_min () in
+    let p, qu = global_min t in
+    let seq = qu.sched.Scheduler.min_seq () in
+    let h = qu.sched.Scheduler.pop_min () in
     assert (p +. 1e-9 >= t.now);
     t.now <- Float.max t.now p;
-    dispatch t None event;
+    dispatch t None qu ~seq h;
     true
   end
 
 let schedule_control t ~at f =
-  let q = if t.nregions > 1 then t.ctrl_q else serial_q t in
-  q.Scheduler.push ~prio:(Float.max at t.now) ~seq:(fresh_seq t) (Control f)
+  if Float.is_nan at then invalid_arg "Engine.schedule_control: at is NaN";
+  let qu = if t.nregions > 1 then t.ctrl_q else serial_q t in
+  enqueue_event t None qu ~prio:(Float.max at t.now) (alloc_control qu f)
 
 let set_node_rate t ~node ~rate =
   let clock = t.clocks.(node) in
@@ -1173,15 +1337,14 @@ let set_node_rate t ~node ~rate =
      drop the cached segment explicitly. *)
   t.seg_epoch.(node) <- -1;
   observe t (Obs_rate_change { node; rate });
-  (* Re-key every pending timer so stale queue entries become no-ops and
-     fresh entries reflect the new rate. Slots walk in insertion order. *)
-  let pool = t.regions.(t.node_region.(node)).pool in
+  (* Re-key every pending timer: each gets a fresh entry reflecting the
+     new rate, which leaves its old entry dead. Slots walk in insertion
+     order. *)
+  let pool = (timer_queue t node).timers in
   let slot = ref t.node_timer_head.(node) in
   while !slot >= 0 do
     let s = !slot in
-    pool.tp_gen.(s) <- pool.tp_gen.(s) + 1;
-    push_timer_event t None ~node ~slot:s ~gen:pool.tp_gen.(s)
-      ~h_target:pool.tp_h.(s) ~now:t.now;
+    push_timer_event t None ~node ~slot:s ~h_target:pool.tp_h.(s) ~now:t.now;
     slot := pool.tp_next.(s)
   done
 
@@ -1190,7 +1353,7 @@ let crash_node t ~node =
     t.node_up.(node) <- false;
     (* Freeing the slots turns every pending queue entry for this node into
        a no-op, exactly like the re-keying in [set_node_rate]. *)
-    let pool = t.regions.(t.node_region.(node)).pool in
+    let pool = (timer_queue t node).timers in
     while t.node_timer_head.(node) >= 0 do
       pool_free pool t.node_timer_head t.node_timer_head.(node)
     done;
@@ -1246,36 +1409,52 @@ type 'msg pending =
   | Pending_control of { at : float }
 
 let pending_snapshot t =
-  (* Each queue renders in exact pop order via [Scheduler.sorted], with the
-     stale-timer filter pushed into the scheduler's [keep] hook: queue
-     entries carrying a dead (slot, gen) are the no-op ghosts left behind by
-     rescheduling and are not part of the observable state. The per-queue
-     lists then merge by (prio, seq) — the same order a global pop loop
-     would dispatch. *)
-  let keep = function
-    | Timer_fire { node; slot; gen } ->
-        pool_live t.regions.(t.node_region.(node)).pool ~slot ~gen
-    | Deliver _ | Control _ -> true
-  in
-  let lists =
-    t.ctrl_q.Scheduler.sorted ~keep
-    :: Array.to_list (Array.map (fun c -> c.q.Scheduler.sorted ~keep) t.regions)
+  (* Each queue renders in exact pop order via [Scheduler.sorted]. Timer
+     entries that are no longer their slot's live entry are the no-op
+     ghosts left behind by rescheduling or a crash and are not part of the
+     observable state. The per-queue lists then merge by (prio, seq) — the
+     same order a global pop loop would dispatch. *)
+  let render qu =
+    List.filter_map
+      (fun (at, seq, h) ->
+        if h < 0 then
+          let pool = qu.timers and slot = lnot h in
+          if pool_live pool ~slot ~seq then
+            Some
+              ( at,
+                seq,
+                Pending_timer
+                  {
+                    at;
+                    node = pool.tp_owner.(slot);
+                    h_target = pool.tp_h.(slot);
+                    tag = pool.tp_tag.(slot);
+                  } )
+          else None
+        else
+          let head = qu.ev_head.(h) in
+          if head land 1 = kind_deliver then
+            Some
+              ( at,
+                seq,
+                Pending_deliver
+                  {
+                    at;
+                    dst = head lsr 1;
+                    port = qu.ev_x.(h);
+                    edge = qu.ev_y.(h);
+                    msg = qu.ev_msg.(h);
+                  } )
+          else Some (at, seq, Pending_control { at }))
+      (qu.sched.Scheduler.sorted ~keep:(fun _ -> true))
   in
   let merged =
     List.sort
       (fun (p1, s1, _) (p2, s2, _) ->
         let c = Float.compare p1 p2 in
         if c <> 0 then c else Int.compare s1 s2)
-      (List.concat lists)
+      (List.concat
+         (render t.ctrl_q
+         :: Array.to_list (Array.map (fun c -> render c.q) t.regions)))
   in
-  List.map
-    (fun (at, _, ev) ->
-      match ev with
-      | Deliver { dst; port; edge; msg } ->
-          Pending_deliver { at; dst; port; edge; msg }
-      | Timer_fire { node; slot; gen = _ } ->
-          let pool = t.regions.(t.node_region.(node)).pool in
-          Pending_timer
-            { at; node; h_target = pool.tp_h.(slot); tag = pool.tp_tag.(slot) }
-      | Control _ -> Pending_control { at })
-    merged
+  List.map (fun (_, _, pending) -> pending) merged

@@ -29,9 +29,10 @@ type 'msg api = {
   send : port:int -> 'msg -> unit;
   set_timer : h:float -> tag:int -> unit;
       (** Arm a one-shot timer that fires when the local hardware clock
-          reaches [h]; a value already in the past fires immediately. Any
-          number of timers may be pending; they are distinguished by [tag]
-          (tags need not be unique). *)
+          reaches [h]; a value already in the past fires immediately, and
+          NaN raises [Invalid_argument]. Any number of timers may be
+          pending; they are distinguished by [tag] (tags need not be
+          unique). *)
   rng : Gcs_util.Prng.t;  (** node-private deterministic randomness *)
 }
 
@@ -222,7 +223,7 @@ val dispatch_count : _ t -> dispatch_kind -> int
 val schedule_control : 'msg t -> at:float -> (unit -> unit) -> unit
 (** Run a closure at an absolute simulation time — the hook used by
     adversaries and metric probes. Closures scheduled for the past run at
-    the current time. *)
+    the current time; a NaN time raises [Invalid_argument]. *)
 
 val set_node_rate : 'msg t -> node:int -> rate:float -> unit
 (** Change a node's hardware clock rate as of [now], rescheduling the node's

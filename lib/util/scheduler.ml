@@ -7,165 +7,192 @@
    caller (the engine owns event identity); implementations only have to
    respect it.
 
+   What a scheduler orders is an int handle: the caller keeps the payload
+   (the engine keeps each queued event in its own unboxed columns) and the
+   handle names it. So every column here is unboxed — float priorities,
+   int sequences, int handles — a push allocates nothing beyond amortized
+   growth, and no sift ever writes a pointer (no write barrier, nothing
+   for the minor collector to scan).
+
    Two implementations are provided behind one signature: the binary heap
    (the reference — O(log n), branchy, order-oblivious) and a calendar
    queue (amortized O(1) for the time-localized access pattern of a
    simulation, where most pushes land a bounded horizon ahead of the pop
-   front). Both store entries as struct-of-arrays columns — unboxed float
-   priorities, int sequences, and a value column — so a push allocates
-   nothing beyond amortized growth. *)
+   front). *)
 
 module type S = sig
-  type 'a t
+  type t
 
-  val create : ?capacity:int -> unit -> 'a t
+  val create : ?capacity:int -> unit -> t
   (** [capacity] is a size hint; both implementations grow on demand. *)
 
-  val size : 'a t -> int
-  val is_empty : 'a t -> bool
+  val size : t -> int
+  val is_empty : t -> bool
 
-  val push : 'a t -> prio:float -> seq:int -> 'a -> unit
-  (** Insert with explicit tiebreaker. Pop order is ascending [(prio, seq)];
-      the caller is responsible for sequence monotonicity if it wants
-      insertion-order tie-breaking. *)
+  val push : t -> prio:float -> seq:int -> int -> unit
+  (** Insert a handle with explicit tiebreaker. Pop order is ascending
+      [(prio, seq)]; the caller is responsible for sequence monotonicity if
+      it wants insertion-order tie-breaking. *)
 
-  val min_prio : 'a t -> float
+  val min_prio : t -> float
   (** Priority of the next pop; [infinity] when empty (so schedulers merge
       with a bare [Float.min]). *)
 
-  val min_seq : 'a t -> int
+  val min_seq : t -> int
   (** Sequence of the next pop; [max_int] when empty. *)
 
-  val min_value : 'a t -> 'a
-  (** Value of the next pop without removing it. @raise Invalid_argument
+  val min_value : t -> int
+  (** Handle of the next pop without removing it. @raise Invalid_argument
       when empty. *)
 
-  val pop_min : 'a t -> 'a
-  (** Remove and return the minimum entry's value (read [min_prio] /
+  val pop_min : t -> int
+  (** Remove and return the minimum entry's handle (read [min_prio] /
       [min_seq] first if the key is needed). @raise Invalid_argument when
       empty. *)
 
-  val clear : 'a t -> unit
+  val clear : t -> unit
 
-  val sorted : ?keep:('a -> bool) -> 'a t -> (float * int * 'a) list
+  val sorted : ?keep:(int -> bool) -> t -> (float * int * int) list
   (** The queue's contents in exact pop order, without modifying it.
-      [keep] filters entries out of the rendering — the hook the engine
-      uses to drop stale timer entries (ghosts invalidated by re-keying)
-      so snapshot consumers never re-derive liveness by hand. *)
+      [keep] filters entries out of the rendering by handle. *)
 end
+
+(* ------------------------------------------------------------------ *)
+(* Heap columns: an array-backed binary min-heap on (prio, seq) in      *)
+(* three unboxed columns. The binary heap below is one; every day       *)
+(* bucket of the calendar queue is another. Sifts move a hole, not an   *)
+(* entry: each level copies one entry into the hole, and the moving     *)
+(* entry is written once, where the hole stops.                         *)
+(* ------------------------------------------------------------------ *)
+
+module Cols = struct
+  type t = {
+    mutable prios : float array;
+    mutable seqs : int array;
+    mutable vals : int array;
+    mutable len : int;
+  }
+
+  let create () = { prios = [||]; seqs = [||]; vals = [||]; len = 0 }
+
+  let reset c =
+    c.prios <- [||];
+    c.seqs <- [||];
+    c.vals <- [||];
+    c.len <- 0
+
+  (* [first] is the capacity of the first allocation; later ones double. *)
+  let grow c ~first =
+    let cap = Array.length c.prios in
+    let ncap = if cap = 0 then first else 2 * cap in
+    let np = Array.make ncap 0. in
+    let ns = Array.make ncap 0 in
+    let nv = Array.make ncap 0 in
+    Array.blit c.prios 0 np 0 c.len;
+    Array.blit c.seqs 0 ns 0 c.len;
+    Array.blit c.vals 0 nv 0 c.len;
+    c.prios <- np;
+    c.seqs <- ns;
+    c.vals <- nv
+
+  let push c ~first ~prio ~seq v =
+    if c.len = Array.length c.prios then grow c ~first;
+    let prios = c.prios and seqs = c.seqs and vals = c.vals in
+    let i = ref c.len in
+    let rising = ref true in
+    while !rising && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      let pp = prios.(parent) in
+      if prio < pp || (prio = pp && seq < seqs.(parent)) then begin
+        prios.(!i) <- pp;
+        seqs.(!i) <- seqs.(parent);
+        vals.(!i) <- vals.(parent);
+        i := parent
+      end
+      else rising := false
+    done;
+    prios.(!i) <- prio;
+    seqs.(!i) <- seq;
+    vals.(!i) <- v;
+    c.len <- c.len + 1
+
+  (* Remove the root; the caller has checked [len > 0]. The last entry
+     fills the hole the root leaves and sinks. *)
+  let pop c =
+    let prios = c.prios and seqs = c.seqs and vals = c.vals in
+    let top = vals.(0) in
+    let n = c.len - 1 in
+    c.len <- n;
+    if n > 0 then begin
+      let prio = prios.(n) and seq = seqs.(n) and v = vals.(n) in
+      let i = ref 0 in
+      let sinking = ref true in
+      while !sinking do
+        let l = (2 * !i) + 1 in
+        if l >= n then sinking := false
+        else begin
+          let r = l + 1 in
+          let ch =
+            if
+              r < n
+              && (prios.(r) < prios.(l)
+                 || (prios.(r) = prios.(l) && seqs.(r) < seqs.(l)))
+            then r
+            else l
+          in
+          let pc = prios.(ch) in
+          if pc < prio || (pc = prio && seqs.(ch) < seq) then begin
+            prios.(!i) <- pc;
+            seqs.(!i) <- seqs.(ch);
+            vals.(!i) <- vals.(ch);
+            i := ch
+          end
+          else sinking := false
+        end
+      done;
+      prios.(!i) <- prio;
+      seqs.(!i) <- seq;
+      vals.(!i) <- v
+    end;
+    top
+end
+
+let compare_key (p1, s1, _) (p2, s2, _) =
+  let c = Float.compare p1 p2 in
+  if c <> 0 then c else Int.compare s1 s2
 
 (* ------------------------------------------------------------------ *)
 (* Binary heap: the reference implementation.                          *)
 (* ------------------------------------------------------------------ *)
 
 module Binary_heap : S = struct
-  type 'a t = {
-    mutable prios : float array; (* unboxed float column *)
-    mutable seqs : int array;
-    mutable vals : 'a array;
-    mutable size : int;
-    hint : int;
-  }
+  type t = { h : Cols.t; hint : int }
 
-  let create ?(capacity = 64) () =
-    { prios = [||]; seqs = [||]; vals = [||]; size = 0; hint = max capacity 1 }
-
-  let size t = t.size
-  let is_empty t = t.size = 0
-
-  let grow t v =
-    let cap = Array.length t.prios in
-    if t.size = cap then begin
-      let ncap = if cap = 0 then t.hint else 2 * cap in
-      let np = Array.make ncap 0. in
-      let ns = Array.make ncap 0 in
-      let nv = Array.make ncap v in
-      Array.blit t.prios 0 np 0 t.size;
-      Array.blit t.seqs 0 ns 0 t.size;
-      Array.blit t.vals 0 nv 0 t.size;
-      t.prios <- np;
-      t.seqs <- ns;
-      t.vals <- nv
-    end
-
-  let[@inline] lt t i j =
-    t.prios.(i) < t.prios.(j)
-    || (t.prios.(i) = t.prios.(j) && t.seqs.(i) < t.seqs.(j))
-
-  let[@inline] swap t i j =
-    let p = t.prios.(i) and s = t.seqs.(i) and v = t.vals.(i) in
-    t.prios.(i) <- t.prios.(j);
-    t.seqs.(i) <- t.seqs.(j);
-    t.vals.(i) <- t.vals.(j);
-    t.prios.(j) <- p;
-    t.seqs.(j) <- s;
-    t.vals.(j) <- v
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if lt t i parent then begin
-        swap t i parent;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && lt t l !smallest then smallest := l;
-    if r < t.size && lt t r !smallest then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
-
-  let push t ~prio ~seq v =
-    grow t v;
-    let i = t.size in
-    t.prios.(i) <- prio;
-    t.seqs.(i) <- seq;
-    t.vals.(i) <- v;
-    t.size <- t.size + 1;
-    sift_up t i
-
-  let min_prio t = if t.size = 0 then infinity else t.prios.(0)
-  let min_seq t = if t.size = 0 then max_int else t.seqs.(0)
+  let create ?(capacity = 64) () = { h = Cols.create (); hint = max capacity 1 }
+  let size t = t.h.len
+  let is_empty t = t.h.len = 0
+  let push t ~prio ~seq v = Cols.push t.h ~first:t.hint ~prio ~seq v
+  let min_prio t = if t.h.len = 0 then infinity else t.h.prios.(0)
+  let min_seq t = if t.h.len = 0 then max_int else t.h.seqs.(0)
 
   let min_value t =
-    if t.size = 0 then invalid_arg "Scheduler.Binary_heap.min_value: empty";
-    t.vals.(0)
+    if t.h.len = 0 then invalid_arg "Scheduler.Binary_heap.min_value: empty";
+    t.h.vals.(0)
 
   let pop_min t =
-    if t.size = 0 then invalid_arg "Scheduler.Binary_heap.pop_min: empty";
-    let v = t.vals.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.prios.(0) <- t.prios.(t.size);
-      t.seqs.(0) <- t.seqs.(t.size);
-      t.vals.(0) <- t.vals.(t.size);
-      sift_down t 0
-    end;
-    v
+    if t.h.len = 0 then invalid_arg "Scheduler.Binary_heap.pop_min: empty";
+    Cols.pop t.h
 
-  let clear t =
-    t.size <- 0;
-    t.prios <- [||];
-    t.seqs <- [||];
-    t.vals <- [||]
+  let clear t = Cols.reset t.h
 
   let sorted ?(keep = fun _ -> true) t =
-    let idx = Array.init t.size (fun i -> i) in
-    Array.sort
-      (fun i j ->
-        let c = Float.compare t.prios.(i) t.prios.(j) in
-        if c <> 0 then c else Int.compare t.seqs.(i) t.seqs.(j))
-      idx;
-    Array.fold_right
-      (fun i acc ->
-        if keep t.vals.(i) then (t.prios.(i), t.seqs.(i), t.vals.(i)) :: acc
-        else acc)
-      idx []
+    let h = t.h in
+    let acc = ref [] in
+    for i = h.len - 1 downto 0 do
+      if keep h.vals.(i) then
+        acc := (h.prios.(i), h.seqs.(i), h.vals.(i)) :: !acc
+    done;
+    List.sort compare_key !acc
 end
 
 (* ------------------------------------------------------------------ *)
@@ -183,15 +210,8 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Calendar : S = struct
-  type 'a bucket = {
-    mutable bp : float array;
-    mutable bs : int array;
-    mutable bv : 'a array;
-    mutable blen : int;
-  }
-
-  type 'a t = {
-    mutable buckets : 'a bucket array;
+  type t = {
+    mutable buckets : Cols.t array;
     mutable mask : int; (* nbuckets - 1; nbuckets is a power of two *)
     mutable width : float;
     mutable size : int;
@@ -201,24 +221,22 @@ module Calendar : S = struct
         (* once the bucket count is capped, re-run the width heuristic
            whenever the population doubles past this size, so the calendar
            keeps adapting to the priority distribution *)
-    hint : int;
   }
 
-  let new_bucket () = { bp = [||]; bs = [||]; bv = [||]; blen = 0 }
-
+  (* First capacity of a day bucket; buckets double from there. *)
+  let bucket_hint = 4
   let init_nbuckets = 8
 
   let create ?(capacity = 64) () =
     ignore capacity;
     {
-      buckets = Array.init init_nbuckets (fun _ -> new_bucket ());
+      buckets = Array.init init_nbuckets (fun _ -> Cols.create ());
       mask = init_nbuckets - 1;
       width = 1.0;
       size = 0;
       last_prio = neg_infinity;
       peeked = -1;
       respread_at = max_int;
-      hint = 4;
     }
 
   let size t = t.size
@@ -240,73 +258,8 @@ module Calendar : S = struct
 
   let[@inline] index_of t prio = bucket_of_day t (day_of t prio)
 
-  let bucket_grow t b v =
-    let cap = Array.length b.bp in
-    if b.blen = cap then begin
-      let ncap = if cap = 0 then t.hint else 2 * cap in
-      let np = Array.make ncap 0. in
-      let ns = Array.make ncap 0 in
-      let nv = Array.make ncap v in
-      Array.blit b.bp 0 np 0 b.blen;
-      Array.blit b.bs 0 ns 0 b.blen;
-      Array.blit b.bv 0 nv 0 b.blen;
-      b.bp <- np;
-      b.bs <- ns;
-      b.bv <- nv
-    end
-
-  (* Min-heap order on (prio, seq) within a bucket; index 0 is the bucket
-     head every consumer below reads. *)
-  let[@inline] blt b i j =
-    b.bp.(i) < b.bp.(j) || (b.bp.(i) = b.bp.(j) && b.bs.(i) < b.bs.(j))
-
-  let[@inline] bswap b i j =
-    let p = b.bp.(i) and s = b.bs.(i) and v = b.bv.(i) in
-    b.bp.(i) <- b.bp.(j);
-    b.bs.(i) <- b.bs.(j);
-    b.bv.(i) <- b.bv.(j);
-    b.bp.(j) <- p;
-    b.bs.(j) <- s;
-    b.bv.(j) <- v
-
-  let rec bsift_up b i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if blt b i parent then begin
-        bswap b i parent;
-        bsift_up b parent
-      end
-    end
-
-  let rec bsift_down b i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < b.blen && blt b l !smallest then smallest := l;
-    if r < b.blen && blt b r !smallest then smallest := r;
-    if !smallest <> i then begin
-      bswap b i !smallest;
-      bsift_down b !smallest
-    end
-
-  let bucket_insert t b ~prio ~seq v =
-    bucket_grow t b v;
-    let i = b.blen in
-    b.bp.(i) <- prio;
-    b.bs.(i) <- seq;
-    b.bv.(i) <- v;
-    b.blen <- b.blen + 1;
-    bsift_up b i
-
-  let bucket_pop_head b =
-    let v = b.bv.(0) in
-    b.blen <- b.blen - 1;
-    if b.blen > 0 then begin
-      b.bp.(0) <- b.bp.(b.blen);
-      b.bs.(0) <- b.bs.(b.blen);
-      b.bv.(0) <- b.bv.(b.blen);
-      bsift_down b 0
-    end;
-    v
+  let bucket_insert b ~prio ~seq v =
+    Cols.push b ~first:bucket_hint ~prio ~seq v
 
   (* Align the dequeue position on [prio]; the scan day is derived from
      [last_prio] on demand, so this is the whole of the position state. *)
@@ -314,9 +267,9 @@ module Calendar : S = struct
 
   let iter_entries t f =
     Array.iter
-      (fun b ->
-        for i = 0 to b.blen - 1 do
-          f b.bp.(i) b.bs.(i) b.bv.(i)
+      (fun (b : Cols.t) ->
+        for i = 0 to b.len - 1 do
+          f b.prios.(i) b.seqs.(i) b.vals.(i)
         done)
       t.buckets
 
@@ -357,16 +310,16 @@ module Calendar : S = struct
   let resize t nbuckets' =
     let old = t.buckets in
     let width' = choose_width t in
-    t.buckets <- Array.init nbuckets' (fun _ -> new_bucket ());
+    t.buckets <- Array.init nbuckets' (fun _ -> Cols.create ());
     t.mask <- nbuckets' - 1;
     t.width <- width';
     let n = t.size in
     t.size <- 0;
     Array.iter
-      (fun b ->
-        for i = 0 to b.blen - 1 do
-          let bkt = t.buckets.(index_of t b.bp.(i)) in
-          bucket_insert t bkt ~prio:b.bp.(i) ~seq:b.bs.(i) b.bv.(i)
+      (fun (b : Cols.t) ->
+        for i = 0 to b.len - 1 do
+          let bkt = t.buckets.(index_of t b.prios.(i)) in
+          bucket_insert bkt ~prio:b.prios.(i) ~seq:b.seqs.(i) b.vals.(i)
         done)
       old;
     t.size <- n;
@@ -385,7 +338,7 @@ module Calendar : S = struct
 
   let push t ~prio ~seq v =
     let b = t.buckets.(index_of t prio) in
-    bucket_insert t b ~prio ~seq v;
+    bucket_insert b ~prio ~seq v;
     t.size <- t.size + 1;
     if t.size = 1 then align t prio
     else if prio < t.last_prio then align t prio;
@@ -393,7 +346,7 @@ module Calendar : S = struct
        it — including at equal priority with a smaller sequence (callers
        are free to hand out non-monotone sequences; the region-parallel
        engine does). *)
-    if t.peeked >= 0 && prio <= t.buckets.(t.peeked).bp.(0) then
+    if t.peeked >= 0 && prio <= t.buckets.(t.peeked).prios.(0) then
       t.peeked <- -1;
     if t.size > 2 * (t.mask + 1) then begin
       if t.mask < 0xFFFF then resize t (2 * (t.mask + 1))
@@ -421,7 +374,7 @@ module Calendar : S = struct
          for _ = 0 to nbuckets - 1 do
            let i = bucket_of_day t !day in
            let b = t.buckets.(i) in
-           if b.blen > 0 && day_of t b.bp.(0) = !day then begin
+           if b.len > 0 && day_of t b.prios.(0) = !day then begin
              found := i;
              raise Exit
            end;
@@ -433,17 +386,17 @@ module Calendar : S = struct
         let best = ref (-1) in
         for j = 0 to nbuckets - 1 do
           let b = t.buckets.(j) in
-          if b.blen > 0 then
+          if b.len > 0 then
             if
               !best < 0
               ||
               let c = t.buckets.(!best) in
-              b.bp.(0) < c.bp.(0)
-              || (b.bp.(0) = c.bp.(0) && b.bs.(0) < c.bs.(0))
+              b.prios.(0) < c.prios.(0)
+              || (b.prios.(0) = c.prios.(0) && b.seqs.(0) < c.seqs.(0))
             then best := j
         done;
         found := !best;
-        align t t.buckets.(!best).bp.(0)
+        align t t.buckets.(!best).prios.(0)
       end;
       t.peeked <- !found;
       !found
@@ -451,23 +404,23 @@ module Calendar : S = struct
 
   let min_prio t =
     let i = find_min t in
-    if i < 0 then infinity else t.buckets.(i).bp.(0)
+    if i < 0 then infinity else t.buckets.(i).prios.(0)
 
   let min_seq t =
     let i = find_min t in
-    if i < 0 then max_int else t.buckets.(i).bs.(0)
+    if i < 0 then max_int else t.buckets.(i).seqs.(0)
 
   let min_value t =
     let i = find_min t in
     if i < 0 then invalid_arg "Scheduler.Calendar.min_value: empty";
-    t.buckets.(i).bv.(0)
+    t.buckets.(i).vals.(0)
 
   let pop_min t =
     let i = find_min t in
     if i < 0 then invalid_arg "Scheduler.Calendar.pop_min: empty";
     let b = t.buckets.(i) in
-    t.last_prio <- b.bp.(0);
-    let v = bucket_pop_head b in
+    t.last_prio <- b.prios.(0);
+    let v = Cols.pop b in
     t.size <- t.size - 1;
     t.peeked <- -1;
     if t.size < (t.mask + 1) / 2 && t.mask + 1 > init_nbuckets then
@@ -475,7 +428,7 @@ module Calendar : S = struct
     v
 
   let clear t =
-    t.buckets <- Array.init init_nbuckets (fun _ -> new_bucket ());
+    t.buckets <- Array.init init_nbuckets (fun _ -> Cols.create ());
     t.mask <- init_nbuckets - 1;
     t.width <- 1.0;
     t.size <- 0;
@@ -486,11 +439,7 @@ module Calendar : S = struct
   let sorted ?(keep = fun _ -> true) t =
     let acc = ref [] in
     iter_entries t (fun p s v -> if keep v then acc := (p, s, v) :: !acc);
-    List.sort
-      (fun (p1, s1, _) (p2, s2, _) ->
-        let c = Float.compare p1 p2 in
-        if c <> 0 then c else Int.compare s1 s2)
-      !acc
+    List.sort compare_key !acc
 end
 
 (* ------------------------------------------------------------------ *)
@@ -498,15 +447,15 @@ end
 (* functorized over [S] yet still select the implementation per run.    *)
 (* ------------------------------------------------------------------ *)
 
-type 'a t = {
+type t = {
   size : unit -> int;
-  push : prio:float -> seq:int -> 'a -> unit;
+  push : prio:float -> seq:int -> int -> unit;
   min_prio : unit -> float;
   min_seq : unit -> int;
-  min_value : unit -> 'a;
-  pop_min : unit -> 'a;
+  min_value : unit -> int;
+  pop_min : unit -> int;
   clear : unit -> unit;
-  sorted : keep:('a -> bool) -> (float * int * 'a) list;
+  sorted : keep:(int -> bool) -> (float * int * int) list;
 }
 
 module Pack (Q : S) = struct

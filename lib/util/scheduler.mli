@@ -1,44 +1,45 @@
-(** Pending-event schedulers: priority queues keyed by [(prio, seq)].
+(** Pending-event schedulers: priority queues of int handles keyed by
+    [(prio, seq)].
 
     The engine orders events by simulation time ([prio]) and breaks ties
     with a monotone sequence number it assigns at push time, making pop
-    order total and runs reproducible. Implementations store entries as
-    struct-of-arrays columns so pushes allocate nothing beyond amortized
-    growth. *)
+    order total and runs reproducible. A scheduler orders plain int
+    handles; the caller keeps the payload each handle names. Entries live
+    in three unboxed columns (priority, sequence, handle), so pushes
+    allocate nothing beyond amortized growth and no sift writes a pointer. *)
 
 module type S = sig
-  type 'a t
+  type t
 
-  val create : ?capacity:int -> unit -> 'a t
+  val create : ?capacity:int -> unit -> t
   (** [capacity] is a size hint; implementations grow on demand. *)
 
-  val size : 'a t -> int
-  val is_empty : 'a t -> bool
+  val size : t -> int
+  val is_empty : t -> bool
 
-  val push : 'a t -> prio:float -> seq:int -> 'a -> unit
-  (** Insert with an explicit tiebreaker. Pop order is ascending
-      [(prio, seq)]. *)
+  val push : t -> prio:float -> seq:int -> int -> unit
+  (** Insert a handle with an explicit tiebreaker. Pop order is ascending
+      [(prio, seq)]; [prio] must not be NaN, which no order ranks. *)
 
-  val min_prio : 'a t -> float
+  val min_prio : t -> float
   (** Priority of the next pop; [infinity] when empty. *)
 
-  val min_seq : 'a t -> int
+  val min_seq : t -> int
   (** Sequence of the next pop; [max_int] when empty. *)
 
-  val min_value : 'a t -> 'a
-  (** Value of the next pop without removing it.
+  val min_value : t -> int
+  (** Handle of the next pop without removing it.
       @raise Invalid_argument when empty. *)
 
-  val pop_min : 'a t -> 'a
-  (** Remove and return the minimum entry's value.
+  val pop_min : t -> int
+  (** Remove and return the minimum entry's handle.
       @raise Invalid_argument when empty. *)
 
-  val clear : 'a t -> unit
+  val clear : t -> unit
 
-  val sorted : ?keep:('a -> bool) -> 'a t -> (float * int * 'a) list
+  val sorted : ?keep:(int -> bool) -> t -> (float * int * int) list
   (** Contents in exact pop order, without modification. [keep] filters
-      entries out of the rendering — used by the engine to hide stale
-      timer entries from snapshot consumers. *)
+      entries out of the rendering by handle. *)
 end
 
 module Binary_heap : S
@@ -54,24 +55,24 @@ module Calendar : S
     A scheduler as a first-class value, so callers functorized over {!S}
     can still select the implementation per run. *)
 
-type 'a t = {
+type t = {
   size : unit -> int;
-  push : prio:float -> seq:int -> 'a -> unit;
+  push : prio:float -> seq:int -> int -> unit;
   min_prio : unit -> float;
   min_seq : unit -> int;
-  min_value : unit -> 'a;
-  pop_min : unit -> 'a;
+  min_value : unit -> int;
+  pop_min : unit -> int;
   clear : unit -> unit;
-  sorted : keep:('a -> bool) -> (float * int * 'a) list;
+  sorted : keep:(int -> bool) -> (float * int * int) list;
 }
 
 module Pack (Q : S) : sig
-  val make : ?capacity:int -> unit -> 'a t
+  val make : ?capacity:int -> unit -> t
 end
 
 type kind = Binary_heap | Calendar
 
-val make : ?capacity:int -> kind -> 'a t
+val make : ?capacity:int -> kind -> t
 val kind_name : kind -> string
 val kind_of_string : string -> (kind, string) result
 val all_kinds : kind list

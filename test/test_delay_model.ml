@@ -15,6 +15,15 @@ let test_bounds_validation () =
     (Invalid_argument "Delay_model.bounds: need 0 <= d_min <= d_max")
     (fun () -> ignore (Dm.bounds ~d_min:2. ~d_max:1.))
 
+let test_bounds_non_finite () =
+  List.iter
+    (fun (d_min, d_max) ->
+      Alcotest.check_raises
+        (Printf.sprintf "[%g, %g]" d_min d_max)
+        (Invalid_argument "Delay_model.bounds: d_min and d_max must be finite")
+        (fun () -> ignore (Dm.bounds ~d_min ~d_max)))
+    [ (nan, 1.); (0.5, nan); (0.5, infinity); (neg_infinity, 1.) ]
+
 let test_uncertainty () =
   Alcotest.(check (float 1e-12)) "u" 1. (Dm.uncertainty b)
 
@@ -117,6 +126,7 @@ let test_controlled_clamps_rogue_chooser () =
 let suite =
   [
     Alcotest.test_case "bounds validation" `Quick test_bounds_validation;
+    Alcotest.test_case "non-finite bounds" `Quick test_bounds_non_finite;
     Alcotest.test_case "uncertainty" `Quick test_uncertainty;
     Alcotest.test_case "fixed" `Quick test_fixed;
     Alcotest.test_case "per edge" `Quick test_per_edge;

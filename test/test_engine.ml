@@ -452,6 +452,42 @@ let test_pending_snapshot_filters_stale_timers () =
       Alcotest.(check (float 1e-9)) "same hardware target" 5. h_target
   | l -> Alcotest.failf "expected 1 live timer, got %d entries" (List.length l)
 
+(* A NaN time has no place in the event queue's total order: the engine
+   refuses a NaN timer target, a NaN control time and a NaN delay draw
+   (which the delay model's clamp passes through). *)
+let test_nan_times_refused () =
+  let arm_nan =
+    make_engine ~n:2 (fun v ->
+        {
+          null_handlers with
+          Engine.on_init =
+            (fun api -> if v = 0 then api.Engine.set_timer ~h:nan ~tag:0);
+        })
+  in
+  Alcotest.check_raises "set_timer ~h:nan"
+    (Invalid_argument "Engine.set_timer: h is NaN") (fun () ->
+      Engine.run_until arm_nan 1.);
+  let engine = make_engine ~n:2 (fun _ -> null_handlers) in
+  Alcotest.check_raises "schedule_control ~at:nan"
+    (Invalid_argument "Engine.schedule_control: at is NaN") (fun () ->
+      Engine.schedule_control engine ~at:nan (fun () -> ()));
+  let b = Dm.bounds ~d_min:1. ~d_max:2. in
+  let nan_delays =
+    Dm.controlled b ~default:(Dm.uniform b)
+      (ref (Some (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> nan)))
+  in
+  let sender =
+    make_engine ~n:2 ~delays:nan_delays (fun v ->
+        {
+          null_handlers with
+          Engine.on_init =
+            (fun api -> if v = 0 then api.Engine.send ~port:0 Pong);
+        })
+  in
+  match Engine.run_until sender 5. with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a NaN delay was queued"
+
 let test_rejects_wrong_clock_count () =
   let graph = Topology.line 3 in
   Alcotest.check_raises "clock count"
@@ -478,6 +514,7 @@ let suite =
     Alcotest.test_case "counters" `Quick test_counters;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "wrong clock count" `Quick test_rejects_wrong_clock_count;
+    Alcotest.test_case "NaN times refused" `Quick test_nan_times_refused;
     Alcotest.test_case "step" `Quick test_step_single_event;
     Alcotest.test_case "pending events" `Quick test_pending_events_accessor;
     Alcotest.test_case "observer clear" `Quick test_observer_cleared;

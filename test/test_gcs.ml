@@ -20,6 +20,7 @@ let () =
       ("sim.fault_plan", Test_fault_plan.suite);
       ("sim.churn_plan", Test_churn_plan.suite);
       ("sim.engine", Test_engine.suite);
+      ("sim.event_queue", Test_event_queue.suite);
       ("obs.sinks", Test_obs.suite);
       ("obs.export", Test_event_log_export.suite);
       ("store", Test_store.suite);

@@ -60,6 +60,42 @@ let test_config_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted zero sample period"
 
+(* Every test is written so that NaN fails it: a NaN time breaks the event
+   queue's order and an infinite horizon never ends. A key carrying such a
+   value (a hand-edited .repro, say) gets a typed error back. *)
+let test_non_finite_config_refused () =
+  let g = Topology.ring 4 in
+  let refused name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | (_ : Runner.config) -> Alcotest.failf "accepted %s" name
+  in
+  refused "horizon nan" (fun () -> Runner.config ~horizon:nan g);
+  refused "horizon inf" (fun () -> Runner.config ~horizon:infinity g);
+  refused "sample period nan" (fun () -> Runner.config ~sample_period:nan g);
+  refused "sample period inf" (fun () ->
+      Runner.config ~sample_period:infinity g);
+  refused "warmup nan" (fun () -> Runner.config ~warmup:nan g);
+  refused "series period nan" (fun () ->
+      Runner.config ~obs:(Gcs_obs.Capture.full ~series_period:nan ()) g);
+  refused "loss nan" (fun () ->
+      Runner.config ~loss:(Runner.Uniform_loss nan) g);
+  let key ?loss horizon =
+    Runner.store_key ?loss ~spec ~topology:(Topology.Ring 4)
+      ~algo:Algorithm.Gradient_sync ~horizon ~seed:1 ()
+  in
+  let typed_error name k =
+    match Runner.config_of_key k with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "key with %s accepted" name
+  in
+  typed_error "horizon=nan" (key nan);
+  typed_error "horizon=inf" (key infinity);
+  typed_error "loss=nan" (key ~loss:nan 10.);
+  match Runner.config_of_key (key 10.) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
 let test_bad_spec_rejected () =
   let g = Topology.ring 4 in
   let bad_spec = { spec with Spec.mu = spec.Spec.rho /. 2. } in
@@ -270,6 +306,8 @@ let suite =
     Alcotest.test_case "snapshot" `Quick test_snapshot_live;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "bad spec rejected" `Quick test_bad_spec_rejected;
+    Alcotest.test_case "non-finite config refused" `Quick
+      test_non_finite_config_refused;
     Alcotest.test_case "all delay kinds" `Quick test_delay_kinds_all_run;
     Alcotest.test_case "warmup excludes transient" `Quick test_warmup_excludes_transient;
     Alcotest.test_case "warmup past horizon" `Quick test_warmup_past_horizon;

@@ -1,7 +1,7 @@
 module Scheduler = Gcs_util.Scheduler
 
-(* Drain a packed scheduler into (prio, seq, value) pop order. *)
-let drain (q : _ Scheduler.t) =
+(* Drain a packed scheduler into (prio, seq, handle) pop order. *)
+let drain (q : Scheduler.t) =
   let rec go acc =
     if q.size () = 0 then List.rev acc
     else
@@ -38,14 +38,16 @@ let test_basic_order () =
         popped)
     Scheduler.all_kinds
 
+(* Handles name payloads the caller keeps, here the strings of [names]. *)
 let test_tie_by_seq () =
+  let names = [| "a"; "b"; "c" |] in
   List.iter
     (fun kind ->
       let q = Scheduler.make kind in
-      q.Scheduler.push ~prio:1. ~seq:2 "b";
-      q.Scheduler.push ~prio:1. ~seq:0 "a";
-      q.Scheduler.push ~prio:1. ~seq:7 "c";
-      let vals = List.map (fun (_, _, v) -> v) (drain q) in
+      q.Scheduler.push ~prio:1. ~seq:2 1;
+      q.Scheduler.push ~prio:1. ~seq:0 0;
+      q.Scheduler.push ~prio:1. ~seq:7 2;
+      let vals = List.map (fun (_, _, h) -> names.(h)) (drain q) in
       Alcotest.(check (list string))
         (Scheduler.kind_name kind ^ " seq ties")
         [ "a"; "b"; "c" ] vals)
@@ -249,6 +251,108 @@ let prop_model =
           !ok && q.Scheduler.size () = 0)
         Scheduler.all_kinds)
 
+(* Handle property: the engine hands out handles from a free list and
+   pushes a popped handle again, so every push must come back out of
+   exactly one pop. Random interleavings of pushes, bursts (which grow the
+   columns well past their first capacity and take the calendar through
+   its resizes), pops, partial drains (which shrink the calendar again)
+   and [clear] (whose handles go back to the free list unpopped). After
+   the script, [sorted] must equal the drain order and the drain must
+   return exactly the handles still live. *)
+type handle_op =
+  | H_push of float
+  | H_burst of int * float
+  | H_pop
+  | H_drain of int
+  | H_clear
+
+let handle_ops_arb =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map
+           (function
+             | H_push p -> Printf.sprintf "push %g" p
+             | H_burst (k, p) -> Printf.sprintf "burst %d@%g" k p
+             | H_pop -> "pop"
+             | H_drain k -> Printf.sprintf "drain %d" k
+             | H_clear -> "clear")
+           ops))
+    QCheck.Gen.(
+      list_size (int_range 0 40)
+        (frequency
+           [
+             (4, map (fun p -> H_push p) (float_range 0. 100.));
+             (1, map (fun p -> H_push (p *. 1e4)) (float_range 0. 100.));
+             ( 2,
+               map2 (fun k p -> H_burst (k, p)) (int_range 1 300)
+                 (float_range 0. 100.) );
+             (3, return H_pop);
+             (1, map (fun k -> H_drain k) (int_range 1 200));
+             (1, return H_clear);
+           ]))
+
+let prop_handles_popped_once =
+  QCheck.Test.make
+    ~name:"handle reuse through growth and clear: each push popped once"
+    ~count:200 handle_ops_arb (fun ops ->
+      List.for_all
+        (fun kind ->
+          let q = Scheduler.make kind in
+          let live = Hashtbl.create 64 in
+          let free = ref [] and next = ref 0 and seq = ref 0 in
+          let ok = ref true in
+          let fresh () =
+            match !free with
+            | h :: rest ->
+                free := rest;
+                h
+            | [] ->
+                incr next;
+                !next - 1
+          in
+          let push prio =
+            let h = fresh () in
+            q.Scheduler.push ~prio ~seq:!seq h;
+            incr seq;
+            Hashtbl.replace live h ()
+          in
+          let pop () =
+            if q.Scheduler.size () > 0 then begin
+              let h = q.Scheduler.pop_min () in
+              if not (Hashtbl.mem live h) then ok := false;
+              Hashtbl.remove live h;
+              free := h :: !free
+            end
+          in
+          List.iter
+            (fun op ->
+              (match op with
+              | H_push p -> push p
+              | H_burst (k, p) ->
+                  for i = 0 to k - 1 do
+                    push (p +. float_of_int (i mod 17))
+                  done
+              | H_pop -> pop ()
+              | H_drain k ->
+                  for _ = 1 to k do
+                    pop ()
+                  done
+              | H_clear ->
+                  q.Scheduler.clear ();
+                  Hashtbl.iter (fun h () -> free := h :: !free) live;
+                  Hashtbl.reset live);
+              if q.Scheduler.size () <> Hashtbl.length live then ok := false)
+            ops;
+          let rendered = q.Scheduler.sorted ~keep:(fun _ -> true) in
+          let drained = drain q in
+          let handles = List.map (fun (_, _, h) -> h) drained in
+          !ok && rendered = drained
+          && List.length handles = Hashtbl.length live
+          && List.for_all (Hashtbl.mem live) handles
+          && List.length (List.sort_uniq compare handles) = List.length handles)
+        Scheduler.all_kinds)
+
 let test_kind_of_string () =
   Alcotest.(check bool)
     "heap parses" true
@@ -271,4 +375,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_calendar_matches_heap;
     QCheck_alcotest.to_alcotest prop_calendar_sorts;
     QCheck_alcotest.to_alcotest prop_model;
+    QCheck_alcotest.to_alcotest prop_handles_popped_once;
   ]

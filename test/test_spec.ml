@@ -34,6 +34,26 @@ let test_validation_failures () =
   expect_invalid (fun () -> Spec.make ~kappa:(-1.) ());
   expect_invalid (fun () -> Spec.make ~d_min:2. ~d_max:1. ())
 
+(* NaN fails every range test, so finiteness is checked first. *)
+let test_non_finite_refused () =
+  let refused name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | (_ : Spec.t) -> Alcotest.failf "accepted %s" name
+  in
+  refused "rho nan" (fun () -> Spec.make ~rho:nan ());
+  refused "mu inf" (fun () -> Spec.make ~mu:infinity ());
+  refused "d_min nan" (fun () -> Spec.make ~d_min:nan ());
+  refused "d_max inf" (fun () -> Spec.make ~d_max:infinity ());
+  refused "period nan" (fun () -> Spec.make ~beacon_period:nan ());
+  refused "period inf" (fun () -> Spec.make ~beacon_period:infinity ());
+  refused "kappa nan" (fun () -> Spec.make ~kappa:nan ());
+  refused "kappa inf" (fun () -> Spec.make ~kappa:infinity ());
+  refused "staleness nan" (fun () -> Spec.make ~staleness_limit:nan ());
+  Alcotest.(check (result unit string))
+    "validate names the field" (Error "kappa must be finite (got nan)")
+    (Spec.validate { (Spec.make ()) with Spec.kappa = nan })
+
 let test_validate_ok () =
   match Spec.validate (Spec.make ()) with
   | Ok () -> ()
@@ -70,6 +90,7 @@ let suite =
     Alcotest.test_case "sigma infinite" `Quick test_sigma_infinite_when_perfect;
     Alcotest.test_case "zero-u kappa" `Quick test_zero_uncertainty_kappa_positive;
     Alcotest.test_case "validation failures" `Quick test_validation_failures;
+    Alcotest.test_case "non-finite refused" `Quick test_non_finite_refused;
     Alcotest.test_case "validate ok" `Quick test_validate_ok;
     Alcotest.test_case "error grows with u" `Quick test_estimate_error_grows_with_u;
     Alcotest.test_case "explicit kappa" `Quick test_explicit_kappa_respected;
