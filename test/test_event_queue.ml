@@ -1,17 +1,18 @@
-(* The engine's event queues: every queued event lives in a per-queue pool
-   of columns and the scheduler orders its int handle. A heap engine and a
-   calendar engine step in lockstep over small random graphs while a script
-   of controls partitions and heals edges, crashes and recovers nodes (with
-   and without wiping their state) and changes clock rates. After every
-   step both engines must show the same pending snapshot and counters, and
-   the snapshot must agree with what the nodes themselves armed and sent:
-   exactly the live timers (no ghost of a re-keyed or cancelled timer) and
-   each message in flight once. Every queue entry must also be accounted
-   for: the pushes the nodes and the script caused equal the pops plus the
-   entries still queued, so a stale timer entry that does anything at all
-   shows up. Handles are reused all the time here — every timer fire
-   re-arms, every dispatch frees its handle — so a handle freed too early
-   shows up as a mismatch. *)
+(* The engine's event queues: every queued event lives in per-queue
+   columns (a timer as its slot, a delivery or a control as a handle into
+   the queue's pool) and the scheduler orders its int handle. A heap engine
+   and a calendar engine step in lockstep over small random graphs while a
+   script of controls partitions and heals edges, crashes and recovers
+   nodes (with and without wiping their state) and changes clock rates.
+   After every step both engines must show the same pending snapshot and
+   counters, and the snapshot must agree with what the nodes themselves
+   armed and sent: exactly the live timers (no ghost of a re-keyed or
+   cancelled timer) and each message in flight once. Every queue entry
+   must also be accounted for: the pushes the nodes and the script caused
+   equal the pops plus the entries still queued, so a stale timer entry
+   that does anything at all shows up. Handles are reused all the time
+   here — every timer fire re-arms, every dispatch frees its handle — so a
+   handle freed too early shows up as a mismatch. *)
 
 module Engine = Gcs_sim.Engine
 module Dm = Gcs_sim.Delay_model
