@@ -278,8 +278,9 @@ type 'msg witem =
   | W_obs of { at : float; obs : observation }
   | W_imm of int (* lane index of a push already made into the region queue *)
   | W_push of { prio : float; h : int }
-      (* arrival beyond the window: a handle in the region's queue pool,
-         queued at the barrier *)
+      (* arrival beyond the window: a handle of the region's queue, queued
+         (and, for a timer, recorded as its slot's live entry) at the
+         barrier *)
   | W_cross of {
       at : float;
       src : int;
