@@ -20,7 +20,7 @@ type verdict = Reproduced | Diverged of Monitor.violation | Missing
    replayed run compares its violation to the expected one with plain
    structural equality. *)
 
-let fl = Printf.sprintf "%.17g"
+let fl = Gcs_util.Table.fmt_17g
 
 let move_to_string { Search.fast_side; bias } =
   let c1 = match fast_side with `Left -> 'L' | `Right -> 'R' | `None -> 'N' in

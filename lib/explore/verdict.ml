@@ -50,7 +50,7 @@ let escape s =
   Buffer.contents buf
 
 let str s = Printf.sprintf "\"%s\"" (escape s)
-let fl x = Printf.sprintf "%.17g" x
+let fl = Gcs_util.Table.fmt_17g
 let obj fields =
   "{"
   ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields)

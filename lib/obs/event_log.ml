@@ -1,5 +1,6 @@
 module Engine = Gcs_sim.Engine
 module Csv = Gcs_util.Csv
+module Table = Gcs_util.Table
 
 type format = Jsonl | Csv
 
@@ -166,14 +167,6 @@ let get t cols i key =
 let format t = t.format_
 let recorded t = t.recorded
 
-(* %.17g round-trips every double exactly, so export -> parse -> re-export
-   is byte-identical — the property the schema checker enforces. The
-   runtime's formatter is the C call Printf's "%.17g" ends in: the same
-   bytes, without interpreting a format string for every float. *)
-external format_float : string -> float -> string = "caml_format_float"
-
-let fnum x = format_float "%.17g" x
-
 (* Decimal digits straight into the buffer. Negative ints, which only a
    parsed line can carry, go through [string_of_int]. *)
 let rec add_digits buf n =
@@ -217,14 +210,16 @@ let csv_cells = List.length csv_columns - 3
    line's seq (the run tag, and JSONL's opening), the CSV cells written so
    far, and the last time printed with its text. A send shares its timer's
    time, so about a third of a run's lines repeat their predecessor's time;
-   the memo compares bits, so 0. and -0. keep their own texts. *)
+   the memo compares bits, so 0. and -0. keep their own texts. The text
+   is at most 24 bytes (as in -2.2250738585072014e-308). *)
 type encoder = {
   buf : Buffer.t;
   csv : bool;
   prefix : string;
   mutable cells : int;
   last_time : float array;
-  mutable last_text : string;
+  last_text : Bytes.t;
+  mutable last_len : int;
 }
 
 let encoder ?run format_ =
@@ -236,23 +231,21 @@ let encoder ?run format_ =
     | None, true -> ""
     | Some r, true -> string_of_int r ^ ","
   in
-  {
-    buf = Buffer.create 128;
-    csv;
-    prefix;
-    cells = 0;
-    last_time = [| 0. |];
-    last_text = "0" (* fnum 0. *);
-  }
+  let last_text = Bytes.create 24 in
+  Bytes.set last_text 0 '0' (* the text of 0. *);
+  { buf = Buffer.create 128; csv; prefix; cells = 0; last_time = [| 0. |];
+    last_text; last_len = 1 }
 
-let time_text e t =
+let add_time e t =
+  let b = e.buf in
   if Int64.bits_of_float t = Int64.bits_of_float e.last_time.(0) then
-    e.last_text
+    Buffer.add_subbytes b e.last_text 0 e.last_len
   else begin
-    let text = fnum t in
+    let pos = Buffer.length b in
+    Table.add_17g b t;
     e.last_time.(0) <- t;
-    e.last_text <- text;
-    text
+    e.last_len <- Buffer.length b - pos;
+    Buffer.blit b pos e.last_text 0 e.last_len
   end
 
 (* Start the field that CSV keeps in cell [cell]: JSONL writes its literal
@@ -269,9 +262,11 @@ let int_field e cell key v =
   start_field e cell key;
   add_int e.buf v
 
+(* %.17g round-trips every double exactly, so export -> parse -> re-export
+   is byte-identical — the property the schema checker enforces. *)
 let float_field e cell key x =
   start_field e cell key;
-  Buffer.add_string e.buf (fnum x)
+  Table.add_17g e.buf x
 
 let src_dst_edge e src dst edge =
   int_field e 0 ",\"src\":" src;
@@ -311,7 +306,7 @@ let add_entry e { seq; time; obs } =
   Buffer.add_string b e.prefix;
   add_int b seq;
   Buffer.add_string b (if e.csv then "," else ",\"t\":");
-  Buffer.add_string b (time_text e time);
+  add_time e time;
   Buffer.add_string b (if e.csv then "," else ",\"ev\":\"");
   Buffer.add_string b (tag_of_obs obs);
   if not e.csv then Buffer.add_char b '"';
@@ -599,11 +594,13 @@ let start spans k =
 
 let int_at line spans k = int_value line k (start spans k) spans.((3 * k) + 1)
 
+(* JSON has no inf or nan, and no run records one. *)
 let float_at line spans k =
   let a = start spans k in
   let v = String.sub line a (spans.((3 * k) + 1) - a) in
   match float_of_string v with
-  | x -> x
+  | x when Float.is_finite x -> x
+  | _ -> bad "%s is not a finite number: %s" keys.(k) v
   | exception Failure _ -> bad "%s is not a number: %s" keys.(k) v
 
 let bool_at line spans k =
@@ -677,9 +674,12 @@ let check_unexpected line spans unknown used =
   done;
   if !first < max_int then bad "unexpected field %s" !name
 
-let parse_line line =
+let spans_len = 3 * Array.length keys
+
+(* [parse_line] with the value spans in [spans], which it resets first. *)
+let parse_into spans line =
+  Array.fill spans 0 spans_len (-1);
   try
-    let spans = Array.make (3 * Array.length keys) (-1) in
     let unknown = scan_object line spans in
     let run =
       if spans.(3 * k_run) < 0 then None else Some (int_at line spans k_run)
@@ -695,9 +695,67 @@ let parse_line line =
     Ok { run; entry = { seq; time; obs } }
   with Bad msg -> Error msg
 
+let parse_line line = parse_into (Array.make spans_len (-1)) line
+
 let validate_line line =
   match parse_line line with
   | Error _ as e -> e
   | Ok p ->
       if String.equal (encode_line ?run:p.run Jsonl p.entry) line then Ok p
       else Error "line is valid but not in canonical form"
+
+let same_bits x y = Int64.bits_of_float x = Int64.bits_of_float y
+
+(* Equal observations, floats compared by bits. *)
+let same_obs a b =
+  match (a, b) with
+  | Engine.Obs_send x, Engine.Obs_send y ->
+      x.src = y.src && x.dst = y.dst && x.edge = y.edge
+      && same_bits x.delay y.delay
+  | Engine.Obs_rate_change x, Engine.Obs_rate_change y ->
+      x.node = y.node && same_bits x.rate y.rate
+  | ( Engine.Obs_drop { src; dst; edge },
+      Engine.Obs_drop { src = s; dst = d; edge = g } )
+  | ( Engine.Obs_fault_drop { src; dst; edge },
+      Engine.Obs_fault_drop { src = s; dst = d; edge = g } )
+  | ( Engine.Obs_duplicate { src; dst; edge },
+      Engine.Obs_duplicate { src = s; dst = d; edge = g } )
+  | ( Engine.Obs_corrupt { src; dst; edge },
+      Engine.Obs_corrupt { src = s; dst = d; edge = g } )
+  | ( Engine.Obs_lie { src; dst; edge },
+      Engine.Obs_lie { src = s; dst = d; edge = g } ) ->
+      src = s && dst = d && edge = g
+  | Engine.Obs_deliver x, Engine.Obs_deliver y ->
+      x.dst = y.dst && x.port = y.port
+  | Engine.Obs_timer x, Engine.Obs_timer y -> x.node = y.node && x.tag = y.tag
+  | Engine.Obs_node_down x, Engine.Obs_node_down y -> x.node = y.node
+  | Engine.Obs_node_up x, Engine.Obs_node_up y ->
+      x.node = y.node && x.wipe = y.wipe
+  | Engine.Obs_edge_down { edge }, Engine.Obs_edge_down { edge = g }
+  | Engine.Obs_edge_up { edge }, Engine.Obs_edge_up { edge = g } ->
+      edge = g
+  | _ -> false
+
+(* The export checks each line against the entry it encoded. The line is
+   that entry's encoding by construction, so when it parses back to the
+   entry (floats by bits, the same run tag), re-encoding the parse gives
+   the line itself and [validate_line] would accept it: the one parse
+   stands for parse, re-encode and compare. Any difference goes to
+   [validate_line], so every line gets exactly its verdict and message.
+   The pass parses into one spans array. *)
+let iter_checked_lines ?run t f =
+  let enc = encoder ?run t.format_ in
+  let spans = Array.make spans_len (-1) in
+  iter t (fun e ->
+      Buffer.clear enc.buf;
+      add_entry enc e;
+      let line = Buffer.contents enc.buf in
+      f line
+        (match parse_into spans line with
+        | Ok p
+          when Option.equal Int.equal p.run run
+               && p.entry.seq = e.seq
+               && same_bits p.entry.time e.time
+               && same_obs p.entry.obs e.obs ->
+            Ok p
+        | Ok _ | Error _ -> validate_line line))

@@ -58,11 +58,12 @@ val entries : t -> entry list
     output is therefore byte-identical across processes and [--jobs]
     values.
 
-    Every export encodes through one direct encoder: literal keys, the
-    runtime's ["%.17g"] formatter, and within one pass the previous line's
-    time text when the time has the same bits. A whole-log export streams:
-    it encodes each entry into one reused buffer and never builds an entry
-    or line list, so its memory is the recorded columns. *)
+    Every export encodes through one direct encoder: literal keys, floats
+    appended by {!Gcs_util.Table.add_17g} (Printf's ["%.17g"] bytes), and
+    within one pass the previous line's time text when the time has the
+    same bits. A whole-log export streams: it encodes each entry into one
+    reused buffer and never builds an entry or line list, so its memory is
+    the recorded columns. *)
 
 val encode_line : ?run:int -> format -> entry -> string
 (** Format one entry (no trailing newline). *)
@@ -101,10 +102,22 @@ type parsed = { run : int option; entry : entry }
 
 val parse_line : string -> (parsed, string) result
 (** Parse one JSONL line, rejecting unknown tags, missing fields, extra
-    fields, and malformed values. It scans the line in place: keys are
-    matched where they lie and plain decimal integers are read there. *)
+    fields, and malformed values, non-finite floats included (JSON has no
+    [inf] or [nan]: ["t is not a finite number: inf"]). It scans the line
+    in place: keys are matched where they lie and plain decimal integers
+    are read there. *)
 
 val validate_line : string -> (parsed, string) result
 (** [parse_line] plus a canonical-form check: re-encoding the parsed
     entry must reproduce the input bytes exactly. This is what
-    [gcs-cli trace --check-schema] runs on every exported line. *)
+    [gcs-cli trace --check-schema] runs on every line of a recorded log. *)
+
+val iter_checked_lines :
+  ?run:int -> t -> (string -> (parsed, string) result -> unit) -> unit
+(** [iter_checked_lines ?run t f] calls [f line verdict] with each line
+    [iter_lines] gives, as a string, and the verdict [validate_line line]
+    gives it, message included. It gets there with one parse per line: a
+    line is its entry's encoding, so when the parse equals that entry
+    (floats by bits, the same run tag) its re-encoding is the line itself.
+    Any other parse, or a parse error, is decided by [validate_line]. This
+    is what [gcs-cli trace --check-schema] runs on a simulated log. *)

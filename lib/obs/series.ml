@@ -20,7 +20,7 @@ let record t p =
 let length t = t.length
 let points t = Array.of_list (List.rev t.rev)
 
-let fnum x = Printf.sprintf "%.17g" x
+let fnum = Gcs_util.Table.fmt_17g
 
 let csv_header ?(values = 0) ?(rates = 0) ?(hops = 0) ?(watched = 0) () =
   [ "time"; "global_skew"; "local_skew" ]

@@ -25,7 +25,7 @@ type t = {
 
 (* Canonical float text: %.17g round-trips every finite float exactly
    through float_of_string, so equal floats always render identically. *)
-let flt = Printf.sprintf "%.17g"
+let flt = Gcs_util.Table.fmt_17g
 
 let canon_edge_spec = function
   | Fault_plan.All_edges -> Fault_plan.All_edges

@@ -22,7 +22,7 @@ type t = {
 }
 
 let magic = "gcs.store:outcome:1"
-let flt = Printf.sprintf "%.17g"
+let flt = Gcs_util.Table.fmt_17g
 
 let encode t =
   let b = Buffer.create 256 in

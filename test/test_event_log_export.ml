@@ -2,7 +2,8 @@
    byte and bit for bit against the list-based code they replaced. The
    references below are that code: a Printf float, a per-kind field list,
    a CSV row looked up column by column, and a parser that builds an assoc
-   list of substrings. *)
+   list of substrings. The reference parser has since taken the schema's
+   rule that a float field must be finite, as [Event_log.parse_line] has. *)
 
 module Engine = Gcs_sim.Engine
 module Event_log = Gcs_obs.Event_log
@@ -174,7 +175,8 @@ module Reference = struct
       in
       let float_of k v =
         match float_of_string_opt v with
-        | Some x -> x
+        | Some x when Float.is_finite x -> x
+        | Some _ -> raise (Bad (k ^ " is not a finite number: " ^ v))
         | None -> raise (Bad (k ^ " is not a number: " ^ v))
       in
       let bool_of k = function
@@ -416,6 +418,11 @@ let same_result a b =
   | Error _, Error _ -> true
   | _ -> false
 
+let show_result = function
+  | Ok (p : Event_log.parsed) ->
+      "Ok " ^ Reference.encode_jsonl ?run:p.run p.entry
+  | Error msg -> "Error " ^ msg
+
 let odd_values =
   [
     "-0"; "007"; "+5"; "0x1F"; "1_0"; "nan"; "-nan"; "inf"; "-inf"; "infinity";
@@ -528,21 +535,85 @@ let prop_parse_line =
     ~count:5000
     (QCheck.make ~print:(fun l -> l) gen_line)
     (fun line ->
-      let show = function
-        | Ok (p : Event_log.parsed) ->
-            "Ok " ^ Reference.encode_jsonl ?run:p.run p.entry
-        | Error msg -> "Error " ^ msg
-      in
       let got = Event_log.parse_line line
       and want = Reference.parse_line line in
       if not (same_result got want) then
-        fail "parse_line: got %s, want %s" (show got) (show want)
+        fail "parse_line: got %s, want %s" (show_result got) (show_result want)
       else
         let got = Event_log.validate_line line
         and want = Reference.validate_line line in
         same_result got want
-        || fail "validate_line: got %s, want %s" (show got) (show want))
+        || fail "validate_line: got %s, want %s" (show_result got)
+             (show_result want))
+
+(* JSON has no inf or nan: each float field refuses every spelling the
+   encoder could give a non-finite float, naming the field. *)
+let test_non_finite () =
+  List.iter
+    (fun (field, line) ->
+      List.iter
+        (fun v ->
+          let line = Printf.sprintf line v in
+          let want = Error (field ^ " is not a finite number: " ^ v) in
+          let verdict = function Ok _ -> Ok () | Error msg -> Error msg in
+          Alcotest.(check (result unit string))
+            ("parse_line " ^ line) want
+            (verdict (Event_log.parse_line line));
+          Alcotest.(check (result unit string))
+            ("validate_line " ^ line) want
+            (verdict (Event_log.validate_line line)))
+        [ "inf"; "-inf"; "nan"; "-nan" ])
+    [
+      ("t", {|{"seq":0,"t":%s,"ev":"timer","node":1,"tag":1}|});
+      ( "delay",
+        {|{"seq":0,"t":1,"ev":"send","src":0,"dst":1,"edge":0,"delay":%s}|} );
+      ("rate", {|{"run":3,"seq":7,"t":2.5,"ev":"rate","node":4,"rate":%s}|});
+    ]
+
+(* --- Checked export ---------------------------------------------------- *)
+
+(* The same verdict: equal parses, or the same error message. *)
+let same_verdict a b =
+  match (a, b) with
+  | Error m, Error n -> String.equal m n
+  | _ -> same_result a b
+
+(* The checked export writes the unchecked export's lines, and gives each
+   the verdict validate_line gives it, message included: over grown and
+   ring logs of every kind, with and without run tags, non-finite floats
+   (which parse_line refuses) and escape-path ids among them. *)
+let prop_checked_export =
+  QCheck.Test.make ~name:"checked export = export + validate_line" ~count:300
+    (QCheck.make
+       ~print:(fun (run, _, capacity, timed) ->
+         Printf.sprintf "run %s, capacity %s\n%s"
+           (Option.fold ~none:"none" ~some:string_of_int run)
+           (Option.fold ~none:"none" ~some:string_of_int capacity)
+           (print_timed timed))
+       QCheck.Gen.(quad gen_run gen_format (opt (int_range 1 40)) gen_timed))
+    (fun (run, format_, capacity, timed) ->
+      let log = Event_log.create ?capacity ~format_ () in
+      List.iter (fun (time, obs) -> Event_log.record log time obs) timed;
+      let checked = ref [] in
+      Event_log.iter_checked_lines ?run log (fun line verdict ->
+          checked := (line, verdict) :: !checked);
+      let checked = List.rev !checked and plain = Event_log.to_lines ?run log in
+      (List.length checked = List.length plain || fail "line counts differ")
+      && List.for_all2
+           (fun want (line, verdict) ->
+             (String.equal line want || fail "got  %s\nwant %s" line want)
+             &&
+             let v = Event_log.validate_line line in
+             same_verdict verdict v
+             || fail "%s: got %s, validate_line %s" line (show_result verdict)
+                  (show_result v))
+           plain checked)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_encode_line; prop_whole_log; prop_parse_line ]
+  @ [
+      Alcotest.test_case "non-finite floats are refused" `Quick
+        test_non_finite;
+      QCheck_alcotest.to_alcotest prop_checked_export;
+    ]
