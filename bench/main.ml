@@ -30,7 +30,7 @@ module Bias = Gcs_adversary.Bias
 module Table = Gcs_util.Table
 module Prng = Gcs_util.Prng
 module Stats = Gcs_util.Stats
-module Heap = Gcs_util.Scheduler.Binary_heap
+module Heap = Gcs_util.Scheduler
 module Fault_plan = Gcs_sim.Fault_plan
 module Churn_plan = Gcs_sim.Churn_plan
 
@@ -1612,21 +1612,19 @@ let e25 () =
       ]
     ~rows
 
-(* E26: the million-node engine core. Two parts. (1) Identity: the
-   scheduler kind and the region count are execution strategies, not
-   semantics — every (scheduler x regions) cell of a faulted golden run
-   must reproduce the serial binary-heap reference bit for bit (the full
-   battery, including Byzantine rows and the observation stream, lives in
-   test/test_region_parallel.ml; this is the standing smoke row). (2)
-   Throughput: a raw-engine soak on grid:1000x1000 — one million nodes,
-   each beaconing to its neighbors once per unit of hardware time —
-   reporting events/sec for heap vs calendar, serial vs region-parallel.
-   The speedup column is informational on a single-core host (conservative
-   windowed execution cannot beat serial without real parallelism), so the
-   regression warning fires only where multicore is available. *)
+(* E26: the million-node engine core. Two parts. (1) Identity: the region
+   count is an execution strategy, not semantics — a faulted golden run at
+   every region count must reproduce the serial reference bit for bit (the
+   full battery, including Byzantine rows and the observation stream,
+   lives in test/test_region_parallel.ml; this is the standing smoke row).
+   (2) Throughput: a raw-engine soak on grid:1000x1000 — one million
+   nodes, each beaconing to its neighbors once per unit of hardware time —
+   reporting events/sec serial vs region-parallel. The speedup is
+   informational on a single-core host (conservative windowed execution
+   cannot beat serial without real parallelism), so the regression warning
+   fires only where multicore is available. *)
 let e26 () =
-  header "E26" "Million-node engine core: schedulers and region-parallel soak";
-  let module Scheduler = Gcs_util.Scheduler in
+  header "E26" "Million-node engine core: region-parallel identity and soak";
   let module Fault_plan = Gcs_sim.Fault_plan in
   let module Engine = Gcs_sim.Engine in
   let module Dm = Gcs_sim.Delay_model in
@@ -1640,45 +1638,37 @@ let e26 () =
     | Ok p -> p
     | Error msg -> failwith ("E26 plan: " ^ msg)
   in
-  let identity_cfg ~scheduler ~regions =
+  let identity_cfg ~regions =
     Runner.config
       ~spec:(Spec.make ~kappa:0.5 ())
       ~drift_of_node:(fun v ->
         if v < 12 then Drift.Extreme_high else Drift.Extreme_low)
-      ~horizon:80. ~seed:7 ~fault_plan:plan ~scheduler ~regions
-      (Topology.ring 24)
+      ~horizon:80. ~seed:7 ~fault_plan:plan ~regions (Topology.ring 24)
   in
-  let reference =
-    Runner.run (identity_cfg ~scheduler:Scheduler.Binary_heap ~regions:1)
-  in
+  let reference = Runner.run (identity_cfg ~regions:1) in
   let divergent = ref 0 in
   let identity_rows =
-    List.concat_map
-      (fun scheduler ->
-        List.map
-          (fun regions ->
-            let r = Runner.run (identity_cfg ~scheduler ~regions) in
-            let same =
-              Runner.outcome r = Runner.outcome reference
-              && r.Runner.samples = reference.Runner.samples
-              && r.Runner.events = reference.Runner.events
-            in
-            if not same then incr divergent;
-            [
-              Scheduler.kind_name scheduler;
-              string_of_int regions;
-              string_of_int r.Runner.events;
-              fmt r.Runner.summary.Metrics.max_local;
-              (if same then "identical" else "DIVERGED");
-            ])
-          [ 1; 2; 4 ])
-      Scheduler.all_kinds
+    List.map
+      (fun regions ->
+        let r = Runner.run (identity_cfg ~regions) in
+        let same =
+          Runner.outcome r = Runner.outcome reference
+          && r.Runner.samples = reference.Runner.samples
+          && r.Runner.events = reference.Runner.events
+        in
+        if not same then incr divergent;
+        [
+          string_of_int regions;
+          string_of_int r.Runner.events;
+          fmt r.Runner.summary.Metrics.max_local;
+          (if same then "identical" else "DIVERGED");
+        ])
+      [ 1; 2; 4 ]
   in
   print_table ~name:"e26_identity"
-    ~title:"faulted ring:24 vs serial heap reference (bit-for-bit)"
+    ~title:"faulted ring:24 vs serial reference (bit-for-bit)"
     ~columns:
       [
-        Table.column ~align:Table.Left "scheduler";
         Table.column "regions";
         Table.column "events";
         Table.column "max local";
@@ -1686,7 +1676,7 @@ let e26 () =
       ]
     ~rows:identity_rows;
   if !divergent > 0 then begin
-    Printf.eprintf "E26: %d scheduler/regions cell(s) diverged\n" !divergent;
+    Printf.eprintf "E26: %d region count(s) diverged\n" !divergent;
     exit 1
   end;
   (* Part 2: the soak. Raw engine, no metrics probe, no store, no diameter
@@ -1710,12 +1700,12 @@ let e26 () =
             ~tag:0);
     }
   in
-  let soak ~scheduler ~regions =
+  let soak ~regions =
     let clocks = Array.init n (fun _ -> Hc.create ~t0:0. ~rate:1. ()) in
     let t_build = Unix.gettimeofday () in
     let engine =
       Engine.of_config
-        (Engine.config ~scheduler ~regions ~graph ~clocks ~delays
+        (Engine.config ~regions ~graph ~clocks ~delays
            ~rng:(Prng.create ~seed:3) ~make_node ~t0:0. ())
     in
     let t_run = Unix.gettimeofday () in
@@ -1731,32 +1721,13 @@ let e26 () =
   let par_regions =
     if multicore then min 8 (Domain.recommended_domain_count ()) else 4
   in
-  let cells =
-    List.concat_map
-      (fun scheduler ->
-        List.map (fun regions -> (scheduler, regions)) [ 1; par_regions ])
-      Scheduler.all_kinds
-  in
-  let soaked =
-    List.map
-      (fun (scheduler, regions) ->
-        let events, messages, eff, build, dt = soak ~scheduler ~regions in
-        (scheduler, regions, events, messages, eff, build, dt))
-      cells
-  in
-  (* Counters are part of the identity contract too: every cell must agree
-     with the first. *)
-  (match soaked with
-  | (_, _, ev0, msg0, _, _, _) :: rest ->
-      List.iter
-        (fun (s, r, ev, msg, _, _, _) ->
-          if ev <> ev0 || msg <> msg0 then begin
-            Printf.eprintf "E26: soak counters diverged for %s x%d\n"
-              (Scheduler.kind_name s) r;
-            exit 1
-          end)
-        rest
-  | [] -> ());
+  let ((s_ev, s_msg, _, _, s_dt) as serial) = soak ~regions:1 in
+  let ((p_ev, p_msg, _, _, p_dt) as parallel) = soak ~regions:par_regions in
+  (* Counters are part of the identity contract too. *)
+  if p_ev <> s_ev || p_msg <> s_msg then begin
+    Printf.eprintf "E26: soak counters diverged for x%d\n" par_regions;
+    exit 1
+  end;
   print_table ~name:"e26_soak"
     ~title:
       (Printf.sprintf
@@ -1764,7 +1735,6 @@ let e26 () =
          rows_g cols_g n (Graph.m graph) horizon period)
     ~columns:
       [
-        Table.column ~align:Table.Left "scheduler";
         Table.column "regions";
         Table.column "events";
         Table.column "build s";
@@ -1773,35 +1743,20 @@ let e26 () =
       ]
     ~rows:
       (List.map
-         (fun (s, _, ev, _, eff, build, dt) ->
+         (fun (ev, _, eff, build, dt) ->
            [
-             Scheduler.kind_name s;
              string_of_int eff;
              string_of_int ev;
              Table.fmt_float ~digits:2 build;
              Table.fmt_float ~digits:2 dt;
              Printf.sprintf "%.0f" (float_of_int ev /. Float.max 1e-9 dt);
            ])
-         soaked);
-  if multicore then
-    List.iter
-      (fun (s, r, ev, _, _, _, dt) ->
-        if r > 1 then begin
-          let serial_dt =
-            List.find_map
-              (fun (s', r', _, _, _, _, dt') ->
-                if s' = s && r' = 1 then Some dt' else None)
-              soaked
-          in
-          match serial_dt with
-          | Some sdt when dt > sdt ->
-              Printf.eprintf
-                "E26: %s x%d slower than serial on a multicore host (%.2fs \
-                 vs %.2fs, %d events)\n"
-                (Gcs_util.Scheduler.kind_name s) r dt sdt ev
-          | Some _ | None -> ()
-        end)
-      soaked
+         [ serial; parallel ]);
+  if multicore && p_dt > s_dt then
+    Printf.eprintf
+      "E26: x%d slower than serial on a multicore host (%.2fs vs %.2fs, %d \
+       events)\n"
+      par_regions p_dt s_dt p_ev
 
 (* E27: the live transport subsystem. One topology and spec executed twice
    — as four real UDP processes on loopback (wall clock, real sockets,

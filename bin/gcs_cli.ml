@@ -40,7 +40,6 @@ module Fan_lynch = Gcs_adversary.Fan_lynch
 module Linear = Gcs_adversary.Linear
 module Bias = Gcs_adversary.Bias
 module Table = Gcs_util.Table
-module Scheduler = Gcs_util.Scheduler
 module Engine = Gcs_sim.Engine
 module Fault_plan = Gcs_sim.Fault_plan
 module Churn_plan = Gcs_sim.Churn_plan
@@ -105,11 +104,6 @@ let fault_plan_conv =
 let churn_conv =
   let parse s = Churn_plan.of_string s |> Result.map_error (fun e -> `Msg e) in
   let print ppf p = Format.pp_print_string ppf (Churn_plan.to_string p) in
-  Arg.conv (parse, print)
-
-let scheduler_conv =
-  let parse s = Scheduler.kind_of_string s |> Result.map_error (fun e -> `Msg e) in
-  let print ppf k = Format.pp_print_string ppf (Scheduler.kind_name k) in
   Arg.conv (parse, print)
 
 (* Shared options. Each flag is defined once; a command that needs another
@@ -188,15 +182,6 @@ let churn_arg =
   Arg.(
     value & opt (some churn_conv) None & info [ "churn" ] ~docv:"PLAN" ~doc)
 
-let scheduler_arg =
-  Arg.(
-    value
-    & opt scheduler_conv Scheduler.Binary_heap
-    & info [ "scheduler" ] ~docv:"KIND"
-        ~doc:
-          "Event-queue implementation: heap or calendar. A pure execution \
-           strategy — results are byte-identical for every kind.")
-
 let regions_arg =
   Arg.(
     value & opt int 1
@@ -270,7 +255,6 @@ type run = {
   loss : float;
   fault_plan : Fault_plan.t option;
   churn : Churn_plan.t option;
-  scheduler : Scheduler.kind;
   regions : int;
 }
 
@@ -282,19 +266,17 @@ let run_term ?(topo = Term.const (Topology.Ring 16))
     ?(algo = Term.const Algorithm.Gradient_sync) ?(drift = Term.const "random")
     ?(horizon = Term.const 400.) ?(seed = Term.const 42)
     ?(loss = Term.const 0.) ?(fault_plan = Term.const None)
-    ?(churn = Term.const None) ?(scheduler = Term.const Scheduler.Binary_heap)
-    ?(regions = Term.const 1) () =
-  let make spec topo algo drift horizon seed loss fault_plan churn scheduler
-      regions =
+    ?(churn = Term.const None) ?(regions = Term.const 1) () =
+  let make spec topo algo drift horizon seed loss fault_plan churn regions =
     Result.map
       (fun spec ->
         { spec; topo; algo; drift; horizon; seed; loss; fault_plan; churn;
-          scheduler; regions })
+          regions })
       spec
   in
   Term.(
     const make $ spec_term $ topo $ algo $ drift $ horizon $ seed $ loss
-    $ fault_plan $ churn $ scheduler $ regions)
+    $ fault_plan $ churn $ regions)
 
 let seed_graph r = Topology.build_for_seed r.topo ~seed:r.seed
 
@@ -327,8 +309,7 @@ let key r =
     ~horizon:r.horizon ~seed:r.seed ()
 
 let config ?obs r key =
-  or_die
-    (Runner.config_of_key ?obs ~scheduler:r.scheduler ~regions:r.regions key)
+  or_die (Runner.config_of_key ?obs ~regions:r.regions key)
 
 let print_summary (r : Runner.result) =
   let graph = r.Runner.graph and spec = r.Runner.spec in
@@ -443,7 +424,7 @@ let run_cmd =
   let run =
     run_term ~topo:(topology_arg ()) ~algo:algo_arg ~drift:drift_arg
       ~horizon:(horizon_arg ()) ~seed:(seed_arg ()) ~loss:loss_arg
-      ~churn:churn_arg ~scheduler:scheduler_arg ~regions:regions_arg ()
+      ~churn:churn_arg ~regions:regions_arg ()
   in
   let term =
     Term.(
@@ -1017,6 +998,15 @@ let sink_line s line =
   if s.check then sink_checked s line (Event_log.validate_line line)
   else sink_checked s line (Ok ())
 
+(* An unchecked encoded line, written from the encoder's buffer itself. *)
+let sink_buffer s line =
+  s.lines <- s.lines + 1;
+  match s.out with
+  | Some d ->
+      Buffer.output_buffer d.oc line;
+      output_char d.oc '\n'
+  | None -> ()
+
 let close_sink s =
   Option.iter (fun d -> close_dest d ~what:"event lines" s.lines) s.out;
   if s.check then Printf.eprintf "schema: %d lines OK\n" s.lines
@@ -1178,9 +1168,7 @@ let trace_cmd =
           let run = if multi then Some i else None in
           if check_schema then
             Event_log.iter_checked_lines ?run log (sink_checked sink)
-          else
-            Event_log.iter_lines ?run log (fun line ->
-                sink_line sink (Buffer.contents line)))
+          else Event_log.iter_lines ?run log (sink_buffer sink))
         logs;
       close_sink sink
     end;
@@ -1263,7 +1251,7 @@ let trace_cmd =
   let run =
     run_term ~topo:(topology_arg ()) ~algo:algo_arg ~horizon:(horizon_arg ())
       ~seed:(seed_arg ()) ~fault_plan:fault_plan_arg ~churn:churn_arg
-      ~scheduler:scheduler_arg ~regions:regions_arg ()
+      ~regions:regions_arg ()
   in
   let term =
     Term.(

@@ -6,7 +6,6 @@ module Drift = Gcs_clock.Drift
 module Hardware_clock = Gcs_clock.Hardware_clock
 module Logical_clock = Gcs_clock.Logical_clock
 module Prng = Gcs_util.Prng
-module Scheduler = Gcs_util.Scheduler
 module Capture = Gcs_obs.Capture
 module Event_log = Gcs_obs.Event_log
 module Series = Gcs_obs.Series
@@ -34,7 +33,6 @@ type config = {
   override : Algorithm.t option;
   fault_plan : Fault_plan.t option;
   obs : Capture.request;
-  scheduler : Scheduler.kind;
   regions : int;
 }
 
@@ -43,8 +41,7 @@ let config ?(spec = Spec.make ()) ?(algo = Algorithm.Gradient_sync)
     ?(delay_kind = Uniform_delays) ?(loss = No_loss) ?(horizon = 200.)
     ?(sample_period = 1.) ?warmup ?(seed = 42)
     ?(initial_value_of_node = fun _ -> 0.) ?override ?fault_plan
-    ?(obs = Capture.none) ?(scheduler = Scheduler.Binary_heap) ?(regions = 1)
-    graph =
+    ?(obs = Capture.none) ?(regions = 1) graph =
   let warmup = match warmup with Some w -> w | None -> horizon /. 4. in
   (* Every test is written so that NaN fails it: a NaN time breaks the
      event queue's total order, and an infinite horizon never ends. *)
@@ -83,7 +80,6 @@ let config ?(spec = Spec.make ()) ?(algo = Algorithm.Gradient_sync)
     override;
     fault_plan;
     obs;
-    scheduler;
     regions;
   }
 
@@ -351,7 +347,7 @@ let prepare (cfg : config) =
   in
   let make_node = implementation.Algorithm.prepare ctx in
   (* Everything the engine needs is described up front — observers,
-     instrumentation, fault hooks, scheduler, parallelism — and handed to
+     instrumentation, fault hooks, parallelism — and handed to
      [Engine.of_config] in one declarative value. Sinks are materialised
      fresh for every run from the pure [obs] request, so captures never
      leak across the runs of a sweep. *)
@@ -377,8 +373,7 @@ let prepare (cfg : config) =
   in
   let engine =
     Engine.of_config
-      (Engine.config ~scheduler:cfg.scheduler
-         ~regions:(effective_regions cfg)
+      (Engine.config ~regions:(effective_regions cfg)
          ~observers:
            (match event_log with
            | None -> []
@@ -555,7 +550,7 @@ let store_key ?(drift = "random") ?(loss = 0.) ?(sample_period = 1.) ?warmup
    runnable config a canonical key denotes, on the graph of the key's seed,
    so re-simulating the config reproduces the run the key addresses bit
    for bit. *)
-let config_of_key ?obs ?scheduler ?regions (key : Gcs_store.Key.t) =
+let config_of_key ?obs ?regions (key : Gcs_store.Key.t) =
   let module K = Gcs_store.Key in
   match
     ( Algorithm.kind_of_string key.K.algo,
@@ -591,8 +586,8 @@ let config_of_key ?obs ?scheduler ?regions (key : Gcs_store.Key.t) =
                  ~drift_of_node:(fun _ -> pattern)
                  ~loss ~horizon:key.K.horizon
                  ~sample_period:key.K.sample_period ~warmup:key.K.warmup
-                 ~seed:key.K.seed ?fault_plan:key.K.fault_plan ?obs ?scheduler
-                 ?regions graph)
+                 ~seed:key.K.seed ?fault_plan:key.K.fault_plan ?obs ?regions
+                 graph)
       with Invalid_argument msg -> Error msg)
 
 let outcome (r : result) =

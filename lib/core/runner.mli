@@ -49,18 +49,13 @@ type config = {
           never touch algorithm state or randomness, so enabling them
           changes no summary (only [result.events], since the series
           probe schedules control events). *)
-  scheduler : Gcs_util.Scheduler.kind;
-      (** event-queue implementation the engine runs on; pure execution
-          strategy, so results are byte-identical for every kind (which is
-          why it is absent from [store_key]) *)
   regions : int;
-      (** requested region-parallel domains (default 1 = serial). Also a
-          pure execution strategy: any configuration the parallel engine
-          could not reproduce bit-for-bit (adversarial delay choosers,
-          Byzantine plans under message loss, profiled runs) silently
-          falls back to serial, so results are byte-identical for every
-          value — and, like [scheduler], it is excluded from
-          [store_key]. *)
+      (** requested region-parallel domains (default 1 = serial). A pure
+          execution strategy: any configuration the parallel engine could
+          not reproduce bit-for-bit (adversarial delay choosers, Byzantine
+          plans under message loss, profiled runs) silently falls back to
+          serial, so results are byte-identical for every value — which
+          is why it is excluded from [store_key]. *)
 }
 
 val config :
@@ -77,17 +72,16 @@ val config :
   ?override:Algorithm.t ->
   ?fault_plan:Gcs_sim.Fault_plan.t ->
   ?obs:Gcs_obs.Capture.request ->
-  ?scheduler:Gcs_util.Scheduler.kind ->
   ?regions:int ->
   Gcs_graph.Graph.t ->
   config
 (** Defaults: default spec, [Gradient_sync], random-constant drift per node,
     uniform delays, horizon 200, sampling every 1, warm-up 1/4 of the
     horizon, seed 42, all clocks starting at 0, no faults, no capture
-    ([Gcs_obs.Capture.none]), binary-heap scheduler, serial execution
-    ([regions = 1]). Raises [Invalid_argument] unless the horizon, sample
-    period and series period are finite and positive, the warm-up is
-    finite, and a uniform loss lies in [\[0, 1\]] (NaN fails each test). *)
+    ([Gcs_obs.Capture.none]), serial execution ([regions = 1]). Raises
+    [Invalid_argument] unless the horizon, sample period and series period
+    are finite and positive, the warm-up is finite, and a uniform loss
+    lies in [\[0, 1\]] (NaN fails each test). *)
 
 type live = {
   cfg : config;
@@ -179,7 +173,6 @@ val store_key :
 
 val config_of_key :
   ?obs:Gcs_obs.Capture.request ->
-  ?scheduler:Gcs_util.Scheduler.kind ->
   ?regions:int ->
   Gcs_store.Key.t ->
   (config, string) Stdlib.result
@@ -190,9 +183,9 @@ val config_of_key :
     probability. Re-running the config reproduces the addressed run bit
     for bit — this is how the CLI builds every describable run, and how
     the conformance harness replays and shrinks counterexamples from a
-    [.repro] artifact alone. [obs], [scheduler] and [regions] are passed
-    to {!config} unchanged: they choose how the run executes and what it
-    captures, never its results, which is why the key leaves them out.
+    [.repro] artifact alone. [obs] and [regions] are passed to {!config}
+    unchanged: they choose how the run executes and what it captures,
+    never its results, which is why the key leaves them out.
     [Error] on unparseable algorithm or drift names, on a fault plan the
     graph cannot carry ({!Gcs_sim.Fault_plan.validate}), and on
     spec/config values {!config} would reject. *)

@@ -1,4 +1,4 @@
-module Heap = Gcs_util.Scheduler.Binary_heap
+module Heap = Gcs_util.Scheduler
 
 (* One BFS from [src] into caller-owned buffers, so repeated passes
    allocate nothing. [order] receives the reached nodes in visiting order,

@@ -1,14 +1,13 @@
 (** The transport abstraction: what an algorithm needs from a network.
 
-    A transport is a record of operations — the repo's packed-closure
-    idiom ({!Gcs_util.Scheduler} is the same shape) — covering exactly
-    the surface of the engine's node API plus the two pull-side
-    operations a live runtime needs (receive with a deadline, pop due
-    timers). {!Sim_shim} instantiates it over the stock discrete-event
-    engine; {!Udp} instantiates it over real sockets. Algorithms never
-    see the transport directly: {!api} re-packages one as the ordinary
-    {!Gcs_sim.Engine.api} record, so every registered algorithm runs
-    against any transport unchanged. *)
+    A transport is a record of operations covering exactly the surface
+    of the engine's node API plus the two pull-side operations a live
+    runtime needs (receive with a deadline, pop due timers). {!Sim_shim}
+    instantiates it over the stock discrete-event engine; {!Udp}
+    instantiates it over real sockets. Algorithms never see the transport
+    directly: {!api} re-packages one as the ordinary {!Gcs_sim.Engine.api}
+    record, so every registered algorithm runs against any transport
+    unchanged. *)
 
 type delivery = { port : int; msg : Gcs_core.Message.t }
 

@@ -140,8 +140,8 @@ let pool_free p heads s =
 let[@inline] pool_live p ~slot ~seq = p.tp_seq.(slot) = seq
 
 (* ------------------------------------------------------------------ *)
-(* Event queues: a scheduler ordering int handles, plus the columns of  *)
-(* the events those handles name, so a send, a timer arm or a control   *)
+(* Event queues: a heap ordering int handles, plus the columns of the   *)
+(* events those handles name, so a send, a timer arm or a control       *)
 (* allocates no event block and no sift writes a pointer.               *)
 (* - A timer's handle is [lnot slot] (negative) in the region's timer   *)
 (*   pool, which the queue owns: a timer needs no other column.         *)
@@ -172,9 +172,9 @@ type 'msg queue = {
   mutable ctl_free : int;
 }
 
-let queue_create kind =
+let queue_create () =
   {
-    sched = Scheduler.make kind;
+    sched = Scheduler.create ();
     timers = pool_create ();
     ev_head = [||];
     ev_x = [||];
@@ -317,10 +317,10 @@ type 'msg rctx = {
   mutable c_timers : int;
 }
 
-let rctx_create ~rid ~kind =
+let rctx_create ~rid =
   {
     rid;
-    q = queue_create kind;
+    q = queue_create ();
     now_ref = ref 0.;
     cur_wend = infinity;
     pop_prio = [||];
@@ -346,7 +346,6 @@ type 'msg t = {
   graph : Graph.t;
   clocks : Hardware_clock.t array;
   delays : Delay_model.t;
-  sched_kind : Scheduler.kind;
   nregions : int; (* effective region count (1 = serial) *)
   node_region : int array;
   edge_cross : bool array;
@@ -430,7 +429,6 @@ type 'msg config = {
   cfg_rng : Prng.t;
   cfg_make_node : int -> 'msg handlers;
   cfg_t0 : float;
-  cfg_scheduler : Scheduler.kind;
   cfg_regions : int;
   cfg_observers : (float -> observation -> unit) list;
   cfg_hook : dispatch_hook option;
@@ -439,9 +437,8 @@ type 'msg config = {
   cfg_lie : 'msg lie option;
 }
 
-let config ?(scheduler = Scheduler.Binary_heap) ?(regions = 1)
-    ?(observers = []) ?hook ?(hook_every = 1) ?tamper ?lie ~graph ~clocks
-    ~delays ~rng ~make_node ~t0 () =
+let config ?(regions = 1) ?(observers = []) ?hook ?(hook_every = 1) ?tamper
+    ?lie ~graph ~clocks ~delays ~rng ~make_node ~t0 () =
   if regions < 1 then invalid_arg "Engine.config: regions must be >= 1";
   if hook_every <= 0 then
     invalid_arg "Engine.config: hook_every must be > 0";
@@ -452,7 +449,6 @@ let config ?(scheduler = Scheduler.Binary_heap) ?(regions = 1)
     cfg_rng = rng;
     cfg_make_node = make_node;
     cfg_t0 = t0;
-    cfg_scheduler = scheduler;
     cfg_regions = regions;
     cfg_observers = observers;
     cfg_hook = hook;
@@ -541,7 +537,7 @@ let enqueue t wctx qu ~prio h =
   match wctx with
   | None ->
       let seq = fresh_seq t in
-      qu.sched.Scheduler.push ~prio ~seq h;
+      Scheduler.push qu.sched ~prio ~seq h;
       seq
   | Some c ->
       assert (qu == c.q);
@@ -549,7 +545,7 @@ let enqueue t wctx qu ~prio h =
         let k = lane_reserve c in
         witem_add c (W_imm k);
         let seq = lane_base + (k * t.nregions) + c.rid in
-        qu.sched.Scheduler.push ~prio ~seq h;
+        Scheduler.push qu.sched ~prio ~seq h;
         seq
       end
       else begin
@@ -752,11 +748,11 @@ let of_config (cfg : 'msg config) =
   let n = Graph.n graph in
   let m = Graph.m graph in
   if Array.length clocks <> n then
-    invalid_arg "Engine.create: one hardware clock per node required";
+    invalid_arg "Engine.of_config: one hardware clock per node required";
   Array.iter
     (fun c ->
       if Hardware_clock.start_time c > cfg.cfg_t0 then
-        invalid_arg "Engine.create: clock starts after t0")
+        invalid_arg "Engine.of_config: clock starts after t0")
     clocks;
   (* Resolve the effective region count. Parallel execution needs a
      positive lookahead (every cross-region edge's d_min bounds how soon
@@ -800,17 +796,16 @@ let of_config (cfg : 'msg config) =
       graph;
       clocks;
       delays = cfg.cfg_delays;
-      sched_kind = cfg.cfg_scheduler;
       nregions;
       node_region;
       edge_cross;
       lookahead;
       regions =
         Array.init nregions (fun rid ->
-            let c = rctx_create ~rid ~kind:cfg.cfg_scheduler in
+            let c = rctx_create ~rid in
             c.now_ref := cfg.cfg_t0;
             c);
-      ctrl_q = queue_create cfg.cfg_scheduler;
+      ctrl_q = queue_create ();
       next_seq = 0;
       handlers = Array.init n cfg.cfg_make_node;
       make_node = cfg.cfg_make_node;
@@ -853,9 +848,6 @@ let of_config (cfg : 'msg config) =
   t.apis <-
     Array.init n (fun v -> { (make_api t v) with rng = node_rngs.(v) });
   t
-
-let create ~graph ~clocks ~delays ~rng ~make_node ~t0 =
-  of_config (config ~graph ~clocks ~delays ~rng ~make_node ~t0 ())
 
 let start t =
   if not t.started then begin
@@ -972,11 +964,11 @@ let run_until_serial t horizon =
   let q = qu.sched in
   let continue = ref true in
   while !continue && not t.stop_requested do
-    note_heap_depth t (q.Scheduler.size ());
-    let time = q.Scheduler.min_prio () in
-    if q.Scheduler.size () > 0 && time <= horizon then begin
-      let seq = q.Scheduler.min_seq () in
-      let h = q.Scheduler.pop_min () in
+    note_heap_depth t (Scheduler.size q);
+    let time = Scheduler.min_prio q in
+    if Scheduler.size q > 0 && time <= horizon then begin
+      let seq = Scheduler.min_seq q in
+      let h = Scheduler.pop_min q in
       t.now <- Float.max t.now time;
       dispatch t None qu ~seq h
     end
@@ -1018,10 +1010,10 @@ let run_region_window t c ~wend =
   c.cur_wend <- wend;
   Domain.DLS.set dls_region_now (Some c.now_ref);
   let q = c.q.sched in
-  while q.Scheduler.min_prio () < wend do
-    let prio = q.Scheduler.min_prio () in
-    let seq = q.Scheduler.min_seq () in
-    let h = q.Scheduler.pop_min () in
+  while Scheduler.min_prio q < wend do
+    let prio = Scheduler.min_prio q in
+    let seq = Scheduler.min_seq q in
+    let h = Scheduler.pop_min q in
     if prio > !(c.now_ref) then c.now_ref := prio;
     pop_log_add c prio seq;
     dispatch t (Some c) c.q ~seq h
@@ -1172,24 +1164,24 @@ let merge_window t =
 (* Minimum (prio, seq) over every queue; returns the queue holding it. *)
 let global_min t =
   let best = ref t.ctrl_q in
-  let bp = ref (t.ctrl_q.sched.Scheduler.min_prio ()) in
-  let bs = ref (t.ctrl_q.sched.Scheduler.min_seq ()) in
+  let bp = ref (Scheduler.min_prio t.ctrl_q.sched) in
+  let bs = ref (Scheduler.min_seq t.ctrl_q.sched) in
   Array.iter
     (fun c ->
       let q = c.q.sched in
-      let p = q.Scheduler.min_prio () in
-      if p < !bp || (p = !bp && q.Scheduler.min_seq () < !bs) then begin
+      let p = Scheduler.min_prio q in
+      if p < !bp || (p = !bp && Scheduler.min_seq q < !bs) then begin
         best := c.q;
         bp := p;
-        bs := q.Scheduler.min_seq ()
+        bs := Scheduler.min_seq q
       end)
     t.regions;
   (!bp, !best)
 
 let total_pending t =
   Array.fold_left
-    (fun acc c -> acc + c.q.sched.Scheduler.size ())
-    (t.ctrl_q.sched.Scheduler.size ())
+    (fun acc c -> acc + Scheduler.size c.q.sched)
+    (Scheduler.size t.ctrl_q.sched)
     t.regions
 
 (* Window synchronisation: persistent worker domains for the duration of
@@ -1267,7 +1259,7 @@ let run_until_parallel t horizon =
       let wend =
         Float.min
           (Float.min (next_p +. t.lookahead)
-             (t.ctrl_q.sched.Scheduler.min_prio ()))
+             (Scheduler.min_prio t.ctrl_q.sched))
           horizon
       in
       if wend > next_p then release_window wend;
@@ -1285,8 +1277,8 @@ let run_until_parallel t horizon =
         let p, qu = global_min t in
         if total_pending t > 0 && p <= wend then begin
           note_heap_depth t (total_pending t);
-          let seq = qu.sched.Scheduler.min_seq () in
-          let h = qu.sched.Scheduler.pop_min () in
+          let seq = Scheduler.min_seq qu.sched in
+          let h = Scheduler.pop_min qu.sched in
           t.now <- Float.max t.now p;
           dispatch t None qu ~seq h
         end
@@ -1318,8 +1310,8 @@ let step t =
   if total_pending t = 0 then false
   else begin
     let p, qu = global_min t in
-    let seq = qu.sched.Scheduler.min_seq () in
-    let h = qu.sched.Scheduler.pop_min () in
+    let seq = Scheduler.min_seq qu.sched in
+    let h = Scheduler.pop_min qu.sched in
     assert (p +. 1e-9 >= t.now);
     t.now <- Float.max t.now p;
     dispatch t None qu ~seq h;
@@ -1390,7 +1382,6 @@ let dispatch_count t = function
 let hardware_clock t v = t.clocks.(v)
 let graph t = t.graph
 let regions t = t.nregions
-let scheduler_kind t = t.sched_kind
 let lookahead t = t.lookahead
 let node_region t v = t.node_region.(v)
 let events_processed t = t.events_processed
@@ -1447,7 +1438,7 @@ let pending_snapshot t =
                     msg = qu.ev_msg.(h);
                   } )
           else Some (at, seq, Pending_control { at }))
-      (qu.sched.Scheduler.sorted ~keep:(fun _ -> true))
+      (Scheduler.sorted qu.sched)
   in
   let merged =
     List.sort

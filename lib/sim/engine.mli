@@ -104,7 +104,7 @@ type 'msg lie =
 
     An engine is described declaratively by a {!config} — everything a run
     needs (topology, clocks, delays, observers, instrumentation, fault
-    hooks, scheduler, parallelism) in one value, built once and handed to
+    hooks, parallelism) in one value, built once and handed to
     {!of_config}. The historical mutate-after-create entry points
     ([set_observer], [set_dispatch_hook], [set_tamper], [set_lie]) are gone:
     pass the corresponding config fields instead — a fully-described
@@ -117,7 +117,6 @@ type 'msg lie =
 type 'msg config
 
 val config :
-  ?scheduler:Gcs_util.Scheduler.kind ->
   ?regions:int ->
   ?observers:(float -> observation -> unit) list ->
   ?hook:dispatch_hook ->
@@ -137,18 +136,19 @@ val config :
     node, in id order, to produce its handlers; [on_init] runs for every
     node at time [t0] when [run_until] first executes.
 
-    [scheduler] (default [Binary_heap]) selects the event-queue
-    implementation; see {!Gcs_util.Scheduler}. [regions] (default 1) asks
-    for conservative region-parallel execution on that many domains; see
-    {!regions} for when the request degrades to serial. [observers] are
-    installed in list order. [hook]/[hook_every] install the (single)
-    dispatch hook — the attachment point of {!Gcs_obs.Profiler}.
-    [hook_every] (default 1, must be positive) makes only every
-    [hook_every]-th dispatch call [before]/[after]; the engine still keeps
-    exact per-kind counts (see {!dispatch_count}), so a sampling profiler
-    pays two indirect calls only on sampled dispatches. A hooked engine
-    always runs serially. [tamper]/[lie] install the delivery-side and
-    source-side fault hooks. *)
+    [regions] (default 1) asks for conservative region-parallel execution
+    on that many domains; see {!regions} for when the request degrades to
+    serial. [observers] are installed in list order. [hook]/[hook_every]
+    install the (single) dispatch hook — the attachment point of
+    {!Gcs_obs.Profiler}. [hook_every] (default 1, must be positive) makes
+    only every [hook_every]-th dispatch call [before]/[after]; the engine
+    still keeps exact per-kind counts (see {!dispatch_count}), so a
+    sampling profiler pays two indirect calls only on sampled dispatches.
+    A hooked engine always runs serially. [tamper]/[lie] install the
+    delivery-side and source-side fault hooks.
+
+    Every queue is a {!Gcs_util.Scheduler} binary heap ordering events by
+    [(time, seq)]. *)
 
 val of_config : 'msg config -> 'msg t
 (** Build the engine. The region request is resolved here: the engine runs
@@ -158,26 +158,10 @@ val of_config : 'msg config -> 'msg t
     falls back to the exact serial engine — results are byte-identical
     either way, so the fallback is a performance decision only. *)
 
-val create :
-  graph:Gcs_graph.Graph.t ->
-  clocks:Gcs_clock.Hardware_clock.t array ->
-  delays:Delay_model.t ->
-  rng:Gcs_util.Prng.t ->
-  make_node:(int -> 'msg handlers) ->
-  t0:float ->
-  'msg t
-(** [create ~graph ~clocks ~delays ~rng ~make_node ~t0] is
-    [of_config (config ~graph ~clocks ~delays ~rng ~make_node ~t0 ())]: a
-    serial binary-heap engine with no observers or hooks, the historical
-    constructor. *)
-
 val regions : _ t -> int
 (** Effective region count after {!of_config}'s resolution: [1] means the
     serial engine (whatever was requested), [> 1] means that many domains
     execute conservative windows in parallel. *)
-
-val scheduler_kind : _ t -> Gcs_util.Scheduler.kind
-(** Which event-queue implementation this engine runs on. *)
 
 val lookahead : _ t -> float
 (** Minimum cross-region delay bound — the conservative window width.

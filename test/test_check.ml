@@ -139,14 +139,12 @@ let test_config_of_key_execution_args () =
     match
       Runner.config_of_key
         ~obs:{ Gcs_obs.Capture.none with Gcs_obs.Capture.events = true }
-        ~scheduler:Gcs_util.Scheduler.Calendar ~regions:2 k
+        ~regions:2 k
     with
     | Ok c -> c
     | Error e -> Alcotest.failf "config_of_key: %s" e
   in
   Alcotest.(check int) "regions" 2 cfg.Runner.regions;
-  Alcotest.(check bool) "scheduler" true
-    (cfg.Runner.scheduler = Gcs_util.Scheduler.Calendar);
   let r = Runner.run cfg and plain = Runner.run (config k) in
   Alcotest.(check bool) "events captured" true
     (r.Runner.obs.Gcs_obs.Capture.event_log <> None);

@@ -15,8 +15,9 @@ let make_engine ?(n = 2) ?(clocks = None) ?(delays = Dm.uniform (Dm.bounds ~d_mi
   let clocks =
     match clocks with Some c -> c | None -> perfect_clocks (Graph.n graph)
   in
-  Engine.create ~graph ~clocks ~delays ~rng:(Prng.create ~seed:1) ~make_node
-    ~t0:0.
+  Engine.of_config
+    (Engine.config ~graph ~clocks ~delays ~rng:(Prng.create ~seed:1)
+       ~make_node ~t0:0. ())
 
 let null_handlers =
   {
@@ -68,32 +69,34 @@ let test_delivery_within_bounds =
       let clocks = perfect_clocks 5 in
       let engine_holder = ref None in
       let engine =
-        Engine.create ~graph ~clocks ~delays:(Dm.uniform bounds)
-          ~rng:(Prng.create ~seed) ~t0:0.
-          ~make_node:(fun _ ->
-            {
-              Engine.on_init =
-                (fun api ->
-                  api.Engine.set_timer ~h:(api.Engine.hardware ()) ~tag:0);
-              on_message =
-                (fun _api ~port:_ msg ->
-                  match msg with
-                  | Pong -> ()
-                  | Ping sent_at ->
-                      let now =
-                        match !engine_holder with
-                        | Some e -> Engine.now e
-                        | None -> nan
-                      in
-                      log := (sent_at, now) :: !log);
-              on_timer =
-                (fun api ~tag:_ ->
-                  for p = 0 to api.Engine.ports - 1 do
-                    api.Engine.send ~port:p (Ping (api.Engine.hardware ()))
-                  done;
-                  let h = api.Engine.hardware () in
-                  if h < 20. then api.Engine.set_timer ~h:(h +. 1.) ~tag:0);
-            })
+        Engine.of_config
+          (Engine.config ~graph ~clocks ~delays:(Dm.uniform bounds)
+             ~rng:(Prng.create ~seed) ~t0:0.
+             ~make_node:(fun _ ->
+               {
+                 Engine.on_init =
+                   (fun api ->
+                     api.Engine.set_timer ~h:(api.Engine.hardware ()) ~tag:0);
+                 on_message =
+                   (fun _api ~port:_ msg ->
+                     match msg with
+                     | Pong -> ()
+                     | Ping sent_at ->
+                         let now =
+                           match !engine_holder with
+                           | Some e -> Engine.now e
+                           | None -> nan
+                         in
+                         log := (sent_at, now) :: !log);
+                 on_timer =
+                   (fun api ~tag:_ ->
+                     for p = 0 to api.Engine.ports - 1 do
+                       api.Engine.send ~port:p (Ping (api.Engine.hardware ()))
+                     done;
+                     let h = api.Engine.hardware () in
+                     if h < 20. then api.Engine.set_timer ~h:(h +. 1.) ~tag:0);
+               })
+             ())
       in
       engine_holder := Some engine;
       Engine.run_until engine 30.;
@@ -239,25 +242,27 @@ let test_determinism () =
     let log = ref [] in
     let graph = Topology.ring 6 in
     let engine =
-      Engine.create ~graph ~clocks:(perfect_clocks 6)
-        ~delays:(Dm.uniform (Dm.bounds ~d_min:0.5 ~d_max:1.5))
-        ~rng:(Prng.create ~seed) ~t0:0.
-        ~make_node:(fun v ->
-          {
-            Engine.on_init =
-              (fun api -> api.Engine.set_timer ~h:0.5 ~tag:0);
-            on_message =
-              (fun _ ~port msg ->
-                let tag = match msg with Ping _ -> 1 | Pong -> 0 in
-                log := (v, port, tag) :: !log);
-            on_timer =
-              (fun api ~tag:_ ->
-                for p = 0 to api.Engine.ports - 1 do
-                  api.Engine.send ~port:p (Ping (float_of_int v))
-                done;
-                let h = api.Engine.hardware () in
-                if h < 10. then api.Engine.set_timer ~h:(h +. 1.) ~tag:0);
-          })
+      Engine.of_config
+        (Engine.config ~graph ~clocks:(perfect_clocks 6)
+           ~delays:(Dm.uniform (Dm.bounds ~d_min:0.5 ~d_max:1.5))
+           ~rng:(Prng.create ~seed) ~t0:0.
+           ~make_node:(fun v ->
+             {
+               Engine.on_init =
+                 (fun api -> api.Engine.set_timer ~h:0.5 ~tag:0);
+               on_message =
+                 (fun _ ~port msg ->
+                   let tag = match msg with Ping _ -> 1 | Pong -> 0 in
+                   log := (v, port, tag) :: !log);
+               on_timer =
+                 (fun api ~tag:_ ->
+                   for p = 0 to api.Engine.ports - 1 do
+                     api.Engine.send ~port:p (Ping (float_of_int v))
+                   done;
+                   let h = api.Engine.hardware () in
+                   if h < 10. then api.Engine.set_timer ~h:(h +. 1.) ~tag:0);
+             })
+           ())
     in
     Engine.run_until engine 15.;
     (!log, Engine.messages_sent engine, Engine.events_processed engine)
@@ -491,14 +496,15 @@ let test_nan_times_refused () =
 let test_rejects_wrong_clock_count () =
   let graph = Topology.line 3 in
   Alcotest.check_raises "clock count"
-    (Invalid_argument "Engine.create: one hardware clock per node required")
+    (Invalid_argument "Engine.of_config: one hardware clock per node required")
     (fun () ->
       ignore
-        (Engine.create ~graph ~clocks:(perfect_clocks 2)
-           ~delays:(Dm.uniform (Dm.bounds ~d_min:1. ~d_max:1.))
-           ~rng:(Prng.create ~seed:1)
-           ~make_node:(fun _ -> null_handlers)
-           ~t0:0.))
+        (Engine.of_config
+           (Engine.config ~graph ~clocks:(perfect_clocks 2)
+              ~delays:(Dm.uniform (Dm.bounds ~d_min:1. ~d_max:1.))
+              ~rng:(Prng.create ~seed:1)
+              ~make_node:(fun _ -> null_handlers)
+              ~t0:0. ())))
 
 let suite =
   [

@@ -187,13 +187,17 @@ let test_entry_to_string () =
    decides its fate. *)
 let one_message_engine delays =
   let clocks = Array.init 2 (fun _ -> Hc.create ~t0:0. ~rate:1. ()) in
-  Engine.create ~graph:(Topology.line 2) ~clocks ~delays
-    ~rng:(Prng.create ~seed:1) ~t0:0. ~make_node:(fun v ->
-      {
-        Engine.on_init = (fun api -> if v = 0 then api.Engine.send ~port:0 ());
-        on_message = (fun _ ~port:_ () -> ());
-        on_timer = (fun _ ~tag:_ -> ());
-      })
+  Engine.of_config
+    (Engine.config ~graph:(Topology.line 2) ~clocks ~delays
+       ~rng:(Prng.create ~seed:1) ~t0:0.
+       ~make_node:(fun v ->
+         {
+           Engine.on_init =
+             (fun api -> if v = 0 then api.Engine.send ~port:0 ());
+           on_message = (fun _ ~port:_ () -> ());
+           on_timer = (fun _ ~tag:_ -> ());
+         })
+       ())
 
 let unit_delay = Dm.uniform (Dm.bounds ~d_min:1. ~d_max:1.)
 

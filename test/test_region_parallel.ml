@@ -21,20 +21,18 @@ module Engine = Gcs_sim.Engine
 module Fault_plan = Gcs_sim.Fault_plan
 module Capture = Gcs_obs.Capture
 module Event_log = Gcs_obs.Event_log
-module Scheduler = Gcs_util.Scheduler
 
 let region_counts = [ 2; 3; 4 ]
 
 (* The golden config of test_golden.ml: ring:8, kappa 0.5, split extreme
    drift, horizon 80, seed 7. *)
-let golden_cfg ?fault_plan ?obs ?(scheduler = Scheduler.Binary_heap)
-    ?(regions = 1) algo =
+let golden_cfg ?fault_plan ?obs ?(regions = 1) algo =
   Runner.config
     ~spec:(Spec.make ~kappa:0.5 ())
     ~algo
     ~drift_of_node:(fun v ->
       if v < 4 then Drift.Extreme_high else Drift.Extreme_low)
-    ~horizon:80. ~seed:7 ?fault_plan ?obs ~scheduler ~regions
+    ~horizon:80. ~seed:7 ?fault_plan ?obs ~regions
     (Topology.ring 8)
 
 let plan_of_string s =
@@ -132,20 +130,6 @@ let test_event_log_identical () =
             (String.equal sbytes (log_string par)))
         region_counts)
     [ ("faulted", faulted_plan); ("byzantine", byzantine_plan) ]
-
-(* The calendar queue must be just as invisible as the region partition:
-   same golden run, every (scheduler x regions) combination, same bits. *)
-let test_scheduler_kind_identical () =
-  let _, reference = run_with (golden_cfg Algorithm.Gradient_sync) in
-  List.iter
-    (fun regions ->
-      let label = Printf.sprintf "calendar x%d" regions in
-      let _, r =
-        run_with (golden_cfg ~scheduler:Scheduler.Calendar ~regions
-                    Algorithm.Gradient_sync)
-      in
-      check_identical label reference r)
-    (1 :: region_counts)
 
 (* Fallback gating: configurations the parallel engine cannot reproduce
    bit-for-bit must resolve to one region; plain ones must not. *)
@@ -265,8 +249,6 @@ let suite =
       test_golden_rows_identical;
     Alcotest.test_case "event log byte-identical (faulted, byzantine)" `Quick
       test_event_log_identical;
-    Alcotest.test_case "calendar scheduler identical at every region count"
-      `Quick test_scheduler_kind_identical;
     Alcotest.test_case "fallback gates" `Quick test_fallback_gates;
     QCheck_alcotest.to_alcotest prop_random_configs_identical;
   ]
