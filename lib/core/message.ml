@@ -6,6 +6,13 @@ type t =
   | Report of { round : int; lo : float; hi : float }
   | Reset of { round : int; payload : float }
 
+let perturb delta = function
+  | Beacon { value } -> Some (Beacon { value = value +. delta })
+  | Probe_reply { seq; h_send; remote_value } ->
+      Some (Probe_reply { seq; h_send; remote_value = remote_value +. delta })
+  | Flood { round; payload } -> Some (Flood { round; payload = payload +. delta })
+  | Probe _ | Report _ | Reset _ -> None
+
 let to_string = function
   | Beacon { value } -> Printf.sprintf "Beacon(%g)" value
   | Probe { seq; h_send } -> Printf.sprintf "Probe(#%d@%g)" seq h_send

@@ -24,4 +24,9 @@ type t =
       (** Self-stabilizing reset order flowing down the tree; receivers
           jump their logical clock to the accumulated root estimate. *)
 
+val perturb : float -> t -> t option
+(** [perturb delta msg] shifts the clock value [msg] carries ([Beacon]'s
+    value, [Probe_reply]'s remote value, [Flood]'s payload) by [delta];
+    [None] for a variant that carries none. *)
+
 val to_string : t -> string

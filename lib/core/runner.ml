@@ -185,17 +185,7 @@ let fault_hooks (cfg : config) plan =
                   let delta =
                     Prng.uniform rng ~lo:(-.magnitude) ~hi:magnitude
                   in
-                  (match msg with
-                  | Message.Beacon { value } ->
-                      Some (Message.Beacon { value = value +. delta })
-                  | Message.Probe_reply { seq; h_send; remote_value } ->
-                      Some
-                        (Message.Probe_reply
-                           { seq; h_send; remote_value = remote_value +. delta })
-                  | Message.Flood { round; payload } ->
-                      Some (Message.Flood { round; payload = payload +. delta })
-                  | Message.Probe _ | Message.Report _ | Message.Reset _ ->
-                      None));
+                  Message.perturb delta msg);
           duplicate =
             (fun ~edge ~now ~rng ->
               match active dup_w.(edge) now with
@@ -220,28 +210,9 @@ let fault_hooks (cfg : config) plan =
         with
         | None -> None
         | Some (from_, strategy) ->
-            let delta =
-              match strategy with
-              | Fault_plan.Lie_constant off -> off
-              | Fault_plan.Lie_drifting rate -> rate *. (now -. from_)
-              | Fault_plan.Lie_random mag ->
-                  Prng.uniform rng ~lo:(-.mag) ~hi:mag
-              | Fault_plan.Lie_equivocate mag ->
-                  (* A deterministic split-brain: everyone on the liar's
-                     higher-id side hears "ahead", the lower-id side hears
-                     "behind" — no two sides can reconcile what they saw. *)
-                  if dst > src then mag else -.mag
-            in
-            (match msg with
-            | Message.Beacon { value } ->
-                Some (Message.Beacon { value = value +. delta })
-            | Message.Probe_reply { seq; h_send; remote_value } ->
-                Some
-                  (Message.Probe_reply
-                     { seq; h_send; remote_value = remote_value +. delta })
-            | Message.Flood { round; payload } ->
-                Some (Message.Flood { round; payload = payload +. delta })
-            | Message.Probe _ | Message.Report _ | Message.Reset _ -> None))
+            Message.perturb
+              (Fault_plan.lie_delta strategy ~from_ ~now ~src ~dst ~rng)
+              msg)
   in
   (tamper, lie)
 
@@ -278,30 +249,17 @@ let schedule_fault_controls engine logical plan =
           () (* window faults; compiled into hooks by [fault_hooks] *))
     (Fault_plan.events plan)
 
-(* Resolve the effective region count for one run. Parallel execution is
-   an optimisation that must be invisible: any configuration whose replay
-   at a window barrier could consume randomness in a different order than
-   the serial engine — an adversarial delay chooser (installed mid-run),
-   a Byzantine plan combined with message loss (the serial engine draws
-   the drop before the lie; the parallel engine applies the lie at send
-   time) — falls back to serial, as does a profiled run (the dispatch
-   hook brackets handlers on one thread).
-   Everything else is byte-identical at any region count. *)
+(* Resolve the region count to request for one run. An adversarial delay
+   chooser is installed mid-run, after [Engine.of_config] has chosen the
+   execution strategy, and a window's barrier replay would consult it in a
+   different order than the serial engine, so such a run asks for one
+   region. [Engine.of_config] makes every other fallback itself (a
+   profiled run installs the dispatch hook; a Byzantine plan under loss
+   installs a lie on a lossy delay model). *)
 let effective_regions (cfg : config) =
-  if cfg.regions <= 1 then 1
-  else if cfg.obs.Capture.profile then 1
-  else
-    match cfg.delay_kind with
-    | Controlled_delays -> 1
-    | Uniform_delays | Per_edge_delays _ -> (
-        let has_byz =
-          match cfg.fault_plan with
-          | Some plan -> Fault_plan.byzantine_nodes plan <> []
-          | None -> false
-        in
-        match cfg.loss with
-        | Uniform_loss p when p > 0. && has_byz -> 1
-        | No_loss | Uniform_loss _ -> cfg.regions)
+  match cfg.delay_kind with
+  | Controlled_delays -> 1
+  | Uniform_delays | Per_edge_delays _ -> cfg.regions
 
 let prepare (cfg : config) =
   (match Spec.validate cfg.spec with

@@ -145,17 +145,6 @@ let active4 windows now =
       if from_ <= now && now < until then Some (x, y) else None)
     windows
 
-let perturb delta msg =
-  match msg with
-  | Message.Beacon { value } -> Some (Message.Beacon { value = value +. delta })
-  | Message.Probe_reply { seq; h_send; remote_value } ->
-      Some
-        (Message.Probe_reply
-           { seq; h_send; remote_value = remote_value +. delta })
-  | Message.Flood { round; payload } ->
-      Some (Message.Flood { round; payload = payload +. delta })
-  | Message.Probe _ | Message.Report _ | Message.Reset _ -> None
-
 let outgoing t ~now ~edge ~dst msg =
   if not (edge_up t ~edge ~now) then
     { fault_drop = true; sends = []; duplicated = false; corrupted = false;
@@ -172,15 +161,10 @@ let outgoing t ~now ~edge ~dst msg =
       | None -> msg
       | Some (from_, strategy) -> (
           let delta =
-            match strategy with
-            | Fault_plan.Lie_constant off -> off
-            | Fault_plan.Lie_drifting rate -> rate *. (now -. from_)
-            | Fault_plan.Lie_random mag ->
-                Prng.uniform t.byz_rng ~lo:(-.mag) ~hi:mag
-            | Fault_plan.Lie_equivocate mag ->
-                if dst > t.node then mag else -.mag
+            Fault_plan.lie_delta strategy ~from_ ~now ~src:t.node ~dst
+              ~rng:t.byz_rng
           in
-          match perturb delta msg with
+          match Message.perturb delta msg with
           | Some m ->
               lied := true;
               m
@@ -195,7 +179,7 @@ let outgoing t ~now ~edge ~dst msg =
           if Prng.float rng 1.0 >= prob then msg
           else begin
             let delta = Prng.uniform rng ~lo:(-.magnitude) ~hi:magnitude in
-            match perturb delta msg with
+            match Message.perturb delta msg with
             | Some m ->
                 corrupted := true;
                 m

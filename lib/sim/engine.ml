@@ -266,10 +266,15 @@ let take_control qu i =
   f
 
 (* ------------------------------------------------------------------ *)
-(* Region context: one event queue, clock position, window buffers and  *)
-(* counter deltas per partition region. A serial engine is exactly one  *)
-(* region with no window machinery.                                     *)
+(* Region record: one event queue, clock position, window buffers and   *)
+(* counters per partition region. A serial engine is exactly one region *)
+(* that never runs a window.                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* The sender's lie as [transmit] sees it: still to be asked, or already
+   asked by a window (see [send]), which recorded whether it rewrote the
+   message. *)
+type lie_state = Lie_unasked | Lie_rewrote | Lie_kept
 
 (* Buffered effects of one window dispatch, replayed in serial order at
    the barrier (see "Conservative region-parallel execution" below). *)
@@ -288,13 +293,14 @@ type 'msg witem =
       edge : int;
       dst_port : int;
       msg : 'msg;
-      lied : bool;
+      lie : lie_state;
     }
 
 type 'msg rctx = {
   rid : int;
   q : 'msg queue; (* the region's events and timer slots *)
   now_ref : float ref;
+  mutable windowed : bool; (* a window is executing on this region *)
   mutable cur_wend : float;
   (* pop log: the window's dispatch order, (prio, seq, first-item index) *)
   mutable pop_prio : float array;
@@ -305,23 +311,27 @@ type 'msg rctx = {
   mutable items_len : int;
   mutable lane_count : int; (* in-window pushes, for lane sequence numbers *)
   mutable final_seq : int array; (* lane index -> final seq (set at merge) *)
-  (* counter deltas, folded into the engine totals at each barrier *)
-  mutable c_events : int;
-  mutable c_sent : int;
-  mutable c_delivered : int;
-  mutable c_dropped : int;
-  mutable c_dropped_faults : int;
-  mutable c_duplicated : int;
-  mutable c_corrupted : int;
-  mutable c_lied : int;
-  mutable c_timers : int;
+  (* Lifetime counters; the engine's totals are their sums over regions.
+     A region's dispatches, and the sends of its nodes, count here; the
+     control queue's dispatches count in region 0. *)
+  mutable events : int;
+  mutable sent : int;
+  mutable delivered : int;
+  mutable dropped : int;
+  mutable dropped_faults : int;
+  mutable duplicated : int;
+  mutable corrupted : int;
+  mutable lied : int;
+  mutable timers_fired : int;
+  mutable controls_run : int;
 }
 
-let rctx_create ~rid =
+let rctx_create ~rid ~t0 =
   {
     rid;
     q = queue_create ();
-    now_ref = ref 0.;
+    now_ref = ref t0;
+    windowed = false;
     cur_wend = infinity;
     pop_prio = [||];
     pop_seq = [||];
@@ -331,15 +341,16 @@ let rctx_create ~rid =
     items_len = 0;
     lane_count = 0;
     final_seq = [||];
-    c_events = 0;
-    c_sent = 0;
-    c_delivered = 0;
-    c_dropped = 0;
-    c_dropped_faults = 0;
-    c_duplicated = 0;
-    c_corrupted = 0;
-    c_lied = 0;
-    c_timers = 0;
+    events = 0;
+    sent = 0;
+    delivered = 0;
+    dropped = 0;
+    dropped_faults = 0;
+    duplicated = 0;
+    corrupted = 0;
+    lied = 0;
+    timers_fired = 0;
+    controls_run = 0;
   }
 
 type 'msg t = {
@@ -382,22 +393,11 @@ type 'msg t = {
   mutable lie : 'msg lie option;
   mutable now : float;
   mutable started : bool;
-  mutable par_active : bool; (* a window is executing on the region domains *)
-  mutable events_processed : int;
-  mutable messages_sent : int;
-  mutable messages_delivered : int;
-  mutable messages_dropped : int;
-  mutable messages_dropped_faults : int;
-  mutable messages_duplicated : int;
-  mutable messages_corrupted : int;
-  mutable messages_lied : int;
   mutable observers : (float -> observation -> unit) array;
   mutable dispatch_hook : dispatch_hook option;
   mutable hook_every : int;
   mutable hook_left : int;
   mutable hook_armed : bool;
-  mutable timers_fired : int;
-  mutable controls_run : int;
   mutable heap_high_water : int;
   mutable stop_requested : bool;
 }
@@ -419,6 +419,9 @@ let now t =
   if t.nregions > 1 then
     match Domain.DLS.get dls_region_now with Some r -> !r | None -> t.now
   else t.now
+
+(* The real time region [c]'s nodes see: its own clock inside a window. *)
+let[@inline] region_now t c = if c.windowed then !(c.now_ref) else t.now
 
 (* ---------------- declarative construction ---------------- *)
 
@@ -457,17 +460,13 @@ let config ?(regions = 1) ?(observers = []) ?hook ?(hook_every = 1) ?tamper
     cfg_lie = lie;
   }
 
-let observe t obs =
-  let fs = t.observers in
-  for i = 0 to Array.length fs - 1 do
-    fs.(i) t.now obs
-  done
-
 let observe_at t at obs =
   let fs = t.observers in
   for i = 0 to Array.length fs - 1 do
     fs.(i) at obs
   done
+
+let observe t obs = observe_at t t.now obs
 
 (* ---------------- window buffers ---------------- *)
 
@@ -519,45 +518,46 @@ let[@inline] fresh_seq t =
   t.next_seq <- s + 1;
   s
 
-let[@inline] emit t wctx at obs =
-  match wctx with
-  | None -> observe t obs
-  | Some c -> if Array.length t.observers > 0 then witem_add c (W_obs { at; obs })
+(* Report [obs] at time [at]; a window buffers it for the barrier. *)
+let[@inline] emit t c at obs =
+  if not c.windowed then observe_at t at obs
+  else if Array.length t.observers > 0 then witem_add c (W_obs { at; obs })
 
 (* Queue handle [h], already filled in [qu]'s columns, at time [prio], and
-   return the sequence it is queued under. In window mode ([wctx]) a push
-   landing inside the current window enters the queue immediately under a
-   lane sequence (and is recorded for barrier re-sequencing; it is also
+   return the sequence it is queued under. Inside a window of region [c]
+   a push landing before the window end enters the queue immediately under
+   a lane sequence (and is recorded for barrier re-sequencing; it is also
    popped within the window); anything at or beyond the window end waits
    in a [W_push] for the barrier to queue it, and gets -1 here, so the
    region queues only ever hold finally-sequenced events between windows.
    A window pushes only into its own region's queue: cross-region sends are
    replayed at the barrier. *)
-let enqueue t wctx qu ~prio h =
-  match wctx with
-  | None ->
-      let seq = fresh_seq t in
+let enqueue t c qu ~prio h =
+  if not c.windowed then begin
+    let seq = fresh_seq t in
+    Scheduler.push qu.sched ~prio ~seq h;
+    seq
+  end
+  else begin
+    assert (qu == c.q);
+    if prio < c.cur_wend then begin
+      let k = lane_reserve c in
+      witem_add c (W_imm k);
+      let seq = lane_base + (k * t.nregions) + c.rid in
       Scheduler.push qu.sched ~prio ~seq h;
       seq
-  | Some c ->
-      assert (qu == c.q);
-      if prio < c.cur_wend then begin
-        let k = lane_reserve c in
-        witem_add c (W_imm k);
-        let seq = lane_base + (k * t.nregions) + c.rid in
-        Scheduler.push qu.sched ~prio ~seq h;
-        seq
-      end
-      else begin
-        witem_add c (W_push { prio; h });
-        -1
-      end
+    end
+    else begin
+      witem_add c (W_push { prio; h });
+      -1
+    end
+  end
 
 (* Queue a control or delivery handle. *)
-let enqueue_event t wctx qu ~prio h = ignore (enqueue t wctx qu ~prio h : int)
+let enqueue_event t c qu ~prio h = ignore (enqueue t c qu ~prio h : int)
 
-(* The region queue holding [node]'s timers. *)
-let[@inline] timer_queue t node = t.regions.(t.node_region.(node)).q
+(* The region holding [node]'s timers and receiving its messages. *)
+let[@inline] region_of t node = t.regions.(t.node_region.(node))
 
 let[@inline] hw_value t v ~now =
   let ep = Hardware_clock.breakpoint_count t.clocks.(v) in
@@ -572,9 +572,10 @@ let[@inline] hw_value t v ~now =
   end;
   t.seg_v.(v) +. (t.seg_r.(v) *. (now -. t.seg_t.(v)))
 
-(* Queue [slot]'s timer of [node] and record the entry as the slot's live
-   one; any older entry of the slot is dead from here on. *)
-let push_timer_event t wctx ~node ~slot ~h_target ~now =
+(* Queue [slot]'s timer of [node], a node of region [c], and record the
+   entry as the slot's live one; any older entry of the slot is dead from
+   here on. *)
+let push_timer_event t c ~node ~slot ~h_target ~now =
   let h_now = hw_value t node ~now in
   let fire_at =
     (* A deadline already reached (or predating the clock) fires now. On
@@ -586,159 +587,132 @@ let push_timer_event t wctx ~node ~slot ~h_target ~now =
         (t.seg_t.(node) +. ((h_target -. t.seg_v.(node)) /. t.seg_r.(node)))
     else Float.max now (Hardware_clock.inverse t.clocks.(node) ~h:h_target)
   in
-  let qu = timer_queue t node in
-  qu.timers.tp_seq.(slot) <- enqueue t wctx qu ~prio:fire_at (lnot slot)
+  c.q.timers.tp_seq.(slot) <- enqueue t c c.q ~prio:fire_at (lnot slot)
 
-(* The send path. Serial mode ([wctx = None]) performs every draw and push
-   directly, exactly like the classic single-queue engine. Window mode
-   splits by edge locality: an intra-region send draws from its (region-
-   owned) edge streams inline, while a cross-region send is buffered with
-   only the sender-side lie applied (the sender's own stream) and all
-   edge-stream draws deferred to the barrier replay, which performs them
-   in exact serial order. *)
-let do_send t wctx v ~port msg =
+(* Put a message sent at [at] on the wire: the loss draw, the delay draw
+   and its bounds check, the sender's lie, tampering, and the delivery
+   push with its duplicate. Serial and intra-region sends call it from
+   [send]; a window's cross-region sends call it at the barrier, in serial
+   send order, with their counts going to the sender's region [c]. *)
+let transmit t c ~at ~src ~dst ~edge ~dst_port ~lie msg =
+  let drop_p = Delay_model.drop_probability t.delays in
+  if drop_p > 0. && Prng.float t.link_rngs.(edge) 1.0 < drop_p then begin
+    c.dropped <- c.dropped + 1;
+    emit t c at (Obs_drop { src; dst; edge })
+  end
+  else begin
+    let delay =
+      Delay_model.draw t.delays ~edge ~src ~dst ~now:at ~rng:t.link_rngs.(edge)
+    in
+    let b = Delay_model.edge_bounds t.delays edge in
+    if not (delay >= b.Delay_model.d_min && delay <= b.Delay_model.d_max) then
+      invalid_arg
+        (Printf.sprintf
+           "Engine.send: delay %g outside bounds [%g, %g] on edge %d (%d -> \
+            %d)"
+           delay b.Delay_model.d_min b.Delay_model.d_max edge src dst);
+    (* The sender's lie applies first — a Byzantine node hands the network
+       an already-false value; tampering (below) then acts on whatever was
+       handed over, like for any other message. *)
+    let told =
+      match lie with
+      | Lie_kept -> None
+      | Lie_rewrote -> Some msg
+      | Lie_unasked -> (
+          match t.lie with
+          | None -> None
+          | Some lie -> lie ~src ~dst ~now:at ~rng:t.byz_rngs.(src) msg)
+    in
+    let msg =
+      match told with
+      | None -> msg
+      | Some msg' ->
+          c.lied <- c.lied + 1;
+          emit t c at (Obs_lie { src; dst; edge });
+          msg'
+    in
+    (* Tampering applies after the bounds check: a reorder fault adds extra
+       delay *by design* outside the paper's uncertainty model. *)
+    let delay, msg =
+      match t.tamper with
+      | None -> (delay, msg)
+      | Some tm ->
+          let rng = t.fault_rngs.(edge) in
+          let extra = tm.extra_delay ~edge ~now:at ~rng in
+          let msg =
+            match tm.corrupt ~edge ~now:at ~rng msg with
+            | None -> msg
+            | Some msg' ->
+                c.corrupted <- c.corrupted + 1;
+                emit t c at (Obs_corrupt { src; dst; edge });
+                msg'
+          in
+          (delay +. extra, msg)
+    in
+    emit t c at (Obs_send { src; dst; edge; delay });
+    let qu = (region_of t dst).q in
+    enqueue_event t c qu ~prio:(at +. delay)
+      (alloc_deliver qu ~dst ~port:dst_port ~edge msg);
+    match t.tamper with
+    | Some tm when tm.duplicate ~edge ~now:at ~rng:t.fault_rngs.(edge) ->
+        c.duplicated <- c.duplicated + 1;
+        emit t c at (Obs_duplicate { src; dst; edge });
+        let dup_delay =
+          Delay_model.draw t.delays ~edge ~src ~dst ~now:at
+            ~rng:t.fault_rngs.(edge)
+        in
+        enqueue_event t c qu ~prio:(at +. dup_delay)
+          (alloc_deliver qu ~dst ~port:dst_port ~edge msg)
+    | _ -> ()
+  end
+
+(* Node [v] of region [c] sends on [port]. A window buffers a cross-region
+   send for the barrier with only the sender's lie applied (from the
+   sender's own stream, so it sees draws in the sender's send order); the
+   edge-stream draws wait for the barrier's [transmit], which performs
+   them in serial order. Every other send is transmitted at once. *)
+let send t c v ~port msg =
   let g = t.graph in
   let edge = Graph.edge_at_port g v port in
   let dst = Graph.neighbor_at_port g v port in
   let dst_port = Graph.port_of_neighbor g dst v in
   (* A crashed node's handlers never run, so this guard is defensive:
      nothing a down node "sends" may enter the network. *)
-  if not t.node_up.(v) then ()
-  else begin
-    let at = match wctx with None -> t.now | Some c -> !(c.now_ref) in
-    (match wctx with
-    | None -> t.messages_sent <- t.messages_sent + 1
-    | Some c -> c.c_sent <- c.c_sent + 1);
+  if t.node_up.(v) then begin
+    let at = region_now t c in
+    c.sent <- c.sent + 1;
     if not t.edge_up.(edge) then begin
-      (match wctx with
-      | None -> t.messages_dropped_faults <- t.messages_dropped_faults + 1
-      | Some c -> c.c_dropped_faults <- c.c_dropped_faults + 1);
-      emit t wctx at (Obs_fault_drop { src = v; dst; edge })
+      c.dropped_faults <- c.dropped_faults + 1;
+      emit t c at (Obs_fault_drop { src = v; dst; edge })
     end
-    else
-      match wctx with
-      | Some c when t.edge_cross.(edge) ->
-          (* The sender's lie applies inline so the per-node Byzantine
-             stream sees draws in the sender's own send order; the lie
-             observation and counter wait for the barrier's drop draw
-             (they only exist for messages that enter the network). *)
-          let msg, lied =
-            match t.lie with
-            | None -> (msg, false)
-            | Some lie -> (
-                match lie ~src:v ~dst ~now:at ~rng:t.byz_rngs.(v) msg with
-                | None -> (msg, false)
-                | Some msg' -> (msg', true))
-          in
-          witem_add c (W_cross { at; src = v; dst; edge; dst_port; msg; lied })
-      | _ -> begin
-          let drop_p = Delay_model.drop_probability t.delays in
-          let dropped =
-            drop_p > 0. && Prng.float t.link_rngs.(edge) 1.0 < drop_p
-          in
-          if dropped then begin
-            (match wctx with
-            | None -> t.messages_dropped <- t.messages_dropped + 1
-            | Some c -> c.c_dropped <- c.c_dropped + 1);
-            emit t wctx at (Obs_drop { src = v; dst; edge })
-          end
-          else begin
-            let delay =
-              Delay_model.draw t.delays ~edge ~src:v ~dst ~now:at
-                ~rng:t.link_rngs.(edge)
-            in
-            let b = Delay_model.edge_bounds t.delays edge in
-            if
-              not (delay >= b.Delay_model.d_min && delay <= b.Delay_model.d_max)
-            then
-              invalid_arg
-                (Printf.sprintf
-                   "Engine.send: delay %g outside bounds [%g, %g] on edge \
-                    %d (%d -> %d)"
-                   delay b.Delay_model.d_min b.Delay_model.d_max edge v dst);
-            (* The sender's lie applies first — a Byzantine node hands the
-               network an already-false value; tampering (below) then acts
-               on whatever was handed over, like for any other message. *)
-            let msg =
-              match t.lie with
-              | None -> msg
-              | Some lie -> (
-                  match lie ~src:v ~dst ~now:at ~rng:t.byz_rngs.(v) msg with
-                  | None -> msg
-                  | Some msg' ->
-                      (match wctx with
-                      | None -> t.messages_lied <- t.messages_lied + 1
-                      | Some c -> c.c_lied <- c.c_lied + 1);
-                      emit t wctx at (Obs_lie { src = v; dst; edge });
-                      msg')
-            in
-            (* Tampering applies after the bounds check: a reorder fault
-               adds extra delay *by design* outside the paper's
-               uncertainty model. *)
-            let delay, msg =
-              match t.tamper with
-              | None -> (delay, msg)
-              | Some tm ->
-                  let rng = t.fault_rngs.(edge) in
-                  let extra = tm.extra_delay ~edge ~now:at ~rng in
-                  let msg =
-                    match tm.corrupt ~edge ~now:at ~rng msg with
-                    | None -> msg
-                    | Some msg' ->
-                        (match wctx with
-                        | None ->
-                            t.messages_corrupted <- t.messages_corrupted + 1
-                        | Some c -> c.c_corrupted <- c.c_corrupted + 1);
-                        emit t wctx at (Obs_corrupt { src = v; dst; edge });
-                        msg'
-                  in
-                  (delay +. extra, msg)
-            in
-            emit t wctx at (Obs_send { src = v; dst; edge; delay });
-            let qu = t.regions.(t.node_region.(dst)).q in
-            enqueue_event t wctx qu ~prio:(at +. delay)
-              (alloc_deliver qu ~dst ~port:dst_port ~edge msg);
-            match t.tamper with
-            | Some tm
-              when tm.duplicate ~edge ~now:at ~rng:t.fault_rngs.(edge) ->
-                (match wctx with
-                | None ->
-                    t.messages_duplicated <- t.messages_duplicated + 1
-                | Some c -> c.c_duplicated <- c.c_duplicated + 1);
-                emit t wctx at (Obs_duplicate { src = v; dst; edge });
-                let dup_delay =
-                  Delay_model.draw t.delays ~edge ~src:v ~dst ~now:at
-                    ~rng:t.fault_rngs.(edge)
-                in
-                enqueue_event t wctx qu ~prio:(at +. dup_delay)
-                  (alloc_deliver qu ~dst ~port:dst_port ~edge msg)
-            | _ -> ()
-          end
-        end
+    else if c.windowed && t.edge_cross.(edge) then begin
+      let told =
+        match t.lie with
+        | None -> None
+        | Some lie -> lie ~src:v ~dst ~now:at ~rng:t.byz_rngs.(v) msg
+      in
+      let msg, lie =
+        match told with
+        | None -> (msg, Lie_kept)
+        | Some msg' -> (msg', Lie_rewrote)
+      in
+      witem_add c (W_cross { at; src = v; dst; edge; dst_port; msg; lie })
+    end
+    else transmit t c ~at ~src:v ~dst ~edge ~dst_port ~lie:Lie_unasked msg
   end
 
-(* The real time node [v] sees: its region's clock inside a window. *)
-let[@inline] node_now t v =
-  if t.par_active then !(t.regions.(t.node_region.(v)).now_ref) else t.now
-
 let make_api t v =
-  let wctx () =
-    if t.par_active then Some t.regions.(t.node_region.(v)) else None
-  in
+  let c = region_of t v in
   {
     node = v;
     ports = Graph.degree t.graph v;
-    hardware = (fun () -> hw_value t v ~now:(node_now t v));
-    send = (fun ~port msg -> do_send t (wctx ()) v ~port msg);
+    hardware = (fun () -> hw_value t v ~now:(region_now t c));
+    send = (fun ~port msg -> send t c v ~port msg);
     set_timer =
       (fun ~h ~tag ->
         if Float.is_nan h then invalid_arg "Engine.set_timer: h is NaN";
-        let slot =
-          pool_alloc (timer_queue t v).timers t.node_timer_head ~node:v ~h
-            ~tag
-        in
-        push_timer_event t (wctx ()) ~node:v ~slot ~h_target:h
-          ~now:(node_now t v));
+        let slot = pool_alloc c.q.timers t.node_timer_head ~node:v ~h ~tag in
+        push_timer_event t c ~node:v ~slot ~h_target:h ~now:(region_now t c));
     rng = Prng.create ~seed:0 (* replaced in [of_config] *);
   }
 
@@ -756,7 +730,9 @@ let of_config (cfg : 'msg config) =
     clocks;
   (* Resolve the effective region count. Parallel execution needs a
      positive lookahead (every cross-region edge's d_min bounds how soon
-     one region can affect another) and a hook-free dispatch path; anything
+     one region can affect another), a hook-free dispatch path, and no lie
+     under message loss (a window asks a cross-region lie before the
+     barrier's drop draw, which the serial engine makes first); anything
      else degrades to the serial single-region engine. *)
   let requested = min cfg.cfg_regions (max 1 n) in
   let partition r = Array.init n (fun v -> v * r / n) in
@@ -779,6 +755,9 @@ let of_config (cfg : 'msg config) =
   let nregions =
     if requested <= 1 then 1
     else if cfg.cfg_hook <> None then 1
+    else if
+      cfg.cfg_lie <> None && Delay_model.drop_probability cfg.cfg_delays > 0.
+    then 1
     else if lookahead_of (partition requested) <= 0. then 1
     else requested
   in
@@ -800,11 +779,7 @@ let of_config (cfg : 'msg config) =
       node_region;
       edge_cross;
       lookahead;
-      regions =
-        Array.init nregions (fun rid ->
-            let c = rctx_create ~rid in
-            c.now_ref := cfg.cfg_t0;
-            c);
+      regions = Array.init nregions (fun rid -> rctx_create ~rid ~t0:cfg.cfg_t0);
       ctrl_q = queue_create ();
       next_seq = 0;
       handlers = Array.init n cfg.cfg_make_node;
@@ -825,22 +800,11 @@ let of_config (cfg : 'msg config) =
       lie = cfg.cfg_lie;
       now = cfg.cfg_t0;
       started = false;
-      par_active = false;
-      events_processed = 0;
-      messages_sent = 0;
-      messages_delivered = 0;
-      messages_dropped = 0;
-      messages_dropped_faults = 0;
-      messages_duplicated = 0;
-      messages_corrupted = 0;
-      messages_lied = 0;
       observers = Array.of_list cfg.cfg_observers;
       dispatch_hook = cfg.cfg_hook;
       hook_every = cfg.cfg_hook_every;
       hook_left = cfg.cfg_hook_every;
       hook_armed = false;
-      timers_fired = 0;
-      controls_run = 0;
       heap_high_water = 0;
       stop_requested = false;
     }
@@ -882,16 +846,15 @@ let[@inline] hook_after t kind =
         h.after kind
       end
 
-(* Dispatch the entry [(seq, h)] just popped from [qu]. A timer entry
+(* Dispatch the entry [(seq, h)] just popped from [qu], region [c]'s queue
+   or the control queue (whose dispatches count in region 0). A timer entry
    fires only if it is still its slot's live entry. A delivery's or a
    control's columns are read and its handle released (dropping its
    message or closure) before any handler runs, so the handler's own pushes
    may reuse the handle. *)
-let dispatch t wctx qu ~seq h =
-  (match wctx with
-  | None -> t.events_processed <- t.events_processed + 1
-  | Some c -> c.c_events <- c.c_events + 1);
-  let now = match wctx with None -> t.now | Some c -> !(c.now_ref) in
+let dispatch t c qu ~seq h =
+  c.events <- c.events + 1;
+  let now = region_now t c in
   if h < 0 then begin
     let pool = qu.timers and slot = lnot h in
     if pool_live pool ~slot ~seq then begin
@@ -901,17 +864,15 @@ let dispatch t wctx qu ~seq h =
       if h_now +. 1e-9 >= h_target then begin
         let tag = pool.tp_tag.(slot) in
         pool_free pool t.node_timer_head slot;
-        (match wctx with
-        | None -> t.timers_fired <- t.timers_fired + 1
-        | Some c -> c.c_timers <- c.c_timers + 1);
-        emit t wctx now (Obs_timer { node; tag });
+        c.timers_fired <- c.timers_fired + 1;
+        emit t c now (Obs_timer { node; tag });
         hook_before t Dispatch_timer;
         t.handlers.(node).on_timer t.apis.(node) ~tag;
         hook_after t Dispatch_timer
       end
       else
         (* The clock slowed after this entry was pushed; re-aim. *)
-        push_timer_event t wctx ~node ~slot ~h_target ~now
+        push_timer_event t c ~node ~slot ~h_target ~now
     end
     (* else: re-keyed, cancelled or already fired *)
   end
@@ -925,18 +886,14 @@ let dispatch t wctx qu ~seq h =
       (* Messages in flight when a partition starts or the receiver crashes
          are lost at delivery time. *)
       if (not t.node_up.(dst)) || not t.edge_up.(edge) then begin
-        (match wctx with
-        | None -> t.messages_dropped_faults <- t.messages_dropped_faults + 1
-        | Some c -> c.c_dropped_faults <- c.c_dropped_faults + 1);
-        emit t wctx now
+        c.dropped_faults <- c.dropped_faults + 1;
+        emit t c now
           (Obs_fault_drop
              { src = Graph.neighbor_at_port t.graph dst port; dst; edge })
       end
       else begin
-        (match wctx with
-        | None -> t.messages_delivered <- t.messages_delivered + 1
-        | Some c -> c.c_delivered <- c.c_delivered + 1);
-        emit t wctx now (Obs_deliver { dst; port });
+        c.delivered <- c.delivered + 1;
+        emit t c now (Obs_deliver { dst; port });
         hook_before t Dispatch_deliver;
         t.handlers.(dst).on_message t.apis.(dst) ~port msg;
         hook_after t Dispatch_deliver
@@ -945,7 +902,7 @@ let dispatch t wctx qu ~seq h =
     else begin
       let f = take_control qu (head lsr 1) in
       release qu h;
-      t.controls_run <- t.controls_run + 1;
+      c.controls_run <- c.controls_run + 1;
       hook_before t Dispatch_control;
       f ();
       hook_after t Dispatch_control
@@ -954,14 +911,12 @@ let dispatch t wctx qu ~seq h =
 
 (* ---------------- serial execution (one region) ---------------- *)
 
-let serial_q t = t.regions.(0).q
-
 let[@inline] note_heap_depth t sz =
   if sz > t.heap_high_water then t.heap_high_water <- sz
 
 let run_until_serial t horizon =
-  let qu = serial_q t in
-  let q = qu.sched in
+  let c = t.regions.(0) in
+  let q = c.q.sched in
   let continue = ref true in
   while !continue && not t.stop_requested do
     note_heap_depth t (Scheduler.size q);
@@ -970,7 +925,7 @@ let run_until_serial t horizon =
       let seq = Scheduler.min_seq q in
       let h = Scheduler.pop_min q in
       t.now <- Float.max t.now time;
-      dispatch t None qu ~seq h
+      dispatch t c c.q ~seq h
     end
     else continue := false
   done;
@@ -997,17 +952,18 @@ let run_until_serial t horizon =
 (*   buffered effects in that order);                                    *)
 (* - per-stream RNG draw order is preserved: node and intra-region edge  *)
 (*   streams draw inline (each is owned by one region), cross-region     *)
-(*   edge streams draw at the barrier replay in serial send order;       *)
+(*   edge streams draw in [transmit] at the barrier, in serial send      *)
+(*   order;                                                              *)
 (* - observations buffer per region and flush at the barrier in serial   *)
 (*   dispatch order, so sinks see the exact serial stream.               *)
-(* The one divergence: a Byzantine lie that draws randomness combined    *)
-(* with message loss on a cross-region edge would need the drop draw     *)
-(* before the lie draw; callers gate that combination to the serial      *)
-(* engine (see Runner).                                                  *)
+(* The one divergence: a Byzantine lie on a cross-region edge is asked   *)
+(* at send time, so under message loss it would draw for messages the    *)
+(* barrier then drops; [of_config] runs that combination serially.       *)
 (* ------------------------------------------------------------------ *)
 
 let run_region_window t c ~wend =
   c.cur_wend <- wend;
+  c.windowed <- true;
   Domain.DLS.set dls_region_now (Some c.now_ref);
   let q = c.q.sched in
   while Scheduler.min_prio q < wend do
@@ -1016,92 +972,10 @@ let run_region_window t c ~wend =
     let h = Scheduler.pop_min q in
     if prio > !(c.now_ref) then c.now_ref := prio;
     pop_log_add c prio seq;
-    dispatch t (Some c) c.q ~seq h
+    dispatch t c c.q ~seq h
   done;
+  c.windowed <- false;
   Domain.DLS.set dls_region_now None
-
-let fold_region_counters t =
-  Array.iter
-    (fun c ->
-      t.events_processed <- t.events_processed + c.c_events;
-      t.messages_sent <- t.messages_sent + c.c_sent;
-      t.messages_delivered <- t.messages_delivered + c.c_delivered;
-      t.messages_dropped <- t.messages_dropped + c.c_dropped;
-      t.messages_dropped_faults <-
-        t.messages_dropped_faults + c.c_dropped_faults;
-      t.messages_duplicated <- t.messages_duplicated + c.c_duplicated;
-      t.messages_corrupted <- t.messages_corrupted + c.c_corrupted;
-      t.messages_lied <- t.messages_lied + c.c_lied;
-      t.timers_fired <- t.timers_fired + c.c_timers;
-      c.c_events <- 0;
-      c.c_sent <- 0;
-      c.c_delivered <- 0;
-      c.c_dropped <- 0;
-      c.c_dropped_faults <- 0;
-      c.c_duplicated <- 0;
-      c.c_corrupted <- 0;
-      c.c_lied <- 0;
-      c.c_timers <- 0)
-    t.regions
-
-(* Replay one buffered cross-region send at the barrier: the deferred
-   edge-stream draws happen here, in serial send order, and produce the
-   exact observation sequence and queue pushes of a serial send. *)
-let replay_cross t ~at ~src ~dst ~edge ~dst_port ~msg ~lied =
-  let drop_p = Delay_model.drop_probability t.delays in
-  let dropped = drop_p > 0. && Prng.float t.link_rngs.(edge) 1.0 < drop_p in
-  if dropped then begin
-    t.messages_dropped <- t.messages_dropped + 1;
-    observe_at t at (Obs_drop { src; dst; edge })
-  end
-  else begin
-    let delay =
-      Delay_model.draw t.delays ~edge ~src ~dst ~now:at
-        ~rng:t.link_rngs.(edge)
-    in
-    let b = Delay_model.edge_bounds t.delays edge in
-    if not (delay >= b.Delay_model.d_min && delay <= b.Delay_model.d_max) then
-      invalid_arg
-        (Printf.sprintf
-           "Engine.send: delay %g outside bounds [%g, %g] on edge %d (%d -> \
-            %d)"
-           delay b.Delay_model.d_min b.Delay_model.d_max edge src dst);
-    if lied then begin
-      t.messages_lied <- t.messages_lied + 1;
-      observe_at t at (Obs_lie { src; dst; edge })
-    end;
-    let delay, msg =
-      match t.tamper with
-      | None -> (delay, msg)
-      | Some tm ->
-          let rng = t.fault_rngs.(edge) in
-          let extra = tm.extra_delay ~edge ~now:at ~rng in
-          let msg =
-            match tm.corrupt ~edge ~now:at ~rng msg with
-            | None -> msg
-            | Some msg' ->
-                t.messages_corrupted <- t.messages_corrupted + 1;
-                observe_at t at (Obs_corrupt { src; dst; edge });
-                msg'
-          in
-          (delay +. extra, msg)
-    in
-    observe_at t at (Obs_send { src; dst; edge; delay });
-    let qu = t.regions.(t.node_region.(dst)).q in
-    enqueue_event t None qu ~prio:(at +. delay)
-      (alloc_deliver qu ~dst ~port:dst_port ~edge msg);
-    match t.tamper with
-    | Some tm when tm.duplicate ~edge ~now:at ~rng:t.fault_rngs.(edge) ->
-        t.messages_duplicated <- t.messages_duplicated + 1;
-        observe_at t at (Obs_duplicate { src; dst; edge });
-        let dup_delay =
-          Delay_model.draw t.delays ~edge ~src ~dst ~now:at
-            ~rng:t.fault_rngs.(edge)
-        in
-        enqueue_event t None qu ~prio:(at +. dup_delay)
-          (alloc_deliver qu ~dst ~port:dst_port ~edge msg)
-    | _ -> ()
-  end
 
 (* Merge the window back into serial order: a k-way merge of the regions'
    pop logs keyed by (prio, final seq). Lane sequences resolve through the
@@ -1119,10 +993,10 @@ let merge_window t =
     | W_obs { at; obs } -> observe_at t at obs
     | W_imm k -> c.final_seq.(k) <- fresh_seq t
     | W_push { prio; h } ->
-        let seq = enqueue t None c.q ~prio h in
+        let seq = enqueue t c c.q ~prio h in
         if h < 0 then c.q.timers.tp_seq.(lnot h) <- seq
-    | W_cross { at; src; dst; edge; dst_port; msg; lied } ->
-        replay_cross t ~at ~src ~dst ~edge ~dst_port ~msg ~lied
+    | W_cross { at; src; dst; edge; dst_port; msg; lie } ->
+        transmit t c ~at ~src ~dst ~edge ~dst_port ~lie msg
   in
   let exception Done in
   (try
@@ -1161,22 +1035,36 @@ let merge_window t =
       c.lane_count <- 0)
     t.regions
 
-(* Minimum (prio, seq) over every queue; returns the queue holding it. *)
-let global_min t =
-  let best = ref t.ctrl_q in
-  let bp = ref (Scheduler.min_prio t.ctrl_q.sched) in
-  let bs = ref (Scheduler.min_seq t.ctrl_q.sched) in
-  Array.iter
-    (fun c ->
-      let q = c.q.sched in
-      let p = Scheduler.min_prio q in
-      if p < !bp || (p = !bp && Scheduler.min_seq q < !bs) then begin
-        best := c.q;
-        bp := p;
-        bs := Scheduler.min_seq q
-      end)
-    t.regions;
-  (!bp, !best)
+(* The queue holding the minimum (prio, seq) over every queue: a region's
+   index, or -1 for the control queue. *)
+let min_region t =
+  let best = ref (-1) and bq = ref t.ctrl_q.sched in
+  for i = 0 to t.nregions - 1 do
+    let q = t.regions.(i).q.sched in
+    let p = Scheduler.min_prio q and bp = Scheduler.min_prio !bq in
+    if p < bp || (p = bp && Scheduler.min_seq q < Scheduler.min_seq !bq)
+    then begin
+      best := i;
+      bq := q
+    end
+  done;
+  !best
+
+let queue_of t i = if i < 0 then t.ctrl_q else t.regions.(i).q
+
+(* Earliest pending event time over every queue; [infinity] when none. *)
+let next_prio t = Scheduler.min_prio (queue_of t (min_region t)).sched
+
+(* Pop the minimum event of queue [i] (see [min_region]) and dispatch it
+   on the calling domain. *)
+let dispatch_min t i =
+  let qu = queue_of t i in
+  let p = Scheduler.min_prio qu.sched in
+  let seq = Scheduler.min_seq qu.sched in
+  let h = Scheduler.pop_min qu.sched in
+  assert (p +. 1e-9 >= t.now);
+  t.now <- Float.max t.now p;
+  dispatch t t.regions.(max i 0) qu ~seq h
 
 let total_pending t =
   Array.fold_left
@@ -1235,7 +1123,6 @@ let run_until_parallel t horizon =
     Array.init (r - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
   in
   let release_window wend =
-    t.par_active <- true;
     Mutex.lock s.mutex;
     s.wend <- wend;
     s.gen <- s.gen + 1;
@@ -1247,12 +1134,11 @@ let run_until_parallel t horizon =
     while s.dones < r - 1 do
       Condition.wait s.done_ s.mutex
     done;
-    Mutex.unlock s.mutex;
-    t.par_active <- false
+    Mutex.unlock s.mutex
   in
   let continue = ref true in
   while !continue && not t.stop_requested do
-    let next_p, _ = global_min t in
+    let next_p = next_prio t in
     if total_pending t = 0 || next_p > horizon then continue := false
     else begin
       note_heap_depth t (total_pending t);
@@ -1263,7 +1149,6 @@ let run_until_parallel t horizon =
           horizon
       in
       if wend > next_p then release_window wend;
-      fold_region_counters t;
       merge_window t;
       Array.iter
         (fun c -> if !(c.now_ref) > t.now then t.now <- !(c.now_ref))
@@ -1274,13 +1159,11 @@ let run_until_parallel t horizon =
          stay exact. *)
       let boundary = ref true in
       while !boundary && not t.stop_requested do
-        let p, qu = global_min t in
-        if total_pending t > 0 && p <= wend then begin
+        let i = min_region t in
+        if total_pending t > 0 && Scheduler.min_prio (queue_of t i).sched <= wend
+        then begin
           note_heap_depth t (total_pending t);
-          let seq = Scheduler.min_seq qu.sched in
-          let h = Scheduler.pop_min qu.sched in
-          t.now <- Float.max t.now p;
-          dispatch t None qu ~seq h
+          dispatch_min t i
         end
         else boundary := false
       done
@@ -1296,32 +1179,24 @@ let run_until_parallel t horizon =
 let run_until t horizon =
   start t;
   if t.nregions = 1 then run_until_serial t horizon
-  else begin
-    let next_p, _ = global_min t in
-    if total_pending t = 0 || next_p > horizon then begin
-      if not t.stop_requested then t.now <- Float.max t.now horizon
-    end
-    else run_until_parallel t horizon
-  end
+  else if total_pending t > 0 && next_prio t <= horizon then
+    run_until_parallel t horizon
+  else if not t.stop_requested then t.now <- Float.max t.now horizon
 
 let step t =
   start t;
   note_heap_depth t (total_pending t);
   if total_pending t = 0 then false
   else begin
-    let p, qu = global_min t in
-    let seq = Scheduler.min_seq qu.sched in
-    let h = Scheduler.pop_min qu.sched in
-    assert (p +. 1e-9 >= t.now);
-    t.now <- Float.max t.now p;
-    dispatch t None qu ~seq h;
+    dispatch_min t (min_region t);
     true
   end
 
 let schedule_control t ~at f =
   if Float.is_nan at then invalid_arg "Engine.schedule_control: at is NaN";
-  let qu = if t.nregions > 1 then t.ctrl_q else serial_q t in
-  enqueue_event t None qu ~prio:(Float.max at t.now) (alloc_control qu f)
+  let c = t.regions.(0) in
+  let qu = if t.nregions > 1 then t.ctrl_q else c.q in
+  enqueue_event t c qu ~prio:(Float.max at t.now) (alloc_control qu f)
 
 let set_node_rate t ~node ~rate =
   let clock = t.clocks.(node) in
@@ -1333,11 +1208,12 @@ let set_node_rate t ~node ~rate =
   (* Re-key every pending timer: each gets a fresh entry reflecting the
      new rate, which leaves its old entry dead. Slots walk in insertion
      order. *)
-  let pool = (timer_queue t node).timers in
+  let c = region_of t node in
+  let pool = c.q.timers in
   let slot = ref t.node_timer_head.(node) in
   while !slot >= 0 do
     let s = !slot in
-    push_timer_event t None ~node ~slot:s ~h_target:pool.tp_h.(s) ~now:t.now;
+    push_timer_event t c ~node ~slot:s ~h_target:pool.tp_h.(s) ~now:t.now;
     slot := pool.tp_next.(s)
   done
 
@@ -1346,7 +1222,7 @@ let crash_node t ~node =
     t.node_up.(node) <- false;
     (* Freeing the slots turns every pending queue entry for this node into
        a no-op, exactly like the re-keying in [set_node_rate]. *)
-    let pool = (timer_queue t node).timers in
+    let pool = (region_of t node).q.timers in
     while t.node_timer_head.(node) >= 0 do
       pool_free pool t.node_timer_head t.node_timer_head.(node)
     done;
@@ -1374,26 +1250,28 @@ let edge_is_up t edge = t.edge_up.(edge)
 let add_observer t f = t.observers <- Array.append t.observers [| f |]
 let clear_observer t = t.observers <- [||]
 
+(* An engine total: the sum of one counter over the regions. *)
+let total t count = Array.fold_left (fun acc c -> acc + count c) 0 t.regions
+
 let dispatch_count t = function
-  | Dispatch_deliver -> t.messages_delivered
-  | Dispatch_timer -> t.timers_fired
-  | Dispatch_control -> t.controls_run
+  | Dispatch_deliver -> total t (fun c -> c.delivered)
+  | Dispatch_timer -> total t (fun c -> c.timers_fired)
+  | Dispatch_control -> total t (fun c -> c.controls_run)
 
 let hardware_clock t v = t.clocks.(v)
 let graph t = t.graph
 let regions t = t.nregions
-let lookahead t = t.lookahead
-let node_region t v = t.node_region.(v)
-let events_processed t = t.events_processed
-let messages_sent t = t.messages_sent
-let messages_delivered t = t.messages_delivered
-let messages_dropped t = t.messages_dropped
-let messages_dropped_faults t = t.messages_dropped_faults
-let messages_duplicated t = t.messages_duplicated
-let messages_corrupted t = t.messages_corrupted
-let messages_lied t = t.messages_lied
+let events_processed t = total t (fun c -> c.events)
+let messages_sent t = total t (fun c -> c.sent)
+let messages_delivered t = total t (fun c -> c.delivered)
+let messages_dropped t = total t (fun c -> c.dropped)
+let messages_dropped_faults t = total t (fun c -> c.dropped_faults)
+let messages_duplicated t = total t (fun c -> c.duplicated)
+let messages_corrupted t = total t (fun c -> c.corrupted)
+let messages_lied t = total t (fun c -> c.lied)
 let pending_events t = total_pending t
 let heap_high_water t = t.heap_high_water
+
 
 type 'msg pending =
   | Pending_deliver of { at : float; dst : int; port : int; edge : int; msg : 'msg }

@@ -153,22 +153,18 @@ val config :
 val of_config : 'msg config -> 'msg t
 (** Build the engine. The region request is resolved here: the engine runs
     region-parallel only when [regions > 1], no dispatch hook is installed,
-    and every cross-region edge has a strictly positive minimum delay
-    (the lookahead that makes conservative windows non-empty). Otherwise it
-    falls back to the exact serial engine — results are byte-identical
-    either way, so the fallback is a performance decision only. *)
+    no lie is installed under a delay model that drops messages (a window
+    asks a cross-region lie before the loss draw, which the serial engine
+    makes first), and every cross-region edge has a strictly positive
+    minimum delay (the lookahead that makes conservative windows
+    non-empty). Otherwise it falls back to the exact serial engine —
+    results are byte-identical either way, so the fallback is a
+    performance decision only. *)
 
 val regions : _ t -> int
 (** Effective region count after {!of_config}'s resolution: [1] means the
     serial engine (whatever was requested), [> 1] means that many domains
     execute conservative windows in parallel. *)
-
-val lookahead : _ t -> float
-(** Minimum cross-region delay bound — the conservative window width.
-    [infinity] on a serial engine (no cross-region edges). *)
-
-val node_region : _ t -> int -> int
-(** The region a node is partitioned into (always [0] on a serial engine). *)
 
 val now : _ t -> float
 (** Current simulation time (time of the last processed event, or [t0]). *)

@@ -585,6 +585,17 @@ let byzantine_nodes t =
        (function Byzantine { node; _ } -> Some node | _ -> None)
        t)
 
+let lie_delta strategy ~from_ ~now ~src ~dst ~rng =
+  match strategy with
+  | Lie_constant off -> off
+  | Lie_drifting rate -> rate *. (now -. from_)
+  | Lie_random mag -> Gcs_util.Prng.uniform rng ~lo:(-.mag) ~hi:mag
+  | Lie_equivocate mag ->
+      (* A deterministic split-brain: everyone on the liar's higher-id side
+         hears "ahead", the lower-id side hears "behind" — no two sides can
+         reconcile what they saw. *)
+      if dst > src then mag else -.mag
+
 let byz_strategy_key = function
   | Lie_constant _ -> "off"
   | Lie_drifting _ -> "rate"

@@ -130,6 +130,18 @@ val validate : t -> Gcs_graph.Graph.t -> (unit, string) result
 val byzantine_nodes : t -> int list
 (** Nodes with at least one Byzantine window, sorted, without duplicates. *)
 
+val lie_delta :
+  byz_strategy ->
+  from_:float ->
+  now:float ->
+  src:int ->
+  dst:int ->
+  rng:Gcs_util.Prng.t ->
+  float
+(** The offset node [src], lying under [strategy] in a window opened at
+    [from_], adds at [now] to the value it sends to [dst]. Only
+    [Lie_random] draws, once from [rng] on every call. *)
+
 val correct_edges : t -> Gcs_graph.Graph.t -> int list
 (** Edge ids whose both endpoints are correct (never Byzantine in this
     plan), sorted. Byzantine episodes cover exactly these edges, so

@@ -592,11 +592,18 @@ let test_plain_gradient_battery_violates () =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* dune copies the fixtures next to the test binary, so they resolve from
+   any working directory. *)
+let fixture file =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) "fixtures")
+    file
+
 (* The committed minimized fixtures: each must parse, re-encode to the
    exact committed bytes, replay to [Reproduced], and render the exact
    committed report. This is the CI contract for repro artifacts. *)
 let check_fixture name =
-  let raw = read_file (Filename.concat "fixtures" (name ^ ".repro")) in
+  let raw = read_file (fixture (name ^ ".repro")) in
   match Repro.of_string raw with
   | Error e -> Alcotest.failf "%s: %s" name e
   | Ok t ->
@@ -610,7 +617,7 @@ let check_fixture name =
       | Ok Repro.Missing -> Alcotest.failf "%s ran clean" name
       | Error e -> Alcotest.failf "%s: %s" name e);
       Alcotest.(check string) "report bytes"
-        (read_file (Filename.concat "fixtures" (name ^ ".report")))
+        (read_file (fixture (name ^ ".report")))
         (Repro.report t outcome)
 
 let test_golden_monotonic () = check_fixture "monotonic-jump"

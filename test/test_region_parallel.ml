@@ -6,7 +6,10 @@
    samples, counters, and the full observation stream. These tests pin
    that equivalence on the golden configs (every registered algorithm,
    plus the faulted and Byzantine golden rows) and on randomized
-   faulted/Byzantine configurations, at several region counts.
+   faulted/Byzantine configurations, at several region counts. Every
+   engine counter is compared too, so a count that only a window's barrier
+   replay makes (a cross-region lie, corruption, duplicate or loss) cannot
+   go missing unseen.
 
    Each parallel run asserts it actually executed with [regions > 1]
    (via [Engine.regions]) so a silent serial fallback can never
@@ -18,7 +21,10 @@ module Spec = Gcs_core.Spec
 module Algorithm = Gcs_core.Algorithm
 module Runner = Gcs_core.Runner
 module Engine = Gcs_sim.Engine
+module Delay_model = Gcs_sim.Delay_model
 module Fault_plan = Gcs_sim.Fault_plan
+module Hardware_clock = Gcs_clock.Hardware_clock
+module Prng = Gcs_util.Prng
 module Capture = Gcs_obs.Capture
 module Event_log = Gcs_obs.Event_log
 
@@ -48,17 +54,39 @@ let faulted_plan () =
 let byzantine_plan () =
   plan_of_string "byz@20..60:node=5:equiv=3; byz@30..50:node=2:mag=2"
 
-(* Run a config and also report the engine's *effective* region count. *)
-let run_with cfg =
+(* Every engine counter, named, read after a run. *)
+let counters e =
+  [
+    ("events", Engine.events_processed e);
+    ("sent", Engine.messages_sent e);
+    ("delivered", Engine.messages_delivered e);
+    ("dropped", Engine.messages_dropped e);
+    ("dropped_faults", Engine.messages_dropped_faults e);
+    ("duplicated", Engine.messages_duplicated e);
+    ("corrupted", Engine.messages_corrupted e);
+    ("lied", Engine.messages_lied e);
+    ("dispatch deliver", Engine.dispatch_count e Engine.Dispatch_deliver);
+    ("dispatch timer", Engine.dispatch_count e Engine.Dispatch_timer);
+    ("dispatch control", Engine.dispatch_count e Engine.Dispatch_control);
+  ]
+
+(* Run a config; report the engine's *effective* region count, the result
+   and the engine's counters. *)
+let run_counted cfg =
   let live = Runner.prepare cfg in
   let eff = Engine.regions live.Runner.engine in
-  (eff, Runner.complete live)
+  let result = Runner.complete live in
+  (eff, result, counters live.Runner.engine)
+
+let run_with cfg =
+  let eff, result, _ = run_counted cfg in
+  (eff, result)
 
 (* Exact equality — no tolerance anywhere: identity means identical bits.
    [Runner.outcome] flattens the summary, message/drop/jump counters, and
    the fault report into a closure-free record, so structural equality
-   covers all of it; samples and event counts are checked on top. *)
-let check_identical label (serial : Runner.result) (par : Runner.result) =
+   covers all of it; samples and every engine counter are checked on top. *)
+let check_identical label (serial, scount) (par, pcount) =
   Alcotest.(check bool)
     (label ^ ": outcome identical")
     true
@@ -67,10 +95,9 @@ let check_identical label (serial : Runner.result) (par : Runner.result) =
     (label ^ ": samples identical")
     true
     (serial.Runner.samples = par.Runner.samples);
-  Alcotest.(check int) (label ^ ": events") serial.Runner.events
-    par.Runner.events;
-  Alcotest.(check int) (label ^ ": dispatches") serial.Runner.dispatches
-    par.Runner.dispatches
+  List.iter2
+    (fun (name, s) (_, p) -> Alcotest.(check int) (label ^ ": " ^ name) s p)
+    scount pcount
 
 let test_golden_rows_identical () =
   let rows =
@@ -85,13 +112,15 @@ let test_golden_rows_identical () =
   in
   List.iter
     (fun (name, algo, fault_plan) ->
-      let _, serial = run_with (golden_cfg ?fault_plan algo) in
+      let _, serial, scount = run_counted (golden_cfg ?fault_plan algo) in
       List.iter
         (fun regions ->
           let label = Printf.sprintf "%s x%d" name regions in
-          let eff, par = run_with (golden_cfg ?fault_plan ~regions algo) in
+          let eff, par, pcount =
+            run_counted (golden_cfg ?fault_plan ~regions algo)
+          in
           Alcotest.(check int) (label ^ ": ran parallel") regions eff;
-          check_identical label serial par)
+          check_identical label (serial, scount) (par, pcount))
         region_counts)
     rows
 
@@ -169,6 +198,36 @@ let test_fallback_gates () =
   Alcotest.(check int) "byzantine without loss runs parallel" 4
     (eff byz_lossless)
 
+(* The engine itself runs a lie under message loss serially, whoever
+   builds it: a window asks a cross-region lie before the barrier's loss
+   draw, which the serial engine makes first. *)
+let test_engine_lie_loss_fallback () =
+  let graph = Topology.ring 8 in
+  let regions_for ~loss =
+    let delays =
+      Delay_model.with_loss loss
+        (Delay_model.uniform (Delay_model.bounds ~d_min:0.5 ~d_max:1.))
+    in
+    Engine.regions
+      (Engine.of_config
+         (Engine.config ~regions:4
+            ~lie:(fun ~src:_ ~dst:_ ~now:_ ~rng:_ () -> None)
+            ~graph
+            ~clocks:
+              (Array.init 8 (fun _ -> Hardware_clock.create ~t0:0. ~rate:1. ()))
+            ~delays ~rng:(Prng.create ~seed:1)
+            ~make_node:(fun _ ->
+              {
+                Engine.on_init = (fun _ -> ());
+                on_message = (fun _ ~port:_ () -> ());
+                on_timer = (fun _ ~tag:_ -> ());
+              })
+            ~t0:0. ()))
+  in
+  Alcotest.(check int) "lie under loss runs serially" 1 (regions_for ~loss:0.1);
+  Alcotest.(check int) "lie without loss runs parallel" 4
+    (regions_for ~loss:0.)
+
 (* ------------------------------------------------------------------ *)
 (* Randomized identity: arbitrary faulted and Byzantine configurations  *)
 (* across topologies, seeds, loss laws, and domain counts.              *)
@@ -236,12 +295,11 @@ let prop_random_configs_identical =
     ~count:40
     (QCheck.make ~print:scenario_print scenario_gen)
     (fun s ->
-      let _, serial = run_with (scenario_cfg s ~regions:1) in
-      let _, par = run_with (scenario_cfg s ~regions:s.regions) in
+      let _, serial, scount = run_counted (scenario_cfg s ~regions:1) in
+      let _, par, pcount = run_counted (scenario_cfg s ~regions:s.regions) in
       Runner.outcome serial = Runner.outcome par
       && serial.Runner.samples = par.Runner.samples
-      && serial.Runner.events = par.Runner.events
-      && serial.Runner.dispatches = par.Runner.dispatches)
+      && scount = pcount)
 
 let suite =
   [
@@ -250,5 +308,7 @@ let suite =
     Alcotest.test_case "event log byte-identical (faulted, byzantine)" `Quick
       test_event_log_identical;
     Alcotest.test_case "fallback gates" `Quick test_fallback_gates;
+    Alcotest.test_case "engine runs a lie under loss serially" `Quick
+      test_engine_lie_loss_fallback;
     QCheck_alcotest.to_alcotest prop_random_configs_identical;
   ]
