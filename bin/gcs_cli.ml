@@ -52,6 +52,8 @@ module Report = Gcs_core.Report
 module Parallel_run = Gcs_core.Parallel_run
 module Live_run = Gcs_net.Live_run
 module Key = Gcs_store.Key
+module Monitor = Gcs_check.Monitor
+module Check_run = Gcs_check.Check_run
 
 let or_die = function
   | Ok v -> v
@@ -331,6 +333,23 @@ let print_summary (r : Runner.result) =
   Printf.printf "gradient envelope : %.4f (analytic local bound)\n"
     (Bounds.gradient_local_upper spec ~diameter:d)
 
+(* Replay a finished run's samples through the monitor's per-node checks:
+   the algorithm's rate envelope and monotonicity, and with [skew] the
+   analytic gradient local bound from [after] on. [run --check] and
+   [check run --recorded] judge a run this way. *)
+let check_samples ?byzantine ~skew ~after (r : Runner.result) algo =
+  let skew_bound =
+    if not skew then None
+    else
+      Some
+        (Bounds.gradient_local_upper r.Runner.spec
+           ~diameter:(Shortest_path.diameter r.Runner.graph))
+  in
+  let monitor =
+    Check_run.default_spec ?skew_bound ~after ?byzantine r.Runner.spec algo
+  in
+  Monitor.check_samples monitor ~graph:r.Runner.graph ~samples:r.Runner.samples
+
 let run_cmd =
   let profile_flag =
     Arg.(
@@ -395,16 +414,19 @@ let run_cmd =
           st.Gcs_core.Stabilize.last_estimate
     | None -> ());
     if check then begin
-      match Gcs_core.Invariant.check_result res ~algo:r.algo with
-      | [] -> Printf.printf "model check       : OK (no violations)\n"
-      | violations ->
-          Printf.printf "model check       : %d violation(s)\n"
-            (List.length violations);
-          List.iteri
-            (fun i v ->
-              if i < 5 then
-                Printf.printf "  %s\n" (Gcs_core.Invariant.to_string v))
-            violations;
+      (* Only the plain gradient is held to the static skew bound: the ft
+         and dynamic variants' weaker bounds depend on the fault or churn
+         plan, and [check battery --byzantine] and [check run --churn]
+         check them. *)
+      let violation, _ =
+        check_samples ~skew:(r.algo = Algorithm.Gradient_sync)
+          ~after:(r.horizon /. 4.) res r.algo
+      in
+      match violation with
+      | None -> Printf.printf "model check       : OK (no violations)\n"
+      | Some v ->
+          Printf.printf "model check       : VIOLATION\n  %s\n"
+            (Monitor.violation_to_string v);
           exit 1
     end;
     if profile then begin
@@ -1514,8 +1536,6 @@ let live_cmd =
 (* gcs-cli check ... : conformance harness (online monitors, shrinking,
    repro artifacts). *)
 
-module Monitor = Gcs_check.Monitor
-module Check_run = Gcs_check.Check_run
 module Check_shrink = Gcs_check.Shrink
 module Repro = Gcs_check.Repro
 
@@ -1602,31 +1622,18 @@ let check_run_cmd =
              through the same monitor checks. Simulation arguments are \
              ignored. Exits 1 on violation, 2 on non-finite measured skew.")
   in
-  (* Recorded live runs go through [Monitor.check_samples] — the identical
+  (* Recorded live runs go through [check_samples] — the identical
      per-node checks, at sample granularity, with no engine involved. *)
   let check_recorded dir skew =
     let info, r = or_die (Live_run.load dir) in
-    let spec = r.Runner.spec in
     let algo = info.Live_run.algo in
-    let skew_bound =
-      if not skew then None
-      else
-        Some
-          (Bounds.gradient_local_upper spec
-             ~diameter:(Shortest_path.diameter r.Runner.graph))
-    in
     let byzantine =
       match info.Live_run.fault_plan with
       | Some p -> Fault_plan.byzantine_nodes p
       | None -> []
     in
-    let monitor =
-      Check_run.default_spec ~mode:`Record ?skew_bound
-        ~after:info.Live_run.warmup ~byzantine spec algo
-    in
     let violation, checked =
-      Monitor.check_samples monitor ~graph:r.Runner.graph
-        ~samples:r.Runner.samples
+      check_samples ~byzantine ~skew ~after:info.Live_run.warmup r algo
     in
     Printf.printf "checked recorded %s on %s: %d sample checks\n"
       (Algorithm.kind_name algo)

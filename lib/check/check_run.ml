@@ -9,12 +9,12 @@ module Bounds = Gcs_core.Bounds
 module Shortest_path = Gcs_graph.Shortest_path
 module Dynamic_gradient = Gcs_core.Dynamic_gradient
 module Algorithm = Gcs_core.Algorithm
-module Invariant = Gcs_core.Invariant
 module Runner = Gcs_core.Runner
 module Registry = Gcs_core.Registry
 module Search = Gcs_adversary.Search
 
 type checked = {
+  live : Runner.live;
   result : Runner.result;
   violation : Monitor.violation option;
   events_checked : int;
@@ -22,11 +22,21 @@ type checked = {
 
 let default_spec ?(mode = `Record) ?skew_bound ?(after = 0.)
     ?(byzantine = []) ?containment_bound ?edge_age spec algo =
-  let env = Invariant.expected_envelope spec algo in
+  let fast = (1. +. spec.Spec.mu) *. Spec.vartheta spec in
+  let rate_lo, rate_hi, check_rate =
+    match algo with
+    | Algorithm.Free_run -> (1., Spec.vartheta spec, true)
+    | Algorithm.Gradient_sync | Algorithm.Dynamic_gradient_sync
+    | Algorithm.Ft_gradient_sync _ | Algorithm.Max_slew_sync ->
+        (1., fast, true)
+    | Algorithm.Tree_sync ->
+        (Float.max 0.5 (1. -. (spec.Spec.mu /. 2.)), fast, true)
+    | Algorithm.Max_sync -> (1., fast, false)
+  in
   {
-    Monitor.rate_lo = env.Invariant.rate_lo;
-    rate_hi = env.Invariant.rate_hi;
-    check_rate = not env.Invariant.jumps_allowed;
+    Monitor.rate_lo;
+    rate_hi;
+    check_rate;
     check_monotonic = true;
     skew_bound;
     after;
@@ -72,7 +82,7 @@ let run ?monitor ?(moves = []) ?(segment_len = 0.) (cfg : Runner.config) =
   let m = Monitor.attach mspec live in
   let result = Runner.complete live in
   let violation = Monitor.finalize m in
-  { result; violation; events_checked = Monitor.events_checked m }
+  { live; result; violation; events_checked = Monitor.events_checked m }
 
 (* ---------------------------------------------------------------- *)
 (* Conformance battery                                              *)

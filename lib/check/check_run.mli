@@ -9,6 +9,8 @@
     battery]. *)
 
 type checked = {
+  live : Gcs_core.Runner.live;
+      (** the finished run, for inspecting its final engine state *)
   result : Gcs_core.Runner.result;
   violation : Monitor.violation option;  (** first violation, if any *)
   events_checked : int;
@@ -24,8 +26,11 @@ val default_spec :
   Gcs_core.Spec.t ->
   Gcs_core.Algorithm.kind ->
   Monitor.spec
-(** The monitor an algorithm's own {!Gcs_core.Invariant.expected_envelope}
-    implies: its rate envelope (disabled when the envelope allows jumps),
+(** The monitor an algorithm's own output requirements imply: the rate
+    envelope it promises — [[1, vartheta]] for [Free_run],
+    [[1, (1+mu) vartheta]] for the gradient family and [Max_slew_sync],
+    [[max 0.5 (1 - mu/2), (1+mu) vartheta]] for [Tree_sync]
+    (bidirectional slew), no rate check for the jump-based [Max_sync] —
     monotonicity always, and an optional adjacent-pair skew bound checked
     from [after] on. [byzantine] and [containment_bound] (defaults: none)
     arm the correct-correct containment check; [edge_age] (default: none)

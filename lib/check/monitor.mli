@@ -1,7 +1,7 @@
 (** Online invariant monitors: event-granularity conformance checking.
 
-    {!Gcs_core.Invariant} checks a *sampled* trajectory after the run; a
-    violation between two samples is invisible to it. A monitor instead
+    Replaying a *sampled* trajectory after the run ({!check_samples})
+    cannot see a violation between two samples. An attached monitor instead
     rides the engine's observer multiplexer and re-checks the involved
     node's logical clock at every delivery and timer event, so the first
     violation is caught within one event of where it happened and comes

@@ -1,6 +1,6 @@
 module Runner = Gcs_core.Runner
 module Monitor = Gcs_check.Monitor
-module Search = Gcs_adversary.Search
+module Check_run = Gcs_check.Check_run
 
 type strategy = Bfs | Dfs
 
@@ -35,31 +35,14 @@ type outcome = {
   max_states : int;
 }
 
-type simulated = {
-  live : Runner.live;
-  result : Runner.result;
-  violation : Monitor.violation option;
-  events_checked : int;
-}
-
 let simulate (inst : Instance.t) trace =
   let depth = List.length trace in
   if depth = 0 then Error "Explorer.simulate: empty trace (zero horizon)"
   else
-    match Runner.config_of_key (Instance.key inst ~depth) with
-    | Error _ as e -> e
-    | Ok cfg ->
-        (* The same pipeline as [Check_run.run] with a non-empty move list:
-           controlled delays, install the moves, monitor, run, flush. Kept
-           in step by the sampler-vs-enumerator cross-validation test. *)
-        let cfg = { cfg with Runner.delay_kind = Runner.Controlled_delays } in
-        let live = Runner.prepare cfg in
-        Search.install live ~segment_len:inst.Instance.segment_len trace;
-        let m = Monitor.attach inst.Instance.monitor live in
-        let result = Runner.complete live in
-        let violation = Monitor.finalize m in
-        Ok { live; result; violation;
-             events_checked = Monitor.events_checked m }
+    Result.map
+      (Check_run.run ~monitor:inst.Instance.monitor ~moves:trace
+         ~segment_len:inst.Instance.segment_len)
+      (Runner.config_of_key (Instance.key inst ~depth))
 
 (* A frontier that is a FIFO under Bfs and a LIFO under Dfs, with O(1)
    size tracking for the high-water statistic. *)
@@ -134,10 +117,10 @@ let explore ?(dedup = false) ?(quantum = 1e-9) ?(max_states = 100_000)
           | Error msg -> invalid_arg ("Explorer.explore: " ^ msg)
           | Ok sim -> (
               incr states_visited;
-              events_checked := !events_checked + sim.events_checked;
+              events_checked := !events_checked + sim.Check_run.events_checked;
               let len = List.length trace in
               if len > !max_depth then max_depth := len;
-              match sim.violation with
+              match sim.Check_run.violation with
               | Some violation -> Violated { trace; violation }
               | None ->
                   if len = inst.Instance.depth then begin
@@ -153,7 +136,7 @@ let explore ?(dedup = false) ?(quantum = 1e-9) ?(max_states = 100_000)
                            are not interchangeable. *)
                         let k =
                           ( inst.Instance.depth - len,
-                            Canon.state ~quantum sim.live )
+                            Canon.state ~quantum sim.Check_run.live )
                         in
                         if Hashtbl.mem memo k then begin
                           incr pruned;

@@ -47,22 +47,14 @@ type outcome = {
   max_states : int;
 }
 
-type simulated = {
-  live : Gcs_core.Runner.live;  (** retained for canonicalization *)
-  result : Gcs_core.Runner.result;
-  violation : Gcs_check.Monitor.violation option;
-  events_checked : int;
-}
-
-val simulate : Instance.t -> Choice.trace -> (simulated, string) result
-(** Deterministically re-simulate one prefix from time zero: rebuild the
-    config from {!Instance.key} at the trace's depth, force controlled
-    delays, install the trace as an adversary move sequence, attach the
-    instance's monitor, run, flush. This is exactly the
-    [Gcs_check.Check_run.run] pipeline for a non-empty move list (the
-    cross-validation property in the test suite holds the two equal), with
-    the live run returned for {!Canon.state}. [Error] on the empty trace
-    (a zero-horizon run) or a key that no longer describes a config. *)
+val simulate :
+  Instance.t -> Choice.trace -> (Gcs_check.Check_run.checked, string) result
+(** Deterministically re-simulate one prefix from time zero: the
+    {!Gcs_check.Check_run.run} of the config {!Instance.key} names at the
+    trace's depth, with the trace as its adversary move sequence and the
+    instance's monitor. The finished live run comes back for
+    {!Canon.state}. [Error] on the empty trace (a zero-horizon run) or a
+    key that no longer describes a config. *)
 
 val explore :
   ?dedup:bool ->

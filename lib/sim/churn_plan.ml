@@ -53,62 +53,17 @@ let process_to_string = function
 
 let to_string t = String.concat ";" (List.map process_to_string t)
 
-(* Parsing; mirrors Fault_plan's grammar machinery. *)
+(* Parsing, with Fault_plan's grammar helpers. *)
 
 let ( let* ) = Result.bind
 let err fmt = Printf.ksprintf (fun s -> Error s) fmt
 
-let parse_float what s =
-  match float_of_string_opt (String.trim s) with
-  | Some x -> Ok x
-  | None -> err "%s: expected a number, got %S" what s
-
-(* "T1..T2": a float may contain a single '.', so the first ".." pair is
-   the separator. *)
-let parse_time_range s =
-  let rec find j =
-    if j + 1 >= String.length s then None
-    else if s.[j] = '.' && s.[j + 1] = '.' then Some j
-    else find (j + 1)
-  in
-  match find 0 with
-  | Some j ->
-      let* a = parse_float "window start" (String.sub s 0 j) in
-      let* b =
-        parse_float "window end"
-          (String.sub s (j + 2) (String.length s - j - 2))
-      in
-      Ok (a, b)
-  | None -> err "expected T1..T2, got %S" s
-
-let find_kv fields key =
-  List.find_map
-    (fun field ->
-      match String.index_opt field '=' with
-      | Some i when String.sub field 0 i = key ->
-          Some (String.sub field (i + 1) (String.length field - i - 1))
-      | _ -> None)
-    fields
-
-let require_kv what fields key =
-  match find_kv fields key with
-  | Some v -> Ok v
-  | None -> err "%s: missing %s=..." what key
-
-let edge_spec_of_fields ~default fields =
-  match
-    List.find_opt
-      (fun field ->
-        field = "all"
-        || (String.length field > 6 && String.sub field 0 6 = "edges=")
-        || (String.length field > 4 && String.sub field 0 4 = "cut="))
-      fields
-  with
-  | Some field -> Fault_plan.edge_spec_of_string field
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> err "missing edge set (all | edges=U-V,... | cut=V,...)")
+(* Every process but [flap] (which defaults to all edges) names its edges. *)
+let required_edges fields =
+  let* edges = Fault_plan.edge_spec_of_fields fields in
+  match edges with
+  | Some e -> Ok e
+  | None -> err "missing edge set (all | edges=U-V,... | cut=V,...)"
 
 let parse_process s =
   let s = String.trim s in
@@ -122,32 +77,31 @@ let parse_process s =
       | time_field :: fields -> (
           match kind with
           | "edge-up" | "edge-down" ->
-              let* at = parse_float (kind ^ " time") time_field in
-              let* edges = edge_spec_of_fields ~default:None fields in
+              let* at = Fault_plan.parse_float (kind ^ " time") time_field in
+              let* edges = required_edges fields in
               Ok
                 (if kind = "edge-up" then Edge_up { at; edges }
                  else Edge_down { at; edges })
           | "flap" ->
-              let* from_, until = parse_time_range time_field in
+              let* from_, until = Fault_plan.parse_time_range time_field in
               let* up_mean =
-                Result.bind (require_kv "flap" fields "up")
-                  (parse_float "flap up")
+                Result.bind (Fault_plan.require_kv "flap" fields "up")
+                  (Fault_plan.parse_float "flap up")
               in
               let* down_mean =
-                Result.bind (require_kv "flap" fields "down")
-                  (parse_float "flap down")
+                Result.bind (Fault_plan.require_kv "flap" fields "down")
+                  (Fault_plan.parse_float "flap down")
               in
-              let* edges =
-                edge_spec_of_fields ~default:(Some Fault_plan.All_edges) fields
-              in
+              let* edges = Fault_plan.edge_spec_of_fields fields in
+              let edges = Option.value edges ~default:Fault_plan.All_edges in
               Ok (Flap { from_; until; up_mean; down_mean; edges })
           | "grow" ->
-              let* from_, until = parse_time_range time_field in
-              let* edges = edge_spec_of_fields ~default:None fields in
+              let* from_, until = Fault_plan.parse_time_range time_field in
+              let* edges = required_edges fields in
               Ok (Grow { from_; until; edges })
           | "shrink" ->
-              let* from_, until = parse_time_range time_field in
-              let* edges = edge_spec_of_fields ~default:None fields in
+              let* from_, until = Fault_plan.parse_time_range time_field in
+              let* edges = required_edges fields in
               Ok (Shrink { from_; until; edges })
           | k -> err "unknown churn process %S" k))
 

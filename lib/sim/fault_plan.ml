@@ -195,8 +195,6 @@ let parse_edge_spec field =
             Ok (Cut (List.rev nodes))
         | k -> err "unknown edge set kind %S" k)
 
-let edge_spec_of_string = parse_edge_spec
-
 (* Fields are the ':'-separated chunks after "kind@time". Look a key=value
    field up, or detect a bare flag. *)
 let find_kv fields key =
@@ -213,7 +211,7 @@ let require_kv what fields key =
   | Some v -> Ok v
   | None -> err "%s: missing %s=..." what key
 
-let edge_spec_of_fields ?(default = None) fields =
+let edge_spec_of_fields fields =
   match
     List.find_opt
       (fun field ->
@@ -223,7 +221,7 @@ let edge_spec_of_fields ?(default = None) fields =
       fields
   with
   | Some field -> Result.map Option.some (parse_edge_spec field)
-  | None -> Ok default
+  | None -> Ok None
 
 let parse_event s =
   let s = String.trim s in

@@ -156,8 +156,25 @@ val edge_spec_to_string : edge_spec -> string
 (** Render an edge set in the textual syntax ([all] | [edges=U-V,...] |
     [cut=V,...]) — shared with {!Churn_plan}'s grammar. *)
 
-val edge_spec_of_string : string -> (edge_spec, string) result
-(** Parse {!edge_spec_to_string}'s output. *)
+(** {2 Grammar helpers}
+
+    The pieces of the textual syntax that {!Churn_plan} parses with too. A
+    chunk reads [KIND@TIME] followed by [':']-separated fields. *)
+
+val parse_float : string -> string -> (float, string) result
+(** [parse_float what s] reads [s] (trimmed) as a float; the error names
+    [what]. *)
+
+val parse_time_range : string -> (float * float, string) result
+(** Read a ["T1..T2"] window. *)
+
+val require_kv : string -> string list -> string -> (string, string) result
+(** [require_kv what fields key] is the value of the first [KEY=VALUE]
+    field, or the error ["WHAT: missing KEY=..."]. *)
+
+val edge_spec_of_fields : string list -> (edge_spec option, string) result
+(** The first field that is an edge set ([all], [edges=...] or [cut=...]),
+    parsed, or [None] when no field is one. *)
 
 (** One contiguous fault exposure, extracted from a plan for recovery
     metrics: the real-time window during which a set of edges was affected

@@ -66,8 +66,12 @@ let test_live_loopback () =
     (Sys.readdir dir);
   Unix.rmdir dir
 
+(* Logs go under [_build/_tests] next to the binary, wherever it is run
+   from. *)
 let () =
   Alcotest.run "gcs-net-live"
+    ~log_dir:
+      (Filename.concat (Filename.dirname Sys.executable_name) "_build/_tests")
     [
       ( "live",
         [

@@ -7,7 +7,6 @@ module Monitor = Gcs_check.Monitor
 module Check_run = Gcs_check.Check_run
 module Repro = Gcs_check.Repro
 module Shrink = Gcs_check.Shrink
-module Runner = Gcs_core.Runner
 module Spec = Gcs_core.Spec
 module Algorithm = Gcs_core.Algorithm
 module Topology = Gcs_graph.Topology
@@ -234,48 +233,13 @@ let test_violation_shrinks_and_replays () =
   | _ -> Alcotest.fail "expected a violation under rate_hi = 1.005"
 
 (* ---------------------------------------------------------------- *)
-(* Cross-validation: one sampled execution == the enumerator's view *)
-
-let prop_simulate_matches_check_run =
-  QCheck.Test.make ~name:"explorer simulate = check_run pipeline" ~count:30
-    QCheck.(list_of_size Gen.(int_range 1 3) (int_bound 8))
-    (fun picks ->
-      QCheck.assume (picks <> []);
-      let trace = List.map (fun i -> List.nth Choice.all i) picks in
-      let check inst =
-        let sim =
-          match Explorer.simulate inst trace with
-          | Ok s -> s
-          | Error e -> QCheck.Test.fail_report e
-        in
-        let cfg =
-          match
-            Runner.config_of_key
-              (Instance.key inst ~depth:(List.length trace))
-          with
-          | Ok c -> c
-          | Error e -> QCheck.Test.fail_report e
-        in
-        let direct =
-          Check_run.run ~monitor:inst.Instance.monitor ~moves:trace
-            ~segment_len:inst.Instance.segment_len cfg
-        in
-        sim.Explorer.violation = direct.Check_run.violation
-        && sim.Explorer.events_checked = direct.Check_run.events_checked
-        && sim.Explorer.result.Runner.summary
-           = direct.Check_run.result.Runner.summary
-      in
-      check (Instance.make ~alphabet:Choice.all ())
-      && check (Instance.make ~alphabet:Choice.all ~monitor:(tight_monitor ()) ()))
-
-(* ---------------------------------------------------------------- *)
 (* Canonicalization and edges of simulate                           *)
 
 let test_canon_deterministic_and_discriminating () =
   let inst = Instance.make () in
   let canon trace =
     match Explorer.simulate inst trace with
-    | Ok s -> Canon.state s.Explorer.live
+    | Ok s -> Canon.state s.Check_run.live
     | Error e -> Alcotest.fail e
   in
   let lf = [ { Search.fast_side = `Left; bias = `Forward } ] in
@@ -325,7 +289,6 @@ let suite =
       test_violation_shallowest_first;
     Alcotest.test_case "violation: shrink and replay" `Quick
       test_violation_shrinks_and_replays;
-    QCheck_alcotest.to_alcotest prop_simulate_matches_check_run;
     Alcotest.test_case "canon deterministic" `Quick
       test_canon_deterministic_and_discriminating;
     Alcotest.test_case "simulate rejects empty trace" `Quick

@@ -1,7 +1,10 @@
-(* Test entry point: one alcotest suite per module of the library. *)
+(* Test entry point: one alcotest suite per module of the library. Logs go
+   under [_build/_tests] next to the binary, wherever it is run from. *)
 
 let () =
   Alcotest.run "gcs"
+    ~log_dir:
+      (Filename.concat (Filename.dirname Sys.executable_name) "_build/_tests")
     [
       ("util.prng", Test_prng.suite);
       ("util.stats", Test_stats.suite);
