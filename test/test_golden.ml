@@ -111,19 +111,16 @@ let golden : (Algorithm.kind * Metrics.summary * int) list =
       1288 );
   ]
 
-let run_one algo =
-  let cfg =
-    Runner.config
-      ~spec:(Spec.make ~kappa:0.5 ())
-      ~algo
-      ~drift_of_node:(fun v ->
-        if v < 4 then Drift.Extreme_high else Drift.Extreme_low)
-      ~horizon:80. ~seed:7 (Topology.ring 8)
-  in
-  Runner.run cfg
+let config ?(algo = Algorithm.Gradient_sync) ?override ?delay_kind
+    ?fault_plan ?(seed = 7) () =
+  Runner.config
+    ~spec:(Spec.make ~kappa:0.5 ())
+    ~algo
+    ~drift_of_node:(fun v ->
+      if v < 4 then Drift.Extreme_high else Drift.Extreme_low)
+    ?delay_kind ?override ?fault_plan ~horizon:80. ~seed (Topology.ring 8)
 
-let check_algo (algo, expected, messages) () =
-  let r = run_one algo in
+let check_result (r : Runner.result) expected messages =
   let s = r.Runner.summary in
   let f = Alcotest.(check (float 1e-9)) in
   f "max_global" expected.Metrics.max_global s.Metrics.max_global;
@@ -135,6 +132,145 @@ let check_algo (algo, expected, messages) () =
   Alcotest.(check int) "samples_used" expected.Metrics.samples_used
     s.Metrics.samples_used;
   Alcotest.(check int) "messages" messages r.Runner.messages
+
+let check_algo (algo, expected, messages) () =
+  check_result (Runner.run (config ~algo ())) expected messages
+
+(* Rows beyond the registry, on the same config. The first three pin the
+   variants that run only through [~override]: per-edge quanta with one
+   wide edge (u = 1 between nodes 4 and 5, just past the drift boundary,
+   u = 0.2 elsewhere), the round-trip prober, and an external reference
+   at node 0. The rest pin re-initialisation on recovery: a recovered
+   node re-runs [on_init] (after [:wipe], on fresh handlers), so these
+   rows show whether it keeps its multiplier and re-creates its per-port
+   state. Event logs carry no clock values; only summaries show that. *)
+let wide_edge_bounds e =
+  if e = 4 then Gcs_sim.Delay_model.bounds ~d_min:0.5 ~d_max:1.5
+  else Gcs_sim.Delay_model.bounds ~d_min:0.9 ~d_max:1.1
+
+let recovery_plan ~wipe =
+  let text =
+    "crash@30:node=4; recover@32:node=4" ^ if wipe then ":wipe" else ""
+  in
+  match Gcs_sim.Fault_plan.of_string text with
+  | Ok p -> p
+  | Error msg -> Alcotest.failf "golden recovery plan did not parse: %s" msg
+
+let anchored_at_zero v =
+  if v = 0 then Some Gcs_core.External_sync.perfect_reference else None
+
+let recovered algo ~seed ~wipe () =
+  config ~algo ~seed ~fault_plan:(recovery_plan ~wipe) ()
+
+let gradient_s9_recovered =
+  {
+    Metrics.max_global = 0x1.bfd6b1dcb7c8p-2;
+    max_local = 0x1.bfd6b1dcb7c8p-2;
+    mean_local = 0x1.856c7166d13e7p-3;
+    p99_local = 0x1.a281bb12d20ccp-2;
+    final_global = 0x1.2b3ca2e4f03p-2;
+    final_local = 0x1.c3120bfdb4cp-3;
+    samples_used = 61;
+  }
+
+let dynamic_s7_recovered =
+  {
+    Metrics.max_global = 0x1.59e5999e3bb8p-1;
+    max_local = 0x1.59e5999e3bb8p-1;
+    mean_local = 0x1.83a708bdac2c3p-2;
+    p99_local = 0x1.56d32b06ae6b3p-1;
+    final_global = 0x1.59e5999e3bb8p-1;
+    final_local = 0x1.59e5999e3bb8p-1;
+    samples_used = 61;
+  }
+
+let dynamic_s9_recovered =
+  {
+    Metrics.max_global = 0x1.bfd6b1dcb7c8p-2;
+    max_local = 0x1.bfd6b1dcb7c8p-2;
+    mean_local = 0x1.a3fa8d0a66115p-3;
+    p99_local = 0x1.a281bb12d20ccp-2;
+    final_global = 0x1.868c8da92cp-2;
+    final_local = 0x1.692593471d5p-2;
+    samples_used = 61;
+  }
+
+let extra_golden :
+    (string * (unit -> Runner.config) * Metrics.summary * int) list =
+  let gradient = Algorithm.Gradient_sync in
+  let dynamic = Algorithm.Dynamic_gradient_sync in
+  [
+    ( "gradient-hetero, one wide edge",
+      (fun () ->
+        config
+          ~override:
+            (Gcs_core.Gradient_hetero.algorithm ~edge_bounds:wide_edge_bounds)
+          ~delay_kind:(Runner.Per_edge_delays wide_edge_bounds) ()),
+      {
+        Metrics.max_global = 0x1.999999999998p-1;
+        max_local = 0x1.0e7a82069c64p-1;
+        mean_local = 0x1.a3546ed3c28p-2;
+        p99_local = 0x1.0b68136f0f126p-1;
+        final_global = 0x1.999999999998p-1;
+        final_local = 0x1.d8fb647630fp-2;
+        samples_used = 61;
+      },
+      1288 );
+    ( "gradient-rtt",
+      (fun () -> config ~override:Gcs_core.Gradient_rtt.algorithm ()),
+      {
+        Metrics.max_global = 0x1.4d7e38fe50c8p-1;
+        max_local = 0x1.ab4548d4d0ap-2;
+        mean_local = 0x1.303e5479ea303p-2;
+        p99_local = 0x1.a5206ba5b5fcdp-2;
+        final_global = 0x1.4d7e38fe50c8p-1;
+        final_local = 0x1.78199026e85p-2;
+        samples_used = 61;
+      },
+      2560 );
+    ( "external-gradient, anchored at node 0",
+      (fun () ->
+        config
+          ~override:(Gcs_core.External_sync.algorithm ~anchors:anchored_at_zero)
+          ()),
+      {
+        Metrics.max_global = 0x1.2e40a76a11cp+0;
+        max_local = 0x1.3e22b567fb4p-1;
+        mean_local = 0x1.9173c362ee144p-2;
+        p99_local = 0x1.2ab3c44d5147fp-1;
+        final_global = 0x1.27ee666af95p+0;
+        final_local = 0x1.1dbf2390dff8p-1;
+        samples_used = 61;
+      },
+      1288 );
+    ( "gradient seed 9, node 4 recovered",
+      recovered gradient ~seed:9 ~wipe:false,
+      gradient_s9_recovered,
+      1284 );
+    ( "gradient seed 9, node 4 recovered wiped",
+      recovered gradient ~seed:9 ~wipe:true,
+      gradient_s9_recovered,
+      1284 );
+    ( "dynamic-gradient seed 7, node 4 recovered",
+      recovered dynamic ~seed:7 ~wipe:false,
+      dynamic_s7_recovered,
+      1284 );
+    ( "dynamic-gradient seed 7, node 4 recovered wiped",
+      recovered dynamic ~seed:7 ~wipe:true,
+      dynamic_s7_recovered,
+      1284 );
+    ( "dynamic-gradient seed 9, node 4 recovered",
+      recovered dynamic ~seed:9 ~wipe:false,
+      dynamic_s9_recovered,
+      1284 );
+    ( "dynamic-gradient seed 9, node 4 recovered wiped",
+      recovered dynamic ~seed:9 ~wipe:true,
+      dynamic_s9_recovered,
+      1284 );
+  ]
+
+let check_extra (_, cfg, expected, messages) () =
+  check_result (Runner.run (cfg ())) expected messages
 
 (* The same config under a standard fault battery (partition-heal, crash with
    state wipe, a corruption window), pinned like the rows above. This extends
@@ -368,3 +504,9 @@ let suite =
            (Printf.sprintf "summary pinned: %s" (Algorithm.kind_name algo))
            `Quick (check_algo row))
        golden
+  @ List.map
+      (fun ((label, _, _, _) as row) ->
+        Alcotest.test_case
+          (Printf.sprintf "summary pinned: %s" label)
+          `Quick (check_extra row))
+      extra_golden
