@@ -1,8 +1,3 @@
-module Engine = Gcs_sim.Engine
-module Logical_clock = Gcs_clock.Logical_clock
-module Delay_model = Gcs_sim.Delay_model
-module Prng = Gcs_util.Prng
-
 (* Two-stage estimate filter.
 
    Stage 1 *discards* every estimate outside the plausibility window
@@ -65,75 +60,16 @@ let filter_offsets ~f ~kappa offsets =
   let a = Array.copy offsets in
   Array.sub a 0 (filter_prefix ~f ~kappa a (Array.length a))
 
-let make_node ~f (ctx : Algorithm.ctx) v =
-  let lc = ctx.logical.(v) in
-  let spec = ctx.spec in
-  let period = spec.beacon_period in
-  let kappa = spec.kappa in
-  let fast_mult = 1. +. spec.mu in
-  let bounds = spec.delay in
-  let flight_guess =
-    0.5 *. (bounds.Delay_model.d_min +. bounds.Delay_model.d_max)
-  in
-  let estimators =
-    Offset_estimator.create (Gcs_graph.Graph.degree ctx.graph v)
-  in
-  let evaluate (api : Message.t Engine.api) =
-    let h_local = api.hardware () in
-    let own_value = Logical_clock.value lc ~now:(ctx.now ()) in
-    let n =
-      Offset_estimator.scan estimators ~max_age:spec.Spec.staleness_limit
-        ~h_local ~own_value
-    in
-    let offsets = Offset_estimator.offsets estimators in
-    let n = filter_prefix ~f ~kappa offsets n in
-    let target =
-      if Gradient_sync.fast_trigger_n ~kappa offsets n then fast_mult else 1.
-    in
-    if Logical_clock.mult lc <> target then
-      Logical_clock.set_mult lc ~now:(ctx.now ()) target
-  in
-  let broadcast (api : Message.t Engine.api) =
-    let value = Logical_clock.value lc ~now:(ctx.now ()) in
-    for port = 0 to api.ports - 1 do
-      api.send ~port (Message.Beacon { value })
-    done
-  in
-  let arm (api : Message.t Engine.api) ~tag delay =
-    api.set_timer ~h:(api.hardware () +. delay) ~tag
-  in
-  {
-    Engine.on_init =
-      (fun api ->
-        arm api ~tag:Algorithm.timer_beacon (Prng.uniform api.rng ~lo:0. ~hi:period);
-        arm api ~tag:Algorithm.timer_recheck
-          (Prng.uniform api.rng ~lo:0. ~hi:(period /. 2.)));
-    on_message =
-      (fun api ~port msg ->
-        match msg with
-        | Message.Beacon { value } ->
-            Offset_estimator.update estimators ~port
-              ~h_local:(api.hardware ()) ~remote_value:value
-              ~elapsed_guess:flight_guess;
-            evaluate api
-        | Message.Probe _ | Message.Probe_reply _ | Message.Flood _
-        | Message.Report _ | Message.Reset _ ->
-            ());
-    on_timer =
-      (fun api ~tag ->
-        if tag = Algorithm.timer_beacon then begin
-          broadcast api;
-          arm api ~tag:Algorithm.timer_beacon period
-        end
-        else if tag = Algorithm.timer_recheck then begin
-          evaluate api;
-          arm api ~tag:Algorithm.timer_recheck (period /. 2.)
-        end);
-  }
-
 let algorithm f =
   if f < 0 then invalid_arg "Ft_gradient.algorithm: f must be >= 0";
   {
     Algorithm.name = Printf.sprintf "ft-gradient-%d" f;
-    prepare = make_node ~f;
+    prepare =
+      (fun ctx ->
+        let kappa = ctx.spec.Spec.kappa in
+        Gradient_sync.node
+          ~decide:(fun ~h_local:_ offsets _ n ->
+            let n = filter_prefix ~f ~kappa offsets n in
+            Gradient_sync.fast_trigger_n ~kappa offsets n)
+          ctx);
   }

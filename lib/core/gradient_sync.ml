@@ -46,18 +46,21 @@ let fast_trigger ~kappa ~offsets =
 let slow_trigger ~kappa ~offsets =
   slow_trigger_n ~kappa offsets (Array.length offsets)
 
-let make_node (ctx : Algorithm.ctx) v =
+(* The one beacon node of every estimator-driven variant. [decide]
+   returns a bool, so no float crosses from a variant into the node per
+   evaluation. *)
+let node ?spare ?port_guess ?(slow = 1.) ?on_init ?on_beacon ~decide
+    (ctx : Algorithm.ctx) v =
   let lc = ctx.logical.(v) in
   let spec = ctx.spec in
   let period = spec.beacon_period in
-  let kappa = spec.kappa in
   let fast_mult = 1. +. spec.mu in
   let bounds = spec.delay in
   let flight_guess =
     0.5 *. (bounds.Delay_model.d_min +. bounds.Delay_model.d_max)
   in
   let estimators =
-    Offset_estimator.create (Gcs_graph.Graph.degree ctx.graph v)
+    Offset_estimator.create ?spare (Gcs_graph.Graph.degree ctx.graph v)
   in
   let evaluate (api : Message.t Engine.api) =
     let h_local = api.hardware () in
@@ -66,8 +69,15 @@ let make_node (ctx : Algorithm.ctx) v =
       Offset_estimator.scan estimators ~max_age:spec.Spec.staleness_limit
         ~h_local ~own_value
     in
-    let fast = fast_trigger_n ~kappa (Offset_estimator.offsets estimators) n in
-    let target = if fast then fast_mult else 1. in
+    let target =
+      if
+        decide ~h_local
+          (Offset_estimator.offsets estimators)
+          (Offset_estimator.offset_ports estimators)
+          n
+      then fast_mult
+      else slow
+    in
     if Logical_clock.mult lc <> target then
       Logical_clock.set_mult lc ~now:(ctx.now ()) target
   in
@@ -83,6 +93,7 @@ let make_node (ctx : Algorithm.ctx) v =
   {
     Engine.on_init =
       (fun api ->
+        (match on_init with Some f -> f api | None -> ());
         arm api ~tag:Algorithm.timer_beacon (Prng.uniform api.rng ~lo:0. ~hi:period);
         arm api ~tag:Algorithm.timer_recheck
           (Prng.uniform api.rng ~lo:0. ~hi:(period /. 2.)));
@@ -90,9 +101,14 @@ let make_node (ctx : Algorithm.ctx) v =
       (fun api ~port msg ->
         match msg with
         | Message.Beacon { value } ->
-            Offset_estimator.update estimators ~port
-              ~h_local:(api.hardware ()) ~remote_value:value
-              ~elapsed_guess:flight_guess;
+            let h_local = api.hardware () in
+            (match on_beacon with Some f -> f ~port ~h_local | None -> ());
+            Offset_estimator.update estimators ~port ~h_local
+              ~remote_value:value
+              ~elapsed_guess:
+                (match port_guess with
+                | Some guess -> guess.(port)
+                | None -> flight_guess);
             evaluate api
         | Message.Probe _ | Message.Probe_reply _ | Message.Flood _
         | Message.Report _ | Message.Reset _ ->
@@ -109,4 +125,13 @@ let make_node (ctx : Algorithm.ctx) v =
         end);
   }
 
-let algorithm = { Algorithm.name = "gradient"; prepare = make_node }
+let algorithm =
+  {
+    Algorithm.name = "gradient";
+    prepare =
+      (fun ctx ->
+        let kappa = ctx.spec.Spec.kappa in
+        node ~decide:(fun ~h_local:_ offsets _ n ->
+            fast_trigger_n ~kappa offsets n)
+          ctx);
+  }

@@ -25,6 +25,36 @@
 
 val algorithm : Algorithm.t
 
+val node :
+  ?spare:int ->
+  ?port_guess:float array ->
+  ?slow:float ->
+  ?on_init:(Message.t Gcs_sim.Engine.api -> unit) ->
+  ?on_beacon:(port:int -> h_local:float -> unit) ->
+  decide:(h_local:float -> float array -> int array -> int -> bool) ->
+  Algorithm.ctx ->
+  int ->
+  Message.t Gcs_sim.Engine.handlers
+(** [node ~decide ctx v] is node [v] of every estimator-driven variant
+    (this algorithm, {!Ft_gradient}, {!Max_slew}, {!Dynamic_gradient},
+    {!Gradient_hetero}, {!External_sync}). It beacons its logical clock
+    on every port each [beacon_period] of hardware time and re-checks
+    every half period, each first armed at a uniformly jittered instant.
+    On every beacon and every re-check it scans its estimator bank (see
+    {!Offset_estimator.scan}) and calls [decide ~h_local offsets ports n]
+    on the scan's [n] offsets and their ports: the clock runs at
+    [1 + mu] when it holds and at [slow] (default 1) otherwise, the
+    multiplier set only when it changes. [decide] may rewrite the prefix
+    and use the [spare] (default 0) slots past it.
+
+    The hooks, each optional:
+    - [port_guess.(p)] replaces the delay-band midpoint as the in-flight
+      progress credited to a beacon on port [p];
+    - [on_init api] runs first in the engine's [on_init], so again on
+      every recovery (after a wipe, on a fresh node);
+    - [on_beacon ~port ~h_local] runs on each beacon before the bank
+      records it, with the hardware time of its arrival. *)
+
 val fast_trigger_n : kappa:float -> float array -> int -> bool
 (** [fast_trigger_n ~kappa a n] evaluates the fast trigger on the
     estimates [a.(0 .. n-1)], where [a.(i)] is o_{v,w_i} = (estimated)

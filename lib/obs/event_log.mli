@@ -110,7 +110,10 @@ val parse_line : string -> (parsed, string) result
 val validate_line : string -> (parsed, string) result
 (** [parse_line] plus a canonical-form check: re-encoding the parsed
     entry must reproduce the input bytes exactly. This is what
-    [gcs-cli trace --check-schema] runs on every line of a recorded log. *)
+    [gcs-cli trace --check-schema] runs on every line of a recorded log.
+    Each domain parses into and re-encodes through one scratch of its
+    own, so a line costs only its parsed values and its re-encoded
+    text. *)
 
 val iter_checked_lines :
   ?run:int -> t -> (string -> (parsed, string) result -> unit) -> unit
