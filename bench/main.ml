@@ -296,16 +296,21 @@ let e7 () =
     List.map
       (fun (name, graph) ->
         let d = Shortest_path.diameter graph in
-        let measure f =
-          Gcs_core.Replicate.measure ~jobs:!jobs ~seeds (fun seed ->
-              let cfg =
-                Runner.config ~spec ~algo:Algorithm.Gradient_sync
-                  ~horizon:500. ~seed graph
-              in
-              f (Runner.run cfg))
+        (* One run per seed, read for both columns. *)
+        let summaries =
+          Gcs_util.Pool.map ~jobs:!jobs
+            (fun seed ->
+              (Runner.run
+                 (Runner.config ~spec ~algo:Algorithm.Gradient_sync
+                    ~horizon:500. ~seed graph))
+                .Runner.summary)
+            (Array.of_list seeds)
         in
-        let local = measure (fun r -> r.Runner.summary.Metrics.max_local) in
-        let global = measure (fun r -> r.Runner.summary.Metrics.max_global) in
+        let measure f =
+          Gcs_core.Replicate.summarize (Array.map f summaries)
+        in
+        let local = measure (fun s -> s.Metrics.max_local) in
+        let global = measure (fun s -> s.Metrics.max_global) in
         [
           name;
           string_of_int (Graph.n graph);
@@ -1020,15 +1025,39 @@ let e20 () =
       ]
     ~rows
 
+(* Wall time of the modes of one overhead measurement, taken the way
+   perfbench's [twin_cost] takes a sink's: [passes] passes each run every
+   mode once, in an order that alternates between passes (mode 0, the bare
+   run, first and then last), each run after a full compaction so no run
+   inherits another's heap. A mode's wall is its fastest run, the one other
+   work on the host lengthened least. Returns the walls and each mode's
+   last result. *)
+let fastest_walls ~passes modes =
+  let n = Array.length modes in
+  let walls = Array.make n infinity and results = Array.make n None in
+  for k = 0 to passes - 1 do
+    for j = 0 to n - 1 do
+      let i = if k mod 2 = 0 then j else n - 1 - j in
+      Gc.compact ();
+      let t0 = Unix.gettimeofday () in
+      let r = modes.(i) () in
+      walls.(i) <- Float.min walls.(i) (Unix.gettimeofday () -. t0);
+      results.(i) <- Some r
+    done
+  done;
+  (walls, Array.map Option.get results)
+
+(* Percent wall time mode [i] adds to the bare mode 0. *)
+let overhead_pct walls i = 100. *. ((walls.(i) /. walls.(0)) -. 1.)
+
 (* E21: observer overhead. The same ring:48 config runs bare and under
    several capture modes. Observers are pure — they never touch algorithm
    state or randomness — so every instrumented summary must be identical to
    the bare one (hard assertion, exit 1), and the always-on "flight
    recorder" mode (bounded ring event log + series + sampled profiler) must
    cost < 10% extra wall time (also asserted; the verdict is printed so the
-   target is auditable in the output). Trials are interleaved and each
-   mode's overhead is the median of per-pass ratios against the same pass's
-   bare run, which is robust to machine-speed drift. Runs are also rendered
+   target is auditable in the output), the fastest flight run against the
+   fastest bare run of [fastest_walls]. Runs are also rendered
    through the shared Report.result_row schema, the same rows the sweep CSV
    emits. *)
 let e21 () =
@@ -1060,36 +1089,11 @@ let e21 () =
   in
   let cfgs = Array.map (fun (_, obs) -> make_cfg obs) modes in
   let n = Array.length modes in
-  let trials = 9 in
-  let walls = Array.make_matrix n trials 0. in
-  let results = Array.make n None in
-  (* Interleave the trials so machine-speed drift hits every mode equally,
-     then compare each mode against the bare run of the same sweep pass:
-     the median of the per-pass ratios is robust to a single lucky or
-     unlucky trial on either side. *)
-  for k = 0 to trials - 1 do
-    Array.iteri
-      (fun i cfg ->
-        let t0 = Unix.gettimeofday () in
-        let r = Runner.run cfg in
-        walls.(i).(k) <- Unix.gettimeofday () -. t0;
-        results.(i) <- Some r)
-      cfgs
-  done;
-  let results = Array.map Option.get results in
+  let passes = 9 in
+  let walls, results =
+    fastest_walls ~passes (Array.map (fun cfg () -> Runner.run cfg) cfgs)
+  in
   let r_bare = results.(0) in
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    s.(Array.length s / 2)
-  in
-  let wall i = median walls.(i) in
-  let overhead i =
-    let ratios =
-      Array.init trials (fun k -> walls.(i).(k) /. walls.(0).(k))
-    in
-    100. *. (median ratios -. 1.)
-  in
   (* Control events of the series probe are counted in [events], so compare
      the skew summaries, which instrumentation must not perturb. *)
   let summaries_equal i = r_bare.Runner.summary = results.(i).Runner.summary in
@@ -1106,9 +1110,9 @@ let e21 () =
   print_table ~name:"e21_observer_overhead"
     ~title:
       (Printf.sprintf
-         "capture modes vs bare, median of %d interleaved paired trials \
-          (flight = ring log + series + profiler)"
-         trials)
+         "capture modes vs bare, fastest of %d alternating passes (flight = \
+          ring log + series + profiler)"
+         passes)
     ~columns:
       [
         Table.column ~align:Table.Left "mode";
@@ -1123,8 +1127,9 @@ let e21 () =
            let name, _ = modes.(i) in
            [
              name;
-             Table.fmt_float ~digits:4 (wall i);
-             (if i = 0 then "-" else Table.fmt_float ~digits:1 (overhead i));
+             Table.fmt_float ~digits:4 walls.(i);
+             (if i = 0 then "-"
+              else Table.fmt_float ~digits:1 (overhead_pct walls i));
              string_of_int (log_lines i);
              string_of_int (series_points i);
              (if i = 0 then "-" else if summaries_equal i then "yes" else "NO");
@@ -1141,7 +1146,7 @@ let e21 () =
   | Some rep ->
       Printf.printf "profiler (flight):\n";
       List.iter (fun l -> Printf.printf "  %s\n" l) (Profiler.lines rep));
-  let flight_overhead = overhead 1 in
+  let flight_overhead = overhead_pct walls 1 in
   Printf.printf "flight-recorder overhead: %.1f%% (target <10%%: %s)\n"
     flight_overhead
     (if flight_overhead < 10. then "yes" else "NO");
@@ -1342,8 +1347,8 @@ let e8 () =
 (* E23: conformance-monitor overhead. The gcs.check online monitors ride
    the observer multiplexer and check rate + monotonicity at every event;
    the acceptance target is that this flight-recorder mode stays under
-   10% wall-time overhead (median of interleaved paired ratios, as in
-   E21) and perturbs no run summary. The skew-checking mode additionally
+   10% wall-time overhead (measured by [fastest_walls], as in E21) and
+   perturbs no run summary. The skew-checking mode additionally
    scans each node's neighborhood per event and is reported but not held
    to the target. *)
 let e23 () =
@@ -1369,40 +1374,20 @@ let e23 () =
     |]
   in
   let n = Array.length modes in
-  let trials = 9 in
-  let walls = Array.make_matrix n trials 0. in
-  let results = Array.make n None in
-  let checks = Array.make n None in
-  (* Interleaved paired trials, exactly as in E21: machine-speed drift
-     hits every mode equally, and each mode is compared against the bare
-     run of the same pass. *)
-  for k = 0 to trials - 1 do
-    Array.iteri
-      (fun i (_, monitor) ->
-        let t0 = Unix.gettimeofday () in
-        (match monitor with
-        | None -> results.(i) <- Some (Runner.run cfg)
-        | Some monitor ->
-            let checked = Check_run.run ~monitor cfg in
-            results.(i) <- Some checked.Check_run.result;
-            checks.(i) <- Some checked);
-        walls.(i).(k) <- Unix.gettimeofday () -. t0)
-      modes
-  done;
-  let results = Array.map Option.get results in
+  let passes = 9 in
+  let walls, runs =
+    fastest_walls ~passes
+      (Array.map
+         (fun (_, monitor) () ->
+           match monitor with
+           | None -> (Runner.run cfg, None)
+           | Some monitor ->
+               let checked = Check_run.run ~monitor cfg in
+               (checked.Check_run.result, Some checked))
+         modes)
+  in
+  let results = Array.map fst runs and checks = Array.map snd runs in
   let r_bare = results.(0) in
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    s.(Array.length s / 2)
-  in
-  let wall i = median walls.(i) in
-  let overhead i =
-    let ratios =
-      Array.init trials (fun k -> walls.(i).(k) /. walls.(0).(k))
-    in
-    100. *. (median ratios -. 1.)
-  in
   let summaries_equal i = r_bare.Runner.summary = results.(i).Runner.summary in
   let events_checked i =
     match checks.(i) with
@@ -1416,9 +1401,8 @@ let e23 () =
   in
   print_table ~name:"e23_monitor_overhead"
     ~title:
-      (Printf.sprintf
-         "online monitors vs bare, median of %d interleaved paired trials"
-         trials)
+      (Printf.sprintf "online monitors vs bare, fastest of %d alternating passes"
+         passes)
     ~columns:
       [
         Table.column ~align:Table.Left "mode";
@@ -1433,13 +1417,14 @@ let e23 () =
            let name, _ = modes.(i) in
            [
              name;
-             Table.fmt_float ~digits:4 (wall i);
-             (if i = 0 then "-" else Table.fmt_float ~digits:1 (overhead i));
+             Table.fmt_float ~digits:4 walls.(i);
+             (if i = 0 then "-"
+              else Table.fmt_float ~digits:1 (overhead_pct walls i));
              string_of_int (events_checked i);
              (if i = 0 then "-" else if violated i then "YES" else "none");
              (if i = 0 then "-" else if summaries_equal i then "yes" else "NO");
            ]));
-  let mon_overhead = overhead 1 in
+  let mon_overhead = overhead_pct walls 1 in
   Printf.printf "monitor overhead: %.1f%% (target <10%%: %s)\n" mon_overhead
     (if mon_overhead < 10. then "yes" else "NO");
   let failed = ref false in

@@ -475,25 +475,30 @@ let compare_cmd =
         (fun algo ->
           (* Every trial runs on the base seed's graph, so on a random
              topology a trial is not the run its own key names: it gets a
-             direct config. *)
-          let run_one seed =
-            Runner.run
-              (or_die_invalid (fun () ->
-                   Runner.config ~spec:r.spec ~algo
-                     ~drift_of_node:(fun _ -> drift)
-                     ~horizon:r.horizon ~seed graph))
+             direct config. Each seed runs once and every column reads that
+             run; the first seed is the base seed. *)
+          let runs =
+            Array.of_list
+              (List.map
+                 (fun seed ->
+                   let res =
+                     Runner.run
+                       (or_die_invalid (fun () ->
+                            Runner.config ~spec:r.spec ~algo
+                              ~drift_of_node:(fun _ -> drift)
+                              ~horizon:r.horizon ~seed graph))
+                   in
+                   ( res.Runner.summary,
+                     res.Runner.jumps.Lc.count,
+                     res.Runner.messages ))
+                 seeds)
           in
           let summarize f =
-            Gcs_core.Replicate.measure ~seeds (fun seed ->
-                f (run_one seed))
+            Gcs_core.Replicate.summarize (Array.map (fun (s, _, _) -> f s) runs)
           in
-          let local =
-            summarize (fun r -> r.Runner.summary.Metrics.max_local)
-          in
-          let global =
-            summarize (fun r -> r.Runner.summary.Metrics.max_global)
-          in
-          let one = run_one r.seed in
+          let local = summarize (fun s -> s.Metrics.max_local) in
+          let global = summarize (fun s -> s.Metrics.max_global) in
+          let _, jumps, messages = runs.(0) in
           let cell s =
             if trials <= 1 then
               Table.fmt_float ~digits:4 s.Gcs_core.Replicate.mean
@@ -503,8 +508,8 @@ let compare_cmd =
             Algorithm.kind_name algo;
             cell local;
             cell global;
-            string_of_int one.Runner.jumps.Lc.count;
-            string_of_int one.Runner.messages;
+            string_of_int jumps;
+            string_of_int messages;
           ])
         Algorithm.all_kinds
     in

@@ -29,63 +29,6 @@ let skew_on_edges g edge_ids values =
 let real_time_skew ~time values =
   Array.fold_left (fun acc v -> Float.max acc (Float.abs (v -. time))) 0. values
 
-(* Flattened pair list for repeated profiling (one entry per unordered
-   reachable pair). Building it costs one matrix scan; each subsequent
-   profile is a single pass over flat arrays with no row indirection and
-   no per-call diameter search — the time-series recorder calls this once
-   per series point. *)
-type profile_ctx = {
-  diameter : int;
-  pv : int array;
-  pw : int array;
-  pd : int array;  (** hop distance - 1, the profile slot *)
-}
-
-let profile_ctx ~dist =
-  let n = Array.length dist in
-  let diameter = ref 0 in
-  let count = ref 0 in
-  for v = 0 to n - 1 do
-    for w = v + 1 to n - 1 do
-      let d = dist.(v).(w) in
-      if d >= 1 then begin
-        incr count;
-        if d > !diameter then diameter := d
-      end
-    done
-  done;
-  let pv = Array.make !count 0
-  and pw = Array.make !count 0
-  and pd = Array.make !count 0 in
-  let k = ref 0 in
-  for v = 0 to n - 1 do
-    for w = v + 1 to n - 1 do
-      let d = dist.(v).(w) in
-      if d >= 1 then begin
-        pv.(!k) <- v;
-        pw.(!k) <- w;
-        pd.(!k) <- d - 1;
-        incr k
-      end
-    done
-  done;
-  { diameter = !diameter; pv; pw; pd }
-
-let gradient_profile_ctx ctx values =
-  let profile = Array.make ctx.diameter 0. in
-  for k = 0 to Array.length ctx.pv - 1 do
-    let s =
-      Float.abs
-        (Array.unsafe_get values (Array.unsafe_get ctx.pv k)
-        -. Array.unsafe_get values (Array.unsafe_get ctx.pw k))
-    in
-    let d = Array.unsafe_get ctx.pd k in
-    if s > Array.unsafe_get profile d then Array.unsafe_set profile d s
-  done;
-  profile
-
-let gradient_profile ~dist values = gradient_profile_ctx (profile_ctx ~dist) values
-
 let global_skew_alive ~alive values =
   let lo = ref infinity and hi = ref neg_infinity in
   Array.iteri
@@ -145,23 +88,31 @@ let summarize ?(alive = fun _ -> true) g samples ~after =
 let summarize_opt ?(alive = fun _ -> true) g samples ~after =
   Option.map (summarize_qualifying ~alive g) (qualifying_opt samples ~after)
 
-(* One BFS source [v] at a time: each qualifying sample's gap between [v]
-   and every higher-indexed node is folded into the slot of their hop
-   distance, so memory is O(n + D) beyond the samples. The same [>] test as
-   {!gradient_profile_ctx}, over the same (sample, pair) gaps, gives the
-   same bits as the per-sample fold it replaces. *)
-let max_gradient_profile g samples ~after =
-  let q = Array.map (fun s -> s.values) (qualifying samples ~after) in
-  let profile = Array.make (Shortest_path.diameter g) 0. in
+(* One BFS source [v] at a time: each vector's gap between [v] and every
+   higher-indexed node is folded into the slot of their hop distance, so
+   memory is O(n) plus O(D) per vector and no distance matrix is ever
+   built. A gap enters a slot only if it is larger ([>]), so a NaN gap
+   never does. *)
+let gradient_profiles g vectors =
+  let diameter = Shortest_path.diameter g in
+  let profiles = Array.map (fun _ -> Array.make diameter 0.) vectors in
   let n = Graph.n g in
   Shortest_path.iter_bfs g (fun v dist ->
-      Array.iter
-        (fun values ->
-          let x = values.(v) in
+      Array.iteri
+        (fun i values ->
+          let profile = profiles.(i) and x = values.(v) in
           for w = v + 1 to n - 1 do
             let d = Array.unsafe_get dist w - 1 in
             let s = Float.abs (x -. values.(w)) in
             if s > Array.unsafe_get profile d then Array.unsafe_set profile d s
           done)
-        q);
-  profile
+        vectors);
+  profiles
+
+let max_gradient_profile g samples ~after =
+  let profiles =
+    gradient_profiles g
+      (Array.map (fun s -> s.values) (qualifying samples ~after))
+  in
+  Array.init (Array.length profiles.(0)) (fun d ->
+      Array.fold_left (fun acc p -> Float.max acc p.(d)) 0. profiles)

@@ -32,23 +32,6 @@ val local_skew_alive :
   Gcs_graph.Graph.t -> alive:(int -> bool) -> float array -> float
 (** Local skew over edges whose both endpoints are alive. *)
 
-val gradient_profile : dist:int array array -> float array -> float array
-(** [gradient_profile ~dist values] returns an array [g] of length
-    [diameter] where [g.(k - 1)] is the maximum |L_v - L_w| over node pairs
-    at hop distance exactly [k] — the empirical gradient function f(k). *)
-
-type profile_ctx
-(** Precomputed flat pair list for repeated profile evaluation. *)
-
-val profile_ctx : dist:int array array -> profile_ctx
-(** Build once per graph; amortises the distance-matrix scan so each
-    {!gradient_profile_ctx} call is a single flat pass over the pairs.
-    The time-series recorder evaluates a profile every series point. *)
-
-val gradient_profile_ctx : profile_ctx -> float array -> float array
-(** Same result as {!gradient_profile} for the matrix the context was
-    built from. *)
-
 type summary = {
   max_global : float;
   max_local : float;
@@ -79,9 +62,19 @@ val summarize_opt :
     variant for callers (e.g. runs with [horizon < warmup]) that want to
     fall back rather than trap. *)
 
+val gradient_profiles :
+  Gcs_graph.Graph.t -> float array array -> float array array
+(** [gradient_profiles g vectors] returns one profile per vector of clock
+    values: an array [p] of length [diameter] where [p.(k - 1)] is the
+    maximum |L_v - L_w| over node pairs at hop distance exactly [k] — the
+    empirical gradient function f(k). A NaN gap is skipped. All vectors
+    share one BFS pass from every source ({!Gcs_graph.Shortest_path.iter_bfs}):
+    beyond the vectors, memory is O(n) plus O(D) per profile, never an
+    n x n matrix, and time is O(n (n + m)) plus O(n^2) per vector. Raises
+    [Invalid_argument] if the graph is disconnected. *)
+
 val max_gradient_profile :
   Gcs_graph.Graph.t -> sample array -> after:float -> float array
-(** Pointwise maximum of {!gradient_profile} over the qualifying samples,
-    computed one BFS source at a time: O(n + D) memory beyond the samples,
-    never an n x n matrix. Raises [Invalid_argument] if no sample qualifies
-    or the graph is disconnected. *)
+(** Pointwise maximum of the {!gradient_profiles} of the qualifying samples.
+    Raises [Invalid_argument] if no sample qualifies or the graph is
+    disconnected. *)

@@ -2,7 +2,6 @@ module Pool = Gcs_util.Pool
 module Logical_clock = Gcs_clock.Logical_clock
 
 let run ?jobs cfgs = Pool.map ?jobs Runner.run cfgs
-let map ?jobs ~f cfgs = Pool.map ?jobs (fun cfg -> f (Runner.run cfg)) cfgs
 
 type cache_stats = { hits : int; misses : int; fresh_dispatches : int }
 
@@ -56,7 +55,6 @@ let run_cached ?jobs ?store keys =
 
 type merged = {
   summaries : Metrics.summary array;
-  samples : (int * Metrics.sample) array;
   events : int;
   messages : int;
   dropped : int;
@@ -68,23 +66,9 @@ type merged = {
 
 let merge (results : Runner.result array) =
   let summaries = Array.map (fun r -> r.Runner.summary) results in
-  let tagged =
-    Array.concat
-      (Array.to_list
-         (Array.mapi
-            (fun i (r : Runner.result) ->
-              Array.map (fun s -> (i, s)) r.Runner.samples)
-            results))
-  in
-  (* Stable sort on time only: runs are concatenated in input order and
-     each run's samples are already time-ordered, so ties keep run-index
-     (then within-run) order. *)
-  let samples = tagged in
-  Array.stable_sort
-    (fun (_, a) (_, b) -> compare a.Metrics.time b.Metrics.time)
-    samples;
-  (* Series points merge exactly like samples: concatenate in input order,
-     tag with run index, stable-sort on time only. *)
+  (* Series points: concatenate in input order, tag with run index,
+     stable-sort on time only, so ties keep run-index (then within-run)
+     order. *)
   let series =
     Array.concat
       (Array.to_list
@@ -133,7 +117,6 @@ let merge (results : Runner.result array) =
     results;
   {
     summaries;
-    samples;
     events = !events;
     messages = !messages;
     dropped = !dropped;

@@ -16,11 +16,6 @@ val run : ?jobs:int -> Runner.config array -> Runner.result array
     {!Gcs_util.Pool.default_jobs}[ ()]) and returns results in input
     order. *)
 
-val map : ?jobs:int -> f:(Runner.result -> 'a) -> Runner.config array -> 'a array
-(** [map ~jobs ~f cfgs] additionally applies [f] to each result on the
-    worker that produced it, so large intermediate results can be reduced
-    to scalars without crossing domains. [f] must be pure. *)
-
 (** How a cached batch was served. [fresh_dispatches] sums
     [Runner.result.dispatches] over the cells that actually simulated, so
     a fully warm batch asserts as [misses = 0] {e and}
@@ -46,11 +41,6 @@ val run_cached :
 (** Order-preserving aggregate of a batch, merged deterministically. *)
 type merged = {
   summaries : Metrics.summary array;  (** one per config, input order *)
-  samples : (int * Metrics.sample) array;
-      (** all samples of all runs, tagged with their run index, sorted by
-          sample time with run index (then within-run order) breaking
-          ties — a deterministic interleaving suitable for one combined
-          time-series artifact *)
   events : int;  (** total engine events across the batch *)
   messages : int;  (** total messages sent *)
   dropped : int;  (** total messages lost to loss laws *)
@@ -58,9 +48,10 @@ type merged = {
   jumps : Gcs_clock.Logical_clock.jump_stats;
       (** clock discontinuities aggregated across all runs *)
   series : (int * Gcs_obs.Series.point) array;
-      (** all captured series points, merged like [samples]: tagged with
-          their run index and stable-sorted on time only; empty when no
-          run captured a series *)
+      (** all captured series points, tagged with their run index and
+          sorted by time with run index (then within-run order) breaking
+          ties — a deterministic interleaving for one combined series
+          artifact; empty when no run captured a series *)
   profile : Gcs_obs.Profiler.report option;
       (** {!Gcs_obs.Profiler.merge} of every captured profiler report;
           [None] when no run profiled *)

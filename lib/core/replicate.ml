@@ -9,10 +9,9 @@ type summary = {
   trials : int;
 }
 
-let measure ?(jobs = 1) ~seeds f =
-  if seeds = [] then invalid_arg "Replicate.measure: no seeds";
-  let xs = Gcs_util.Pool.map ~jobs f (Array.of_list seeds) in
+let summarize xs =
   let n = Array.length xs in
+  if n = 0 then invalid_arg "Replicate.summarize: no values";
   let stddev = Stats.stddev xs in
   {
     mean = Stats.mean xs;
@@ -22,6 +21,10 @@ let measure ?(jobs = 1) ~seeds f =
     ci95 = (if n < 2 then 0. else 1.96 *. stddev /. sqrt (float_of_int n));
     trials = n;
   }
+
+let measure ?(jobs = 1) ~seeds f =
+  if seeds = [] then invalid_arg "Replicate.measure: no seeds";
+  summarize (Gcs_util.Pool.map ~jobs f (Array.of_list seeds))
 
 let seeds ?(base = 1000) n = List.init n (fun i -> base + (7919 * i))
 

@@ -15,6 +15,12 @@ type summary = {
   trials : int;
 }
 
+val summarize : float array -> summary
+(** The summary of one measurement per seed, in seed order. Raises
+    [Invalid_argument] on an empty array. Read several scalars off each
+    run this way, rather than calling {!measure} once per scalar, which
+    simulates every seed again. *)
+
 val measure : ?jobs:int -> seeds:int list -> (int -> float) -> summary
 (** [measure ~seeds f] runs [f seed] for each seed. Raises
     [Invalid_argument] on an empty seed list. With [~jobs] > 1 the seeds

@@ -358,23 +358,18 @@ let prepare (cfg : config) =
   probe t0;
   (match (series, cfg.obs.Capture.series_period) with
   | Some series, Some period ->
-      let pctx =
-        Metrics.profile_ctx ~dist:(Gcs_graph.Shortest_path.all_pairs cfg.graph)
-      in
+      (* A point keeps every node's value and no profile: [complete]
+         profiles all the points in one BFS pass, where a pass per point
+         would cost O(n (n + m)) each. *)
       let point () =
         let now = Engine.now engine in
         let values = snapshot_values live in
-        let profile =
-          Array.mapi
-            (fun i s -> (i + 1, s))
-            (Metrics.gradient_profile_ctx pctx values)
-        in
         {
           Series.time = now;
           global_skew = Metrics.global_skew values;
           local_skew = Metrics.local_skew cfg.graph values;
-          profile;
-          values = (if cfg.obs.Capture.series_values then values else [||]);
+          profile = [||];
+          values;
           rates =
             (if cfg.obs.Capture.series_values then
                Array.map (fun c -> Hardware_clock.rate_at c ~now) clocks
@@ -457,6 +452,31 @@ let complete live =
              ~duplicated:(Engine.messages_duplicated live.engine)
              ~corrupted:(Engine.messages_corrupted live.engine) ())
   in
+  (* Every series point's profile from one BFS pass over all of them; a
+     point keeps its values only if the capture asked for them. *)
+  let series =
+    Option.map
+      (fun probed ->
+        let points = Series.points probed in
+        let profiles =
+          Metrics.gradient_profiles cfg.graph
+            (Array.map (fun p -> p.Series.values) points)
+        in
+        let series = Series.create () in
+        Array.iteri
+          (fun i p ->
+            Series.record series
+              {
+                p with
+                Series.profile = profiles.(i);
+                values =
+                  (if cfg.obs.Capture.series_values then p.Series.values
+                   else [||]);
+              })
+          points;
+        series)
+      live.series
+  in
   {
     graph = cfg.graph;
     spec = cfg.spec;
@@ -475,7 +495,7 @@ let complete live =
     obs =
       {
         Capture.event_log = live.event_log;
-        series = live.series;
+        series;
         profile =
           Option.map
             (fun p ->

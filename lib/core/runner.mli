@@ -95,7 +95,9 @@ type live = {
       (** Installed when [cfg.obs.events]; already attached. *)
   series : Gcs_obs.Series.t option;
       (** Installed when [cfg.obs.series_period] is set; fed by its own
-          control-event probe at that cadence. *)
+          control-event probe at that cadence. Its points carry every
+          node's value and no profile: [complete] profiles them all in one
+          pass into [result.obs.series]. *)
   profiler : Gcs_obs.Profiler.t option;
       (** Installed when [cfg.obs.profile]; wired to the engine's dispatch
           hooks. [complete] finishes it into [result.obs.profile]. *)

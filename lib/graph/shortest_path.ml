@@ -1,5 +1,3 @@
-module Heap = Gcs_util.Scheduler
-
 (* One BFS from [src] into caller-owned buffers, so repeated passes
    allocate nothing. [order] receives the reached nodes in visiting order,
    hence sorted by distance; the result is how many were reached. *)
@@ -30,8 +28,6 @@ let bfs g ~src =
   ignore (bfs_into g ~src ~dist ~order:(Array.make n 0));
   dist
 
-let all_pairs g = Array.init (Graph.n g) (fun v -> bfs g ~src:v)
-
 let iter_bfs g f =
   let n = Graph.n g in
   let dist = Array.make n max_int and order = Array.make n 0 in
@@ -39,14 +35,6 @@ let iter_bfs g f =
     ignore (bfs_into g ~src:v ~dist ~order);
     f v dist
   done
-
-let disconnected () = invalid_arg "Shortest_path: disconnected graph"
-
-let eccentricity g v =
-  let dist = bfs g ~src:v in
-  Array.fold_left
-    (fun acc d -> if d = max_int then disconnected () else max acc d)
-    0 dist
 
 (* Exact diameter by iFUB (Crescenzi, Grossi, Habib, Lanzi, Marino, "On
    computing the diameter of real-world undirected graphs", TCS 2013).
@@ -72,7 +60,8 @@ let ifub g =
   (* BFS from [src], folded into [lb], [far] and [swept]. Returns the last
      node reached, one farthest from [src]. *)
   let sweep src =
-    if bfs_into g ~src ~dist ~order < n then disconnected ();
+    if bfs_into g ~src ~dist ~order < n then
+      invalid_arg "Shortest_path: disconnected graph";
     swept.(src) <- true;
     let last = order.(n - 1) in
     lb := max !lb dist.(last);
@@ -111,83 +100,3 @@ let ifub g =
 
 let diameter g =
   match Graph.known_diameter g with Some d -> d | None -> ifub g
-
-let dijkstra g ~weights ~src =
-  Array.iter
-    (fun w ->
-      if w < 0. then invalid_arg "Shortest_path.dijkstra: negative weight")
-    weights;
-  let n = Graph.n g in
-  let dist = Array.make n infinity in
-  let heap = Heap.create () in
-  (* Insertion order breaks priority ties, so pops are deterministic. *)
-  let seq = ref 0 in
-  let push prio v =
-    Heap.push heap ~prio ~seq:!seq v;
-    incr seq
-  in
-  dist.(src) <- 0.;
-  push 0. src;
-  while not (Heap.is_empty heap) do
-    let d = Heap.min_prio heap in
-    let v = Heap.pop_min heap in
-    if d <= dist.(v) then
-      Array.iter
-        (fun (w, e) ->
-          let nd = d +. weights.(e) in
-          if nd < dist.(w) then begin
-            dist.(w) <- nd;
-            push nd w
-          end)
-        (Graph.neighbors g v)
-  done;
-  dist
-
-let weighted_diameter g ~weights =
-  let best = ref 0. in
-  for v = 0 to Graph.n g - 1 do
-    let dist = dijkstra g ~weights ~src:v in
-    Array.iter
-      (fun d -> if Float.is_finite d then best := Float.max !best d)
-      dist
-  done;
-  !best
-
-let bellman_ford ~n ~arcs ~src =
-  let dist = Array.make n infinity in
-  dist.(src) <- 0.;
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < n do
-    changed := false;
-    incr rounds;
-    Array.iter
-      (fun (u, v, w) ->
-        if Float.is_finite dist.(u) && dist.(u) +. w < dist.(v) then begin
-          dist.(v) <- dist.(u) +. w;
-          changed := true
-        end)
-      arcs
-  done;
-  if !changed then Error () else Ok dist
-
-let floyd_warshall g ~weights =
-  let n = Graph.n g in
-  let dist = Array.make_matrix n n infinity in
-  for v = 0 to n - 1 do
-    dist.(v).(v) <- 0.
-  done;
-  Array.iteri
-    (fun id (u, v) ->
-      dist.(u).(v) <- Float.min dist.(u).(v) weights.(id);
-      dist.(v).(u) <- Float.min dist.(v).(u) weights.(id))
-    (Graph.edges g);
-  for k = 0 to n - 1 do
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        let via = dist.(i).(k) +. dist.(k).(j) in
-        if via < dist.(i).(j) then dist.(i).(j) <- via
-      done
-    done
-  done;
-  dist

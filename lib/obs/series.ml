@@ -3,7 +3,7 @@ type point = {
   time : float;
   global_skew : float;
   local_skew : float;
-  profile : (int * float) array;
+  profile : float array;
   values : float array;
   rates : float array;
   watched : float array;
@@ -31,7 +31,7 @@ let csv_header ?(values = 0) ?(rates = 0) ?(hops = 0) ?(watched = 0) () =
 
 let csv_row p =
   [ fnum p.time; fnum p.global_skew; fnum p.local_skew ]
-  @ List.map (fun (_, s) -> fnum s) (Array.to_list p.profile)
+  @ List.map fnum (Array.to_list p.profile)
   @ List.map fnum (Array.to_list p.values)
   @ List.map fnum (Array.to_list p.rates)
   @ List.map fnum (Array.to_list p.watched)

@@ -2,8 +2,9 @@
 
     A series is storage only: it does not know how to measure anything.
     The runner computes each point (from its samples, the metrics layer,
-    and the hardware clocks) at its own cadence and calls {!record}; this
-    module keeps the points in order and exports them as CSV. Keeping the
+    and the hardware clocks) at its own cadence and calls {!record}, then
+    records the points again, profiles filled in, once the run is over;
+    this module keeps the points in order and exports them as CSV. Keeping the
     measurement logic out of this library avoids a dependency cycle —
     [gcs.core] depends on [gcs.obs], not the other way round. *)
 
@@ -11,9 +12,10 @@ type point = {
   time : float;
   global_skew : float;  (** max pairwise logical-clock difference *)
   local_skew : float;  (** max difference across any live edge *)
-  profile : (int * float) array;
-      (** gradient profile: [(hops, max skew at that distance)], sorted by
-          hop count; empty when profile capture is off *)
+  profile : float array;
+      (** gradient profile: index [k - 1] holds the max skew between nodes
+          [k] hops apart; empty when none was computed (a live run's
+          series) *)
   values : float array;
       (** per-node logical clock values; empty when not captured *)
   rates : float array;

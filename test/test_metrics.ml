@@ -3,6 +3,9 @@ module Graph = Gcs_graph.Graph
 module Topology = Gcs_graph.Topology
 module Sp = Gcs_graph.Shortest_path
 module Prng = Gcs_util.Prng
+module Runner = Gcs_core.Runner
+module Capture = Gcs_obs.Capture
+module Series = Gcs_obs.Series
 
 let checkf = Alcotest.(check (float 1e-9))
 
@@ -29,13 +32,31 @@ let test_local_le_global =
 let test_real_time_skew () =
   checkf "max |L - t|" 3. (Metrics.real_time_skew ~time:10. [| 7.; 11.; 10. |])
 
+(* The definition every profile must reproduce bit for bit: over every
+   ordered pair of distinct nodes, the gap enters the slot of their hop
+   distance when it is larger, so a NaN gap never does. *)
+let reference_profile g values =
+  let n = Graph.n g in
+  let dist = Array.init n (fun v -> Sp.bfs g ~src:v) in
+  let p = Array.make (Array.fold_left (Array.fold_left max) 0 dist) 0. in
+  for v = 0 to n - 1 do
+    for w = 0 to n - 1 do
+      if v <> w then begin
+        let d = dist.(v).(w) - 1 in
+        let s = Float.abs (values.(v) -. values.(w)) in
+        if s > p.(d) then p.(d) <- s
+      end
+    done
+  done;
+  p
+
 let test_gradient_profile_line () =
   let g = Topology.line 4 in
-  let dist = Sp.all_pairs g in
   (* values 0, 1, 3, 6: distance-1 max gap 3 (2-3), distance-2 max 5 (1-3),
      distance-3 gap 6. *)
-  let p = Metrics.gradient_profile ~dist [| 0.; 1.; 3.; 6. |] in
-  Alcotest.(check (array (float 1e-9))) "profile" [| 3.; 5.; 6. |] p
+  let p = Metrics.gradient_profiles g [| [| 0.; 1.; 3.; 6. |] |] in
+  Alcotest.(check (array (array (float 1e-9))))
+    "profile" [| [| 3.; 5.; 6. |] |] p
 
 let test_gradient_profile_dominates_local =
   QCheck.Test.make ~name:"profile.(0) = local skew" ~count:100
@@ -44,8 +65,7 @@ let test_gradient_profile_dominates_local =
       let rng = Prng.create ~seed in
       let g = Topology.random_gnp ~n ~p:0.5 ~rng in
       let values = Array.init n (fun _ -> Prng.uniform rng ~lo:0. ~hi:10.) in
-      let dist = Sp.all_pairs g in
-      let p = Metrics.gradient_profile ~dist values in
+      let p = (Metrics.gradient_profiles g [| values |]).(0) in
       Float.abs (p.(0) -. Metrics.local_skew g values) < 1e-9)
 
 let test_alive_masking () =
@@ -103,20 +123,6 @@ let test_summarize_opt () =
   | None -> ()
   | Some _ -> Alcotest.fail "expected None when nothing survives warm-up"
 
-(* The reusable profile context must agree exactly with the one-shot
-   gradient_profile on arbitrary graphs and values. *)
-let test_profile_ctx_equivalence =
-  QCheck.Test.make ~name:"gradient_profile_ctx = gradient_profile" ~count:100
-    QCheck.(pair (int_range 2 15) small_nat)
-    (fun (n, seed) ->
-      let rng = Prng.create ~seed in
-      let g = Topology.random_gnp ~n ~p:0.4 ~rng in
-      let dist = Sp.all_pairs g in
-      let ctx = Metrics.profile_ctx ~dist in
-      let values = Array.init n (fun _ -> Prng.uniform rng ~lo:(-5.) ~hi:5.) in
-      Metrics.gradient_profile_ctx ctx values
-      = Metrics.gradient_profile ~dist values)
-
 let test_max_gradient_profile () =
   let g = Topology.line 3 in
   let samples =
@@ -125,52 +131,97 @@ let test_max_gradient_profile () =
   let p = Metrics.max_gradient_profile g samples ~after:0. in
   Alcotest.(check (array (float 1e-9))) "pointwise max" [| 4.; 4. |] p
 
-(* The streamed profile must reproduce, bit for bit, the fold of one
-   matrix-based profile per qualifying sample that it replaced. *)
+let random_graph family n rng =
+  match family with
+  | 0 -> Topology.random_gnp ~n ~p:0.15 ~rng
+  | 1 -> fst (Topology.random_geometric ~n ~radius:0.3 ~rng)
+  | 2 -> Topology.complete n
+  | _ ->
+      Graph.of_edges ~n
+        (List.init (n - 1) (fun i -> (i + 1, Prng.int rng (i + 1))))
+
+(* Coarse values give ties; the odd non-finite or negative-zero one must be
+   skipped or kept exactly as the definition does. An infinity is drawn
+   from [infinities]. *)
+let random_value ~infinities rng =
+  match Prng.int rng 40 with
+  | 0 -> Float.nan
+  | 1 | 2 -> infinities.(Prng.int rng (Array.length infinities))
+  | 3 -> -0.
+  | k when k < 20 -> float_of_int (Prng.int rng 5)
+  | _ -> Prng.uniform rng ~lo:(-10.) ~hi:10.
+
+let bits = Array.map Int64.bits_of_float
+
+(* The pointwise max of the definition's profile over the qualifying
+   samples. *)
 let folded_profile g samples ~after =
-  let dist = Sp.all_pairs g in
   let q =
     List.filter (fun s -> s.Metrics.time >= after) (Array.to_list samples)
   in
   List.fold_left
     (fun acc s ->
-      let p = Metrics.gradient_profile ~dist s.Metrics.values in
-      Array.mapi (fun i x -> Float.max x p.(i)) acc)
-    (Metrics.gradient_profile ~dist (List.hd q).Metrics.values)
+      Array.map2 Float.max acc (reference_profile g s.Metrics.values))
+    (reference_profile g (List.hd q).Metrics.values)
     q
 
 let test_streamed_profile_equivalence =
   QCheck.Test.make ~name:"streamed max_gradient_profile = per-sample fold"
     ~count:200
-    QCheck.(triple (int_range 0 2) (int_range 2 40) small_nat)
+    QCheck.(triple (int_range 0 3) (int_range 2 40) small_nat)
     (fun (family, n, seed) ->
       let rng = Prng.create ~seed in
-      let g =
-        match family with
-        | 0 -> Topology.random_gnp ~n ~p:0.15 ~rng
-        | 1 -> fst (Topology.random_geometric ~n ~radius:0.3 ~rng)
-        | _ ->
-            Graph.of_edges ~n
-              (List.init (n - 1) (fun i -> (i + 1, Prng.int rng (i + 1))))
-      in
-      (* Coarse values give ties; the odd non-finite one must be skipped
-         or kept exactly as before. *)
-      let value () =
-        match Prng.int rng 40 with
-        | 0 -> Float.nan
-        | 1 -> Float.infinity
-        | 2 -> -0.
-        | k when k < 20 -> float_of_int (Prng.int rng 5)
-        | _ -> Prng.uniform rng ~lo:(-10.) ~hi:10.
-      in
+      let g = random_graph family n rng in
       let samples =
         Array.init (1 + Prng.int rng 6) (fun i ->
-            sample (float_of_int i) (Array.init n (fun _ -> value ())))
+            sample (float_of_int i)
+              (Array.init n (fun _ ->
+                   random_value ~infinities:[| infinity; neg_infinity |] rng)))
       in
       let after = float_of_int (Prng.int rng (Array.length samples)) in
-      let bits = Array.map Int64.bits_of_float in
       bits (Metrics.max_gradient_profile g samples ~after)
       = bits (folded_profile g samples ~after))
+
+(* A run's series profiles, filled in after the run from each point's
+   values, are the definition's. The point at time 0 holds the initial
+   values, drawn by [random_value]. A run keeps to one infinity: a gradient
+   node with one neighbour at +inf and another at -inf never ends its level
+   search. Without [series_values] the points carry the same profiles and
+   no values. *)
+let test_series_profiles =
+  QCheck.Test.make ~name:"series profiles = all-pairs definition" ~count:60
+    QCheck.(triple (int_range 0 3) (int_range 2 24) small_nat)
+    (fun (family, n, seed) ->
+      let rng = Prng.create ~seed in
+      let g = random_graph family n rng in
+      let infinities =
+        [| (if Prng.int rng 2 = 0 then infinity else neg_infinity) |]
+      in
+      let initial = Array.init n (fun _ -> random_value ~infinities rng) in
+      let points series_values =
+        let obs =
+          { Capture.none with series_period = Some 1.5; series_values }
+        in
+        let cfg =
+          Runner.config ~horizon:6. ~seed ~obs
+            ~initial_value_of_node:(Array.get initial) g
+        in
+        match (Runner.run cfg).Runner.obs.Capture.series with
+        | Some s -> Series.points s
+        | None -> [||]
+      in
+      let kept = points true and dropped = points false in
+      Array.length kept = 5
+      && Array.for_all
+           (fun p ->
+             bits p.Series.profile
+             = bits (reference_profile g p.Series.values))
+           kept
+      && Array.for_all2
+           (fun k d ->
+             d.Series.values = [||]
+             && bits d.Series.profile = bits k.Series.profile)
+           kept dropped)
 
 let suite =
   [
@@ -186,6 +237,6 @@ let suite =
     Alcotest.test_case "summarize alive" `Quick test_summarize_alive;
     QCheck_alcotest.to_alcotest test_local_le_global;
     QCheck_alcotest.to_alcotest test_gradient_profile_dominates_local;
-    QCheck_alcotest.to_alcotest test_profile_ctx_equivalence;
     QCheck_alcotest.to_alcotest test_streamed_profile_equivalence;
+    QCheck_alcotest.to_alcotest test_series_profiles;
   ]

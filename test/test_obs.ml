@@ -288,7 +288,7 @@ let test_series_recorder () =
       Series.time = float_of_int i;
       global_skew = 2.0 +. float_of_int i;
       local_skew = 1.0;
-      profile = [| (1, 0.5); (2, 1.5) |];
+      profile = [| 0.5; 1.5 |];
       values = [| 0.; 1.; 2. |];
       rates = [| 1.01; 0.99; 1.0 |];
       watched = [| 0.5 |];

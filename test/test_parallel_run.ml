@@ -69,22 +69,6 @@ let prop_sharding_deterministic =
       Array.length serial = Array.length parallel
       && Array.for_all2 same_result serial parallel)
 
-let prop_map_matches_run =
-  QCheck.Test.make ~name:"map ~jobs extracts the same scalars as run" ~count:8
-    batch_arb (fun batch ->
-      let cfgs = Array.of_list (List.map build batch) in
-      let via_map =
-        Parallel_run.map ~jobs:3
-          ~f:(fun r -> r.Runner.summary.Metrics.max_local)
-          cfgs
-      in
-      let via_run =
-        Array.map
-          (fun (r : Runner.result) -> r.Runner.summary.Metrics.max_local)
-          (Parallel_run.run ~jobs:1 cfgs)
-      in
-      via_map = via_run)
-
 let test_merge () =
   let graph = Topology.ring 6 in
   let cfgs =
@@ -104,24 +88,6 @@ let test_merge () =
         true
         (m.Parallel_run.summaries.(i) = r.Runner.summary))
     results;
-  let total_samples =
-    Array.fold_left
-      (fun acc (r : Runner.result) -> acc + Array.length r.Runner.samples)
-      0 results
-  in
-  Alcotest.(check int) "all samples merged" total_samples
-    (Array.length m.Parallel_run.samples);
-  (* Nondecreasing time; ties broken by run index (stable interleave). *)
-  Array.iteri
-    (fun i (run, s) ->
-      if i > 0 then begin
-        let prev_run, prev = m.Parallel_run.samples.(i - 1) in
-        Alcotest.(check bool) "time sorted" true
-          (prev.Metrics.time <= s.Metrics.time);
-        if prev.Metrics.time = s.Metrics.time then
-          Alcotest.(check bool) "stable on ties" true (prev_run <= run)
-      end)
-    m.Parallel_run.samples;
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
   Alcotest.(check int) "events total" (sum (fun r -> r.Runner.events))
     m.Parallel_run.events;
@@ -191,7 +157,6 @@ let test_replicate_jobs () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_sharding_deterministic;
-    QCheck_alcotest.to_alcotest prop_map_matches_run;
     Alcotest.test_case "merge is order-preserving and total" `Quick test_merge;
     Alcotest.test_case "merge carries series and profile" `Quick
       test_merge_observability;

@@ -35,11 +35,44 @@ let test_diameter_disconnected () =
        [ (0, 1); (0, 2); (0, 3); (4, 5); (5, 6); (6, 7); (7, 8); (8, 9) ]);
   raises "isolated node" (Graph.of_edges ~n:5 [ (0, 1); (0, 2); (0, 3) ])
 
+(* Reference distances, by the definitions: the largest hop distance from
+   one node, and weighted distances between all pairs by Floyd-Warshall. *)
+let eccentricity g v =
+  let dist = Sp.bfs g ~src:v in
+  Array.fold_left
+    (fun acc d ->
+      if d = max_int then invalid_arg "Shortest_path: disconnected graph"
+      else max acc d)
+    0 dist
+
+let floyd_warshall g ~weights =
+  let n = Graph.n g in
+  let dist = Array.make_matrix n n infinity in
+  for v = 0 to n - 1 do
+    dist.(v).(v) <- 0.
+  done;
+  Array.iteri
+    (fun id (u, v) ->
+      dist.(u).(v) <- Float.min dist.(u).(v) weights.(id);
+      dist.(v).(u) <- Float.min dist.(v).(u) weights.(id))
+    (Graph.edges g);
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        let via = dist.(i).(k) +. dist.(k).(j) in
+        if via < dist.(i).(j) then dist.(i).(j) <- via
+      done
+    done
+  done;
+  dist
+
+let all_pairs g = Array.init (Graph.n g) (fun v -> Sp.bfs g ~src:v)
+
 (* The all-source definition every fast path must reproduce. *)
 let reference_diameter g =
   let best = ref 0 in
   for v = 0 to Graph.n g - 1 do
-    best := max !best (Sp.eccentricity g v)
+    best := max !best (eccentricity g v)
   done;
   !best
 
@@ -146,54 +179,6 @@ let test_closed_forms () =
   Alcotest.(check (option int)) "grids record nothing" None
     (Graph.known_diameter (Topology.grid ~rows:4 ~cols:5))
 
-let test_dijkstra_weighted () =
-  (* square with a shortcut: 0-1 (1.0), 1-2 (1.0), 0-2 (1.5) *)
-  let g = Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ] in
-  let weights = [| 1.0; 1.0; 1.5 |] in
-  let d = Sp.dijkstra g ~weights ~src:0 in
-  Alcotest.(check (float 1e-9)) "direct shortcut wins" 1.5 d.(2);
-  let weights' = [| 1.0; 1.0; 2.5 |] in
-  let d' = Sp.dijkstra g ~weights:weights' ~src:0 in
-  Alcotest.(check (float 1e-9)) "two hops win" 2.0 d'.(2)
-
-let test_dijkstra_rejects_negative () =
-  let g = Topology.line 3 in
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Shortest_path.dijkstra: negative weight") (fun () ->
-      ignore (Sp.dijkstra g ~weights:[| 1.; -1. |] ~src:0))
-
-let test_bellman_ford_negative_cycle () =
-  let arcs = [| (0, 1, 1.); (1, 2, -3.); (2, 0, 1.) |] in
-  (match Sp.bellman_ford ~n:3 ~arcs ~src:0 with
-  | Error () -> ()
-  | Ok _ -> Alcotest.fail "missed negative cycle");
-  let arcs_ok = [| (0, 1, 1.); (1, 2, -0.5); (2, 0, 1.) |] in
-  match Sp.bellman_ford ~n:3 ~arcs:arcs_ok ~src:0 with
-  | Ok d -> Alcotest.(check (float 1e-9)) "dist via neg edge" 0.5 d.(2)
-  | Error () -> Alcotest.fail "false negative cycle"
-
-let test_bellman_ford_matches_dijkstra =
-  QCheck.Test.make ~name:"bellman-ford = dijkstra on non-negative weights"
-    ~count:50
-    QCheck.(int_range 3 25)
-    (fun n ->
-      let rng = Prng.create ~seed:n in
-      let g = Topology.random_gnp ~n ~p:0.3 ~rng in
-      let weights =
-        Array.init (Graph.m g) (fun _ -> Prng.uniform rng ~lo:0.1 ~hi:5.)
-      in
-      let arcs =
-        Array.concat
-          (List.map
-             (fun (id, (u, v)) -> [| (u, v, weights.(id)); (v, u, weights.(id)) |])
-             (List.mapi (fun i e -> (i, e)) (Array.to_list (Graph.edges g))))
-      in
-      let dj = Sp.dijkstra g ~weights ~src:0 in
-      match Sp.bellman_ford ~n ~arcs ~src:0 with
-      | Error () -> false
-      | Ok bf ->
-          Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-9) dj bf)
-
 let test_bfs_matches_floyd_warshall =
   QCheck.Test.make ~name:"bfs all-pairs = floyd-warshall with unit weights"
     ~count:50
@@ -202,8 +187,8 @@ let test_bfs_matches_floyd_warshall =
       let rng = Prng.create ~seed:(n * 31) in
       let g = Topology.random_gnp ~n ~p:0.35 ~rng in
       let unit_weights = Array.make (Graph.m g) 1. in
-      let fw = Sp.floyd_warshall g ~weights:unit_weights in
-      let ap = Sp.all_pairs g in
+      let fw = floyd_warshall g ~weights:unit_weights in
+      let ap = all_pairs g in
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
@@ -222,7 +207,7 @@ let test_triangle_inequality =
     (fun n ->
       let rng = Prng.create ~seed:(n * 17) in
       let g = Topology.random_gnp ~n ~p:0.4 ~rng in
-      let ap = Sp.all_pairs g in
+      let ap = all_pairs g in
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
@@ -236,13 +221,8 @@ let test_triangle_inequality =
 
 let test_eccentricity () =
   let g = Topology.line 5 in
-  Alcotest.(check int) "endpoint" 4 (Sp.eccentricity g 0);
-  Alcotest.(check int) "center" 2 (Sp.eccentricity g 2)
-
-let test_weighted_diameter () =
-  let g = Topology.line 3 in
-  let wd = Sp.weighted_diameter g ~weights:[| 2.; 3. |] in
-  Alcotest.(check (float 1e-9)) "weighted diameter" 5. wd
+  Alcotest.(check int) "endpoint" 4 (eccentricity g 0);
+  Alcotest.(check int) "center" 2 (eccentricity g 2)
 
 let suite =
   [
@@ -253,12 +233,7 @@ let suite =
     Alcotest.test_case "diameter edge cases" `Quick test_diameter_edge_cases;
     Alcotest.test_case "diameter closed forms" `Quick test_closed_forms;
     Alcotest.test_case "diameter near-complete" `Quick test_diameter_near_complete;
-    Alcotest.test_case "dijkstra" `Quick test_dijkstra_weighted;
-    Alcotest.test_case "dijkstra negative" `Quick test_dijkstra_rejects_negative;
-    Alcotest.test_case "bellman-ford cycle" `Quick test_bellman_ford_negative_cycle;
-    Alcotest.test_case "weighted diameter" `Quick test_weighted_diameter;
     Alcotest.test_case "eccentricity" `Quick test_eccentricity;
-    QCheck_alcotest.to_alcotest test_bellman_ford_matches_dijkstra;
     QCheck_alcotest.to_alcotest test_bfs_matches_floyd_warshall;
     QCheck_alcotest.to_alcotest test_triangle_inequality;
     QCheck_alcotest.to_alcotest test_diameter_every_family;
