@@ -1275,8 +1275,10 @@ let e8 () =
   let open Bechamel in
   let heap_bench () =
     let h = Heap.create () in
+    let key = Heap.key () in
     for i = 0 to 999 do
-      Heap.push h ~prio:(float_of_int ((i * 7919) mod 1000)) ~seq:i i
+      key.Heap.prio <- float_of_int ((i * 7919) mod 1000);
+      Heap.push h key ~seq:i i
     done;
     while not (Heap.is_empty h) do
       ignore (Heap.pop_min h)
@@ -1673,16 +1675,14 @@ let e26 () =
   let delays = Dm.uniform (Dm.bounds ~d_min:0.5 ~d_max:1.5) in
   let make_node _ =
     {
-      Engine.on_init = (fun api -> api.Engine.set_timer ~h:period ~tag:0);
+      Engine.on_init = (fun api -> api.Engine.set_timer ~after:period ~tag:0);
       on_message = (fun _ ~port:_ () -> ());
       on_timer =
         (fun api ~tag:_ ->
           for p = 0 to api.Engine.ports - 1 do
             api.Engine.send ~port:p ()
           done;
-          api.Engine.set_timer
-            ~h:(api.Engine.hardware () +. period)
-            ~tag:0);
+          api.Engine.set_timer ~after:period ~tag:0);
     }
   in
   let soak ~regions =

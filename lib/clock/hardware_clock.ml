@@ -37,11 +37,14 @@ let segment_index t now =
     !lo
   end
 
-let value t ~now =
+let[@inline] value_at t now =
   if now < t.times.(0) then
     invalid_arg "Hardware_clock.value: time before clock start";
   let i = segment_index t now in
   t.values.(i) +. (t.rates.(i) *. (now -. t.times.(i)))
+
+let value t ~now = value_at t now
+let read t (r : Reading.t) = r.hw <- value_at t r.now
 
 let inverse t ~h =
   if h < t.values.(0) then

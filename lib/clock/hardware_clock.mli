@@ -22,6 +22,10 @@ val create : ?h0:float -> t0:float -> rate:float -> unit -> t
 val value : t -> now:float -> float
 (** [H(now)]; requires [now >= t0] of creation. *)
 
+val read : t -> Reading.t -> unit
+(** [read t r] writes [value t ~now:r.now] into [r.hw], allocating
+    nothing. *)
+
 val inverse : t -> h:float -> float
 (** The unique real time at which the clock reads [h]; requires
     [h >= value t ~now:t0]. *)

@@ -29,6 +29,22 @@ let value t ~now =
     invalid_arg "Logical_clock.value: time precedes last control action";
   t.base +. (t.mult *. (Hardware_clock.value t.hardware ~now -. t.h_base))
 
+let read t (r : Reading.t) =
+  if r.now < t.last_action then
+    invalid_arg "Logical_clock.read: time precedes last control action";
+  r.logical <- t.base +. (t.mult *. (r.hw -. t.h_base))
+
+let values clocks ~now =
+  let out = Array.create_float (Array.length clocks) in
+  let r = { Reading.now; hw = 0.; logical = 0. } in
+  Array.iteri
+    (fun i t ->
+      Hardware_clock.read t.hardware r;
+      read t r;
+      out.(i) <- r.logical)
+    clocks;
+  out
+
 let rate t ~now = t.mult *. Hardware_clock.rate_at t.hardware ~now
 let mult t = t.mult
 
@@ -42,6 +58,18 @@ let set_mult t ~now m =
   if m <= 0. then invalid_arg "Logical_clock.set_mult: mult must be > 0";
   resync t ~now;
   t.mult <- m
+
+(* [set_mult] at a reading, computed as [read] does: the reading's [hw]
+   is bit-identical to [Hardware_clock.value] at its [now]. *)
+let retarget t (r : Reading.t) m =
+  if t.mult <> m then begin
+    if m <= 0. then invalid_arg "Logical_clock.set_mult: mult must be > 0";
+    read t r;
+    t.base <- r.logical;
+    t.h_base <- r.hw;
+    t.last_action <- r.now;
+    t.mult <- m
+  end
 
 let jump_to t ~now v =
   resync t ~now;

@@ -18,6 +18,18 @@ val create : hardware:Hardware_clock.t -> now:float -> value:float -> mult:float
 val value : t -> now:float -> float
 (** [L(now)]; [now] must not precede the last control action. *)
 
+val read : t -> Reading.t -> unit
+(** [read t r] writes [L(r.now)] into [r.logical], computed from [r.hw],
+    which must be the hardware clock's value at [r.now]. It is {!value}
+    with the hardware read taken from the reading, so it gives the same
+    bits and allocates nothing; [r.now] must not precede the last control
+    action. *)
+
+val values : t array -> now:float -> float array
+(** [values clocks ~now] is [Array.map (fun t -> value t ~now) clocks],
+    bit for bit, without boxing a value per clock: the sample of every
+    node's clock a metrics probe takes. *)
+
 val rate : t -> now:float -> float
 (** Instantaneous logical rate [mult * dH/dt](now). *)
 
@@ -26,6 +38,11 @@ val mult : t -> float
 
 val set_mult : t -> now:float -> float -> unit
 (** Change the multiplier from [now] on; continuous (no value jump). *)
+
+val retarget : t -> Reading.t -> float -> unit
+(** [retarget t r m] is [set_mult t ~now:r.now m] when the multiplier is
+    not already [m], and does nothing (allocating nothing) when it is; the
+    hardware read comes from the reading, as in {!read}. *)
 
 val jump_to : t -> now:float -> float -> unit
 (** Discretely set the clock value at [now]. The caller is responsible for

@@ -2,7 +2,6 @@ type ctx = {
   spec : Spec.t;
   graph : Gcs_graph.Graph.t;
   logical : Gcs_clock.Logical_clock.t array;
-  now : unit -> float;
 }
 
 type t = {

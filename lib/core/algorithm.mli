@@ -6,17 +6,13 @@
     clocks — and yields per-node engine handlers. The handlers for node [v]
     may touch only [logical.(v)] and the information reaching them through
     the engine API; the shared context mirrors what a real deployment
-    distributes out of band. *)
+    distributes out of band. A handler reads the time of its event from
+    its API's clock reading ({!Gcs_sim.Engine.api}). *)
 
 type ctx = {
   spec : Spec.t;
   graph : Gcs_graph.Graph.t;
   logical : Gcs_clock.Logical_clock.t array;
-  now : unit -> float;
-      (** Real time of the current event, supplied by the runner. Algorithms
-          use it only to evaluate their own logical clock (which is a
-          function of their hardware clock); they never compare it across
-          nodes. *)
 }
 
 type t = {

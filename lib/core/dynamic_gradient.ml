@@ -14,7 +14,11 @@ let tighten_rate (spec : Spec.t) =
 let[@inline] discount ~allow o =
   if o > allow then o -. allow else if o < -.allow then o +. allow else 0.
 
-let discount_prefix ~allow0 ~tighten ~h_local ~live_since offsets ports n =
+(* The local hardware time comes in the reading: a float argument would be
+   boxed on every call. *)
+let discount_prefix ~allow0 ~tighten (r : Gcs_clock.Reading.t) ~live_since
+    offsets ports n =
+  let h_local = r.hw in
   for i = 0 to n - 1 do
     let age = h_local -. live_since.(ports.(i)) in
     let allow = Float.max 0. (allow0 -. (tighten *. age)) in
@@ -35,17 +39,17 @@ let make_node ~allow0 ~tighten (ctx : Algorithm.ctx) v =
     ~on_init:(fun api ->
       live_since := Array.make api.Engine.ports neg_infinity;
       last_heard := Array.make api.Engine.ports 0.)
-    ~on_beacon:(fun ~port ~h_local ->
+    ~on_beacon:(fun ~port r ->
       (* A gap longer than the staleness limit since the port last spoke —
          counted from process start, so an edge first heard from late in
          the run is fresh too — means the edge has just (re)formed: its
          age restarts now. *)
-      if h_local -. !last_heard.(port) > staleness then
-        !live_since.(port) <- h_local;
-      !last_heard.(port) <- h_local)
-    ~decide:(fun ~h_local offsets ports n ->
-      discount_prefix ~allow0 ~tighten ~h_local ~live_since:!live_since
-        offsets ports n;
+      if r.hw -. !last_heard.(port) > staleness then
+        !live_since.(port) <- r.hw;
+      !last_heard.(port) <- r.hw)
+    ~decide:(fun r offsets ports n ->
+      discount_prefix ~allow0 ~tighten r ~live_since:!live_since offsets
+        ports n;
       Gradient_sync.fast_trigger_n ~kappa offsets n)
     ctx v
 

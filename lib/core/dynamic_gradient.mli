@@ -53,13 +53,14 @@ val tighten_rate : Spec.t -> float
 val discount_prefix :
   allow0:float ->
   tighten:float ->
-  h_local:float ->
+  Gcs_clock.Reading.t ->
   live_since:float array ->
   float array ->
   int array ->
   int ->
   unit
-(** [discount_prefix ~allow0 ~tighten ~h_local ~live_since a ports n]
+(** [discount_prefix ~allow0 ~tighten r ~live_since a ports n], with
+    [h_local = r.hw] the node's hardware clock,
     shrinks each estimate [a.(i)], i < n, toward zero by the current
     allowance [max 0 (allow0 - tighten * (h_local - live_since.(ports.(i))))]
     of the edge at port [ports.(i)], in place and without allocating. The

@@ -27,14 +27,15 @@ let make_node ~anchors (ctx : Algorithm.ctx) v =
   Gradient_sync.node
     ~spare:(match anchor with None -> 0 | Some _ -> 1)
     ~slow:base_mult
-    ~on_init:(fun _ -> Logical_clock.set_mult lc ~now:(ctx.now ()) base_mult)
-    ~decide:(fun ~h_local:_ offsets _ n ->
+    ~on_init:(fun api ->
+      Logical_clock.set_mult lc ~now:api.Gcs_sim.Engine.clock.now base_mult)
+    ~decide:(fun clock offsets _ n ->
       match anchor with
       | None -> Gradient_sync.fast_trigger_n ~kappa offsets n
       | Some r ->
-          (* The reference clock is one more neighbor, in the spare slot. *)
-          let now = ctx.now () in
-          offsets.(n) <- Logical_clock.value lc ~now -. query r ~now;
+          (* The reference clock is one more neighbor, in the spare slot;
+             the node's own value is in the reading. *)
+          offsets.(n) <- clock.logical -. query r ~now:clock.now;
           Gradient_sync.fast_trigger_n ~kappa offsets (n + 1))
     ctx v
 

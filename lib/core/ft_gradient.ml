@@ -68,7 +68,7 @@ let algorithm f =
       (fun ctx ->
         let kappa = ctx.spec.Spec.kappa in
         Gradient_sync.node
-          ~decide:(fun ~h_local:_ offsets _ n ->
+          ~decide:(fun _ offsets _ n ->
             let n = filter_prefix ~f ~kappa offsets n in
             Gradient_sync.fast_trigger_n ~kappa offsets n)
           ctx);

@@ -59,7 +59,7 @@ let make_node ~edge_bounds (ctx : Algorithm.ctx) v =
       port_bounds
   in
   Gradient_sync.node ~port_guess
-    ~decide:(fun ~h_local:_ offsets ports n ->
+    ~decide:(fun _ offsets ports n ->
       fast_trigger_ports ~port_kappa ~ports offsets n)
     ctx v
 

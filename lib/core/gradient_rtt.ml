@@ -14,27 +14,25 @@ let make_node (ctx : Algorithm.ctx) v =
   let last_accepted = ref [||] in
   let seq = ref 0 in
   let evaluate (api : Message.t Engine.api) =
-    let h_local = api.hardware () in
-    let own_value = Logical_clock.value lc ~now:(ctx.now ()) in
+    Logical_clock.read lc api.clock;
     let n =
-      Offset_estimator.scan estimators ~max_age:spec.Spec.staleness_limit
-        ~h_local ~own_value
+      Offset_estimator.scan estimators api.clock
+        ~max_age:spec.Spec.staleness_limit
     in
     let offsets = Offset_estimator.offsets estimators in
     let target =
       if Gradient_sync.fast_trigger_n ~kappa offsets n then fast_mult else 1.
     in
-    if Logical_clock.mult lc <> target then
-      Logical_clock.set_mult lc ~now:(ctx.now ()) target
+    Logical_clock.retarget lc api.clock target
   in
   let probe_all (api : Message.t Engine.api) =
     incr seq;
     for port = 0 to api.ports - 1 do
-      api.send ~port (Message.Probe { seq = !seq; h_send = api.hardware () })
+      api.send ~port (Message.Probe { seq = !seq; h_send = api.clock.hw })
     done
   in
   let arm (api : Message.t Engine.api) ~tag delay =
-    api.set_timer ~h:(api.hardware () +. delay) ~tag
+    api.set_timer ~after:delay ~tag
   in
   {
     Engine.on_init =
@@ -47,18 +45,17 @@ let make_node (ctx : Algorithm.ctx) v =
       (fun api ~port msg ->
         match msg with
         | Message.Probe { seq; h_send } ->
-            let value = Logical_clock.value lc ~now:(ctx.now ()) in
+            let value = Logical_clock.value lc ~now:api.clock.now in
             api.send ~port
               (Message.Probe_reply { seq; h_send; remote_value = value })
         | Message.Probe_reply { seq = reply_seq; h_send; remote_value } ->
             if reply_seq > !last_accepted.(port) then begin
               !last_accepted.(port) <- reply_seq;
-              let h_now = api.hardware () in
-              let rtt = h_now -. h_send in
+              let rtt = api.clock.hw -. h_send in
               (* The neighbor's clock read mid-exchange, brought forward by
                  half the round trip: no delay-distribution knowledge. *)
-              Offset_estimator.update estimators ~port ~h_local:h_now
-                ~remote_value ~elapsed_guess:(rtt /. 2.);
+              Offset_estimator.update estimators api.clock ~port ~remote_value
+                ~elapsed_guess:(rtt /. 2.);
               evaluate api
             end
         | Message.Beacon _ | Message.Flood _ | Message.Report _

@@ -30,8 +30,8 @@ val node :
   ?port_guess:float array ->
   ?slow:float ->
   ?on_init:(Message.t Gcs_sim.Engine.api -> unit) ->
-  ?on_beacon:(port:int -> h_local:float -> unit) ->
-  decide:(h_local:float -> float array -> int array -> int -> bool) ->
+  ?on_beacon:(port:int -> Gcs_clock.Reading.t -> unit) ->
+  decide:(Gcs_clock.Reading.t -> float array -> int array -> int -> bool) ->
   Algorithm.ctx ->
   int ->
   Message.t Gcs_sim.Engine.handlers
@@ -41,26 +41,30 @@ val node :
     on every port each [beacon_period] of hardware time and re-checks
     every half period, each first armed at a uniformly jittered instant.
     On every beacon and every re-check it scans its estimator bank (see
-    {!Offset_estimator.scan}) and calls [decide ~h_local offsets ports n]
-    on the scan's [n] offsets and their ports: the clock runs at
-    [1 + mu] when it holds and at [slow] (default 1) otherwise, the
-    multiplier set only when it changes. [decide] may rewrite the prefix
-    and use the [spare] (default 0) slots past it.
+    {!Offset_estimator.scan}) and calls [decide r offsets ports n] on the
+    scan's [n] offsets and their ports, where [r] is the node's clock
+    reading ({!Gcs_sim.Engine.api}'s [clock], with [r.logical] the node's
+    logical clock value): the clock runs at [1 + mu] when it holds and at
+    [slow] (default 1) otherwise, the multiplier set only when it changes.
+    [decide] may rewrite the prefix and use the [spare] (default 0) slots
+    past it. The node sends one beacon value to every port, and neither a
+    delivered beacon nor a re-check allocates.
 
     The hooks, each optional:
     - [port_guess.(p)] replaces the delay-band midpoint as the in-flight
       progress credited to a beacon on port [p];
     - [on_init api] runs first in the engine's [on_init], so again on
       every recovery (after a wipe, on a fresh node);
-    - [on_beacon ~port ~h_local] runs on each beacon before the bank
-      records it, with the hardware time of its arrival. *)
+    - [on_beacon ~port r] runs on each beacon before the bank records
+      it, with the hardware time of its arrival in [r.hw]. *)
 
 val fast_trigger_n : kappa:float -> float array -> int -> bool
 (** [fast_trigger_n ~kappa a n] evaluates the fast trigger on the
     estimates [a.(0 .. n-1)], where [a.(i)] is o_{v,w_i} = (estimated)
     own - neighbor; [n = 0] never triggers. Allocates nothing, so a node
     runs it on its estimator bank's scratch (see {!Offset_estimator.scan})
-    on every beacon. *)
+    on every beacon. It returns for any offsets: an offset of +inf or NaN
+    that leaves no level for the lag makes the trigger false. *)
 
 val slow_trigger_n : kappa:float -> float array -> int -> bool
 (** The complementary slow trigger (some neighbor behind by >= 2s * kappa,

@@ -12,7 +12,7 @@ let algorithm =
       (fun ctx ->
         let threshold = Spec.estimate_error_bound ctx.spec in
         Gradient_sync.node
-          ~decide:(fun ~h_local:_ offsets _ n ->
+          ~decide:(fun _ offsets _ n ->
             ahead_of_us ~threshold offsets n)
           ctx);
   }

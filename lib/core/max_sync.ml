@@ -8,13 +8,13 @@ let make_node (ctx : Algorithm.ctx) v =
   let period = ctx.spec.beacon_period in
   let d_min = ctx.spec.delay.Delay_model.d_min in
   let broadcast (api : Message.t Engine.api) =
-    let value = Logical_clock.value lc ~now:(ctx.now ()) in
+    let value = Logical_clock.value lc ~now:api.clock.now in
     for port = 0 to api.ports - 1 do
       api.send ~port (Message.Beacon { value })
     done
   in
   let arm (api : Message.t Engine.api) delay =
-    api.set_timer ~h:(api.hardware () +. delay) ~tag:Algorithm.timer_beacon
+    api.set_timer ~after:delay ~tag:Algorithm.timer_beacon
   in
   {
     Engine.on_init =
@@ -22,10 +22,10 @@ let make_node (ctx : Algorithm.ctx) v =
         (* Jitter the first beacon so nodes do not fire in lockstep. *)
         arm api (Prng.uniform api.rng ~lo:0. ~hi:period));
     on_message =
-      (fun _api ~port:_ msg ->
+      (fun api ~port:_ msg ->
         match msg with
         | Message.Beacon { value } ->
-            let now = ctx.now () in
+            let now = api.clock.now in
             let candidate = value +. d_min in
             if candidate > Logical_clock.value lc ~now then
               Logical_clock.jump_to lc ~now candidate

@@ -1,7 +1,8 @@
 (* Struct-of-arrays per port: [update] writes two floats, [scan] reads them
-   and writes its results into the bank's own scratch arrays. No float
-   crosses a function boundary per port, so the scan allocates nothing even
-   where cross-module inlining is off. *)
+   and writes its results into the bank's own scratch arrays. The local
+   clock values come in a flat reading, so no float crosses a function
+   boundary and neither allocates, even where cross-module inlining is
+   off. *)
 type t = {
   heard : Bytes.t;  (* '\001' once the port has delivered a beacon *)
   h_anchor : float array;
@@ -22,12 +23,13 @@ let create ?(spare = 0) ports =
 let offsets t = t.offsets
 let offset_ports t = t.offset_ports
 
-let update t ~port ~h_local ~remote_value ~elapsed_guess =
+let update t (r : Gcs_clock.Reading.t) ~port ~remote_value ~elapsed_guess =
   Bytes.set t.heard port '\001';
-  t.h_anchor.(port) <- h_local;
+  t.h_anchor.(port) <- r.hw;
   t.remote_at_anchor.(port) <- remote_value +. elapsed_guess
 
-let scan t ~max_age ~h_local ~own_value =
+let scan t (r : Gcs_clock.Reading.t) ~max_age =
+  let h_local = r.hw and own_value = r.logical in
   let count = ref 0 in
   for port = 0 to Array.length t.h_anchor - 1 do
     if Bytes.get t.heard port <> '\000' then begin

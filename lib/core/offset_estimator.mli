@@ -26,18 +26,21 @@ val create : ?spare:int -> int -> t
 
 val update :
   t ->
+  Gcs_clock.Reading.t ->
   port:int ->
-  h_local:float ->
   remote_value:float ->
   elapsed_guess:float ->
   unit
-(** Record a beacon on [port]: at local hardware time [h_local] the remote
-    clock was estimated at [remote_value + elapsed_guess] (the caller
-    supplies the assumed in-flight progress, typically the delay-band
-    midpoint). A NaN [remote_value] is recorded like any other. *)
+(** [update t r ~port ~remote_value ~elapsed_guess] records a beacon on
+    [port]: at local hardware time [h_local = r.hw] the remote clock was
+    estimated at [remote_value + elapsed_guess] (the caller supplies the
+    assumed in-flight progress, typically the delay-band midpoint). A NaN
+    [remote_value] is recorded like any other. *)
 
-val scan : t -> max_age:float -> h_local:float -> own_value:float -> int
-(** [scan t ~max_age ~h_local ~own_value] writes the estimated
+val scan : t -> Gcs_clock.Reading.t -> max_age:float -> int
+(** [scan t r ~max_age] writes, for the local hardware time
+    [h_local = r.hw] and the node's own logical value
+    [own_value = r.logical], the estimated
     [own - remote] offset (the o_{v,w} of the model) of every fresh port,
     in increasing port order, into [(offsets t).(0 .. k-1)] and the port
     numbers into [(offset_ports t).(0 .. k-1)], and returns [k]. A port is

@@ -110,8 +110,7 @@ type result = {
 }
 
 let snapshot_values live =
-  let now = Engine.now live.engine in
-  Array.map (fun lc -> Logical_clock.value lc ~now) live.logical
+  Logical_clock.values live.logical ~now:(Engine.now live.engine)
 
 let snapshot live =
   { Metrics.time = Engine.now live.engine; values = snapshot_values live }
@@ -295,11 +294,7 @@ let prepare (cfg : config) =
     | No_loss -> base
     | Uniform_loss p -> Delay_model.with_loss p base
   in
-  let engine_cell = ref None in
-  let now () =
-    match !engine_cell with Some e -> Engine.now e | None -> t0
-  in
-  let ctx = { Algorithm.spec = cfg.spec; graph = cfg.graph; logical; now } in
+  let ctx = { Algorithm.spec = cfg.spec; graph = cfg.graph; logical } in
   let implementation =
     match cfg.override with Some a -> a | None -> Registry.get cfg.algo
   in
@@ -344,7 +339,6 @@ let prepare (cfg : config) =
          ?tamper ?lie ~graph:cfg.graph ~clocks ~delays ~rng:engine_rng
          ~make_node ~t0 ())
   in
-  engine_cell := Some engine;
   let live =
     { cfg; engine; logical; chooser; samples_rev = ref []; event_log; series;
       profiler }

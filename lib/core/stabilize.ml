@@ -78,7 +78,9 @@ let wrap ?monitor_period ?threshold ~inner () =
           tree.Spanning_tree.children.(v)
       in
       let st = { round = -1; lo = 0.; hi = 0.; reports_pending = 0 } in
-      let own_value () = Logical_clock.value lc ~now:(ctx.now ()) in
+      let own_value (api : Message.t Engine.api) =
+        Logical_clock.value lc ~now:api.clock.now
+      in
       let send_to_children (api : Message.t Engine.api) msg =
         Array.iter (fun port -> api.send ~port msg) child_ports
       in
@@ -92,7 +94,7 @@ let wrap ?monitor_period ?threshold ~inner () =
             if estimate > threshold then begin
               stats.resets <- stats.resets + 1;
               send_to_children api
-                (Message.Reset { round = st.round; payload = own_value () })
+                (Message.Reset { round = st.round; payload = own_value api })
             end
         | Some port ->
             api.send ~port
@@ -110,9 +112,7 @@ let wrap ?monitor_period ?threshold ~inner () =
           let budget =
             2.2 *. d_max *. float_of_int (height_below.(v) + 1)
           in
-          api.set_timer
-            ~h:(api.hardware () +. budget)
-            ~tag:(timer_deadline_base + round)
+          api.set_timer ~after:budget ~tag:(timer_deadline_base + round)
         end
       in
       let on_monitor_timer (api : Message.t Engine.api) =
@@ -120,22 +120,22 @@ let wrap ?monitor_period ?threshold ~inner () =
            its stale reports are discarded by the round check). *)
         begin_round api ~round:(st.round + 1) ~delta:0.;
         send_to_children api
-          (Message.Flood { round = st.round; payload = own_value () });
-        api.set_timer ~h:(api.hardware () +. period) ~tag:timer_monitor
+          (Message.Flood { round = st.round; payload = own_value api });
+        api.set_timer ~after:period ~tag:timer_monitor
       in
       {
         Engine.on_init =
           (fun api ->
             inner_handlers.Engine.on_init api;
             if is_root then
-              api.set_timer ~h:(api.hardware () +. period) ~tag:timer_monitor);
+              api.set_timer ~after:period ~tag:timer_monitor);
         on_message =
           (fun api ~port msg ->
             match msg with
             | Message.Flood { round; payload } ->
                 if Some port = parent_port && round <> st.round then begin
                   let est_root = payload +. mid_delay in
-                  begin_round api ~round ~delta:(own_value () -. est_root);
+                  begin_round api ~round ~delta:(own_value api -. est_root);
                   send_to_children api
                     (Message.Flood { round; payload = est_root })
                 end
@@ -149,7 +149,7 @@ let wrap ?monitor_period ?threshold ~inner () =
             | Message.Reset { round; payload } ->
                 if Some port = parent_port then begin
                   let est_root = payload +. mid_delay in
-                  Logical_clock.jump_to lc ~now:(ctx.now ()) est_root;
+                  Logical_clock.jump_to lc ~now:api.clock.now est_root;
                   send_to_children api
                     (Message.Reset { round; payload = est_root })
                 end

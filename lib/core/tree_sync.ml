@@ -25,26 +25,21 @@ let prepare (ctx : Algorithm.ctx) =
     let seq = ref 0 in
     let last_accepted = ref 0 in
     let arm (api : Message.t Engine.api) delay =
-      api.set_timer ~h:(api.hardware () +. delay) ~tag:Algorithm.timer_beacon
+      api.set_timer ~after:delay ~tag:Algorithm.timer_beacon
     in
     let probe_parent (api : Message.t Engine.api) =
       match parent_port with
       | None -> ()
       | Some port ->
           incr seq;
-          api.send ~port (Message.Probe { seq = !seq; h_send = api.hardware () })
+          api.send ~port (Message.Probe { seq = !seq; h_send = api.clock.hw })
     in
     let steer (api : Message.t Engine.api) err =
       (* [err] estimates own - parent; positive means we are ahead. *)
-      ignore api;
-      let now = ctx.now () in
-      let target =
-        if err < -.threshold then fast
-        else if err > threshold then slow
-        else 1.
-      in
-      if Logical_clock.mult lc <> target then
-        Logical_clock.set_mult lc ~now target
+      Logical_clock.retarget lc api.clock
+        (if err < -.threshold then fast
+         else if err > threshold then slow
+         else 1.)
     in
     {
       Engine.on_init =
@@ -53,7 +48,7 @@ let prepare (ctx : Algorithm.ctx) =
         (fun api ~port msg ->
           match msg with
           | Message.Probe { seq; h_send } ->
-              let value = Logical_clock.value lc ~now:(ctx.now ()) in
+              let value = Logical_clock.value lc ~now:api.clock.now in
               api.send ~port
                 (Message.Probe_reply { seq; h_send; remote_value = value })
           | Message.Probe_reply { seq = reply_seq; h_send; remote_value } ->
@@ -62,10 +57,10 @@ let prepare (ctx : Algorithm.ctx) =
                  which also discards reordered stragglers. *)
               if Some port = parent_port && reply_seq > !last_accepted then begin
                 last_accepted := reply_seq;
-                let h_now = api.hardware () in
+                let h_now = api.clock.hw in
                 let rtt = h_now -. h_send in
                 let parent_estimate = remote_value +. (rtt /. 2.) in
-                let own = Logical_clock.value lc ~now:(ctx.now ()) in
+                let own = Logical_clock.value lc ~now:api.clock.now in
                 steer api (own -. parent_estimate)
               end
           | Message.Beacon _ | Message.Flood _ | Message.Report _

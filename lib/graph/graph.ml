@@ -60,6 +60,25 @@ let port_of_neighbor t v w =
   if !port = Array.length adj then raise Not_found;
   !port
 
+let reverse_ports t =
+  (* Each edge's port at each end, its lower endpoint's first. *)
+  let at_end = Array.make (2 * Array.length t.edges) 0 in
+  for v = 0 to t.n - 1 do
+    let adj = t.adj.(v) in
+    for p = 0 to Array.length adj - 1 do
+      let w, e = adj.(p) in
+      at_end.((2 * e) + if v < w then 0 else 1) <- p
+    done
+  done;
+  Array.init t.n (fun v ->
+      let adj = t.adj.(v) in
+      let rev = Array.make (Array.length adj) 0 in
+      for p = 0 to Array.length adj - 1 do
+        let w, e = adj.(p) in
+        rev.(p) <- at_end.((2 * e) + if w < v then 0 else 1)
+      done;
+      rev)
+
 let mem_edge t u v =
   Array.exists (fun (w, _) -> w = v) t.adj.(u)
 

@@ -46,6 +46,13 @@ val port_of_neighbor : t -> int -> int -> int
 (** [port_of_neighbor g v w] is the port of [v] that leads to [w].
     Raises [Not_found] if [w] is not adjacent to [v]. *)
 
+val reverse_ports : t -> int array array
+(** The reverse-port column, built in O(n + m): [(reverse_ports g).(v).(p)]
+    is [port_of_neighbor g (neighbor_at_port g v p) v], the port by which
+    the node at port [p] of [v] reaches [v] back. The engine builds it
+    once, so a send finds the receiver's port without scanning the
+    receiver's adjacency. *)
+
 val mem_edge : t -> int -> int -> bool
 val is_connected : t -> bool
 

@@ -148,7 +148,8 @@ let run (cfg : config) =
           end
     end
   in
-  let set_timer ~h ~tag =
+  let set_timer ~after ~tag =
+    let h = Hardware_clock.value hw ~now:(now ()) +. after in
     pending_timers := insert_by fst (h, tag) !pending_timers
   in
   let pop_due_timer () =
@@ -204,7 +205,11 @@ let run (cfg : config) =
       Transport.node = v;
       ports = Graph.degree cfg.graph v;
       mono = now;
-      hardware = (fun () -> Hardware_clock.value hw ~now:(now ()));
+      read =
+        (fun r ->
+          let t = now () in
+          r.now <- t;
+          r.hw <- Hardware_clock.value hw ~now:t);
       send = do_send;
       set_timer;
       recv;
@@ -214,7 +219,7 @@ let run (cfg : config) =
     }
   in
   let ctx =
-    { Algorithm.spec = cfg.spec; graph = cfg.graph; logical; now }
+    { Algorithm.spec = cfg.spec; graph = cfg.graph; logical }
   in
   let make_node = (Registry.get cfg.algo).Algorithm.prepare ctx in
   let driver = Transport.Driver.create tr (make_node v) in

@@ -24,8 +24,11 @@ let wrap (inner : Algorithm.t) : Algorithm.t =
                   {
                     Transport.node = api.Engine.node;
                     ports = api.Engine.ports;
-                    mono = ctx.Algorithm.now;
-                    hardware = api.Engine.hardware;
+                    mono = (fun () -> api.Engine.clock.now);
+                    read =
+                      (fun r ->
+                        r.now <- api.Engine.clock.now;
+                        r.hw <- api.Engine.clock.hw);
                     send = api.Engine.send;
                     set_timer = api.Engine.set_timer;
                     recv =
@@ -51,7 +54,7 @@ let wrap (inner : Algorithm.t) : Algorithm.t =
               (fun api ~port msg ->
                 let d, inbox, tr = driver_of api in
                 Queue.push { Transport.port; msg } inbox;
-                match tr.Transport.recv ~deadline:(ctx.Algorithm.now ()) with
+                match tr.Transport.recv ~deadline:api.Engine.clock.now with
                 | Some { Transport.port; msg } ->
                     Transport.Driver.deliver d ~port msg
                 | None -> ());

@@ -6,9 +6,9 @@ type t = {
   node : int;
   ports : int;
   mono : unit -> float;
-  hardware : unit -> float;
+  read : Gcs_clock.Reading.t -> unit;
   send : port:int -> Gcs_core.Message.t -> unit;
-  set_timer : h:float -> tag:int -> unit;
+  set_timer : after:float -> tag:int -> unit;
   recv : deadline:float -> delivery option;
   pop_due_timer : unit -> int option;
   next_deadline : unit -> float option;
@@ -19,7 +19,7 @@ let api tr =
   {
     Engine.node = tr.node;
     ports = tr.ports;
-    hardware = tr.hardware;
+    clock = Gcs_clock.Reading.create ();
     send = tr.send;
     set_timer = tr.set_timer;
     rng = tr.rng;
@@ -39,9 +39,21 @@ module Driver = struct
 
   let handlers d = d.handlers
   let replace_handlers d h = d.handlers <- h
-  let start d = d.handlers.Engine.on_init d.api
-  let deliver d ~port msg = d.handlers.Engine.on_message d.api ~port msg
-  let fire d ~tag = d.handlers.Engine.on_timer d.api ~tag
+
+  (* Every handler runs on a fresh reading, as the engine gives it. *)
+  let refresh d = d.transport.read d.api.Engine.clock
+
+  let start d =
+    refresh d;
+    d.handlers.Engine.on_init d.api
+
+  let deliver d ~port msg =
+    refresh d;
+    d.handlers.Engine.on_message d.api ~port msg
+
+  let fire d ~tag =
+    refresh d;
+    d.handlers.Engine.on_timer d.api ~tag
 
   let step d ~until =
     let tr = d.transport in

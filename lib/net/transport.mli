@@ -17,11 +17,14 @@ type t = {
   mono : unit -> float;
       (** the run clock: simulation time for the sim shim, monotonic
           seconds since the barrier for live transports *)
-  hardware : unit -> float;  (** local hardware clock at [mono ()] *)
+  read : Gcs_clock.Reading.t -> unit;
+      (** fill a reading: [now] with [mono ()] and [hw] with the local
+          hardware clock at that instant *)
   send : port:int -> Gcs_core.Message.t -> unit;
-  set_timer : h:float -> tag:int -> unit;
-      (** arm a one-shot timer in local hardware time (engine semantics:
-          a value already in the past fires immediately) *)
+  set_timer : after:float -> tag:int -> unit;
+      (** arm a one-shot timer [after] local hardware time from now
+          (engine semantics: a deadline already in the past fires
+          immediately) *)
   recv : deadline:float -> delivery option;
       (** block until a message arrives or [mono ()] reaches [deadline];
           [None] on deadline. Push-based transports (the sim shim) drain
@@ -36,10 +39,12 @@ type t = {
 }
 
 val api : t -> Gcs_core.Message.t Gcs_sim.Engine.api
-(** Repackage a transport as the engine's node-facing API record. The
-    closures pass straight through, so a handler driven via [api] has
-    side effects identical to one driven by the engine itself — the
-    byte-identity property of {!Sim_shim} rests on this. *)
+(** Repackage a transport as the engine's node-facing API record, with a
+    clock reading of its own. The closures pass straight through, and the
+    {!Driver} fills the reading from [read] before every handler, so a
+    handler driven via [api] has side effects identical to one driven by
+    the engine itself — the byte-identity property of {!Sim_shim} rests
+    on this. *)
 
 (** Drives a stock {!Gcs_sim.Engine.handlers} record over a transport:
     the glue that makes an unmodified algorithm a transport client. *)
@@ -56,7 +61,8 @@ module Driver : sig
       semantics). *)
 
   val start : t -> unit
-  (** Run [on_init]. *)
+  (** Run [on_init]. Like {!deliver} and {!fire}, it first fills the
+      API's clock reading from the transport's [read]. *)
 
   val deliver : t -> port:int -> Gcs_core.Message.t -> unit
   (** Run [on_message] through the transport-derived API. *)

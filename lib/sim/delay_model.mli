@@ -20,10 +20,19 @@ type t
 val edge_bounds : t -> int -> bounds
 (** Delay bounds of an edge id. *)
 
+type slot = { mutable at : float; mutable delay : float }
+(** A draw's time and result. A record of floats is stored flat, so both
+    cross {!draw} unboxed, where a [float] argument or result would be
+    boxed on every call. *)
+
+val slot : unit -> slot
+(** A fresh slot, both fields at [0.]. *)
+
 val draw :
-  t -> edge:int -> src:int -> dst:int -> now:float -> rng:Gcs_util.Prng.t -> float
-(** Draw a delay for one message. The result is always within the edge's
-    bounds (the engine additionally asserts this). *)
+  t -> edge:int -> src:int -> dst:int -> rng:Gcs_util.Prng.t -> slot -> unit
+(** [draw m ~edge ~src ~dst ~rng s] draws the delay of one message sent
+    at [s.at] and writes it into [s.delay]. The delay is always within the
+    edge's bounds (the engine additionally asserts this). *)
 
 val uniform : bounds -> t
 (** Uniform draw in [d_min, d_max] for every edge. *)

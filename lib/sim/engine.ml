@@ -2,13 +2,14 @@ module Prng = Gcs_util.Prng
 module Scheduler = Gcs_util.Scheduler
 module Graph = Gcs_graph.Graph
 module Hardware_clock = Gcs_clock.Hardware_clock
+module Reading = Gcs_clock.Reading
 
 type 'msg api = {
   node : int;
   ports : int;
-  hardware : unit -> float;
+  clock : Reading.t;
   send : port:int -> 'msg -> unit;
-  set_timer : h:float -> tag:int -> unit;
+  set_timer : after:float -> tag:int -> unit;
   rng : Prng.t;
 }
 
@@ -108,12 +109,13 @@ let pool_grow p =
   done;
   p.tp_cap <- ncap
 
-(* [heads.(node)] is the first slot of the node's pending-timer list. *)
-let pool_alloc p heads ~node ~h ~tag =
+(* [heads.(node)] is the first slot of the node's pending-timer list. The
+   caller writes the slot's deadline into [tp_h]: a float argument would
+   be boxed. *)
+let pool_alloc p heads ~node ~tag =
   if p.tp_free_top = 0 then pool_grow p;
   p.tp_free_top <- p.tp_free_top - 1;
   let s = p.tp_free.(p.tp_free_top) in
-  p.tp_h.(s) <- h;
   p.tp_tag.(s) <- tag;
   p.tp_owner.(s) <- node;
   let head = heads.(node) in
@@ -296,10 +298,18 @@ type 'msg witem =
       lie : lie_state;
     }
 
+(* Floats cross a call unboxed only inside a flat record (see DESIGN.md),
+   so each region keeps its own: windows run regions on their own
+   domains, and each domain writes only its region's records. *)
 type 'msg rctx = {
   rid : int;
   q : 'msg queue; (* the region's events and timer slots *)
-  now_ref : float ref;
+  clock : Reading.t;
+      (* the region's time inside a window, and the reading of the node
+         whose handler runs (its [api.clock]) *)
+  head : Scheduler.key; (* priority of the queue head being dispatched *)
+  key : Scheduler.key; (* priority of the next push *)
+  draw : Delay_model.slot; (* time and delay of the message on the wire *)
   mutable windowed : bool; (* a window is executing on this region *)
   mutable cur_wend : float;
   (* pop log: the window's dispatch order, (prio, seq, first-item index) *)
@@ -330,7 +340,10 @@ let rctx_create ~rid ~t0 =
   {
     rid;
     q = queue_create ();
-    now_ref = ref t0;
+    clock = { Reading.now = t0; hw = 0.; logical = 0. };
+    head = Scheduler.key ();
+    key = Scheduler.key ();
+    draw = Delay_model.slot ();
     windowed = false;
     cur_wend = infinity;
     pop_prio = [||];
@@ -352,6 +365,9 @@ let rctx_create ~rid ~t0 =
     timers_fired = 0;
     controls_run = 0;
   }
+
+(* Engine time, flat so that the store on every dispatch is unboxed. *)
+type instant = { mutable at : float }
 
 type 'msg t = {
   graph : Graph.t;
@@ -389,9 +405,10 @@ type 'msg t = {
   seg_r : float array;
   seg_until : float array;
   seg_epoch : int array;
+  rev_port : int array array; (* [Graph.reverse_ports] *)
   mutable tamper : 'msg tamper option;
   mutable lie : 'msg lie option;
-  mutable now : float;
+  time : instant; (* engine time: the last processed event, or t0 *)
   mutable started : bool;
   mutable observers : (float -> observation -> unit) array;
   mutable dispatch_hook : dispatch_hook option;
@@ -409,19 +426,21 @@ type 'msg t = {
    sequence the serial engine would have assigned. *)
 let lane_base = max_int / 2
 
-(* Region-local simulation time for the domain currently executing a
-   window, so [now] (and through it every algorithm's [ctx.now ()]) reads
-   the region clock while a window runs. *)
-let dls_region_now : float ref option Domain.DLS.key =
+(* The region clock of the domain currently executing a window, so [now]
+   reads the region's time while a window runs. *)
+let dls_region_clock : Reading.t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 let now t =
   if t.nregions > 1 then
-    match Domain.DLS.get dls_region_now with Some r -> !r | None -> t.now
-  else t.now
+    match Domain.DLS.get dls_region_clock with
+    | Some r -> r.Reading.now
+    | None -> t.time.at
+  else t.time.at
 
 (* The real time region [c]'s nodes see: its own clock inside a window. *)
-let[@inline] region_now t c = if c.windowed then !(c.now_ref) else t.now
+let[@inline] region_now t c =
+  if c.windowed then c.clock.Reading.now else t.time.at
 
 (* ---------------- declarative construction ---------------- *)
 
@@ -466,7 +485,11 @@ let observe_at t at obs =
     fs.(i) at obs
   done
 
-let observe t obs = observe_at t t.now obs
+(* Whether anything observes the run. Every observation is built behind
+   this test, so an unobserved run allocates none. *)
+let[@inline] observed t = Array.length t.observers > 0
+
+let observe t obs = observe_at t t.time.at obs
 
 (* ---------------- window buffers ---------------- *)
 
@@ -481,7 +504,9 @@ let witem_add c it =
   c.items.(c.items_len) <- it;
   c.items_len <- c.items_len + 1
 
-let pop_log_add c prio seq =
+(* Log the pop just taken from region [c]'s queue: its priority is still
+   in [c.head]. *)
+let pop_log_add c seq =
   let cap = Array.length c.pop_prio in
   if c.pop_len = cap then begin
     let ncap = if cap = 0 then 64 else 2 * cap in
@@ -495,7 +520,7 @@ let pop_log_add c prio seq =
     c.pop_seq <- ns;
     c.pop_item <- ni
   end;
-  c.pop_prio.(c.pop_len) <- prio;
+  c.pop_prio.(c.pop_len) <- c.head.prio;
   c.pop_seq.(c.pop_len) <- seq;
   c.pop_item.(c.pop_len) <- c.items_len;
   c.pop_len <- c.pop_len + 1
@@ -518,33 +543,36 @@ let[@inline] fresh_seq t =
   t.next_seq <- s + 1;
   s
 
-(* Report [obs] at time [at]; a window buffers it for the barrier. *)
+(* Report [obs] at time [at]; a window buffers it for the barrier. Call
+   it under [observed t], which keeps [obs] unbuilt when nothing
+   observes. *)
 let[@inline] emit t c at obs =
   if not c.windowed then observe_at t at obs
-  else if Array.length t.observers > 0 then witem_add c (W_obs { at; obs })
+  else witem_add c (W_obs { at; obs })
 
-(* Queue handle [h], already filled in [qu]'s columns, at time [prio], and
-   return the sequence it is queued under. Inside a window of region [c]
-   a push landing before the window end enters the queue immediately under
-   a lane sequence (and is recorded for barrier re-sequencing; it is also
-   popped within the window); anything at or beyond the window end waits
-   in a [W_push] for the barrier to queue it, and gets -1 here, so the
-   region queues only ever hold finally-sequenced events between windows.
-   A window pushes only into its own region's queue: cross-region sends are
-   replayed at the barrier. *)
-let enqueue t c qu ~prio h =
+(* Queue handle [h], already filled in [qu]'s columns, at the priority in
+   [c.key], and return the sequence it is queued under. Inside a window of
+   region [c] a push landing before the window end enters the queue
+   immediately under a lane sequence (and is recorded for barrier
+   re-sequencing; it is also popped within the window); anything at or
+   beyond the window end waits in a [W_push] for the barrier to queue it,
+   and gets -1 here, so the region queues only ever hold finally-sequenced
+   events between windows. A window pushes only into its own region's
+   queue: cross-region sends are replayed at the barrier. *)
+let enqueue t c qu h =
   if not c.windowed then begin
     let seq = fresh_seq t in
-    Scheduler.push qu.sched ~prio ~seq h;
+    Scheduler.push qu.sched c.key ~seq h;
     seq
   end
   else begin
     assert (qu == c.q);
+    let prio = c.key.prio in
     if prio < c.cur_wend then begin
       let k = lane_reserve c in
       witem_add c (W_imm k);
       let seq = lane_base + (k * t.nregions) + c.rid in
-      Scheduler.push qu.sched ~prio ~seq h;
+      Scheduler.push qu.sched c.key ~seq h;
       seq
     end
     else begin
@@ -553,8 +581,8 @@ let enqueue t c qu ~prio h =
     end
   end
 
-(* Queue a control or delivery handle. *)
-let enqueue_event t c qu ~prio h = ignore (enqueue t c qu ~prio h : int)
+(* Queue a control or delivery handle at the priority in [c.key]. *)
+let enqueue_event t c qu h = ignore (enqueue t c qu h : int)
 
 (* The region holding [node]'s timers and receiving its messages. *)
 let[@inline] region_of t node = t.regions.(t.node_region.(node))
@@ -572,10 +600,19 @@ let[@inline] hw_value t v ~now =
   end;
   t.seg_v.(v) +. (t.seg_r.(v) *. (now -. t.seg_t.(v)))
 
-(* Queue [slot]'s timer of [node], a node of region [c], and record the
-   entry as the slot's live one; any older entry of the slot is dead from
-   here on. *)
-let push_timer_event t c ~node ~slot ~h_target ~now =
+(* Fill region [c]'s reading for [node] at [now], before a handler of
+   [node] runs. *)
+let[@inline] set_reading t c node ~now =
+  let r = c.clock in
+  r.Reading.now <- now;
+  r.Reading.hw <- hw_value t node ~now
+
+(* Queue [slot]'s timer of [node], a node of region [c], at the region's
+   time, and record the entry as the slot's live one; any older entry of
+   the slot is dead from here on. *)
+let push_timer_event t c ~node ~slot =
+  let now = region_now t c in
+  let h_target = c.q.timers.tp_h.(slot) in
   let h_now = hw_value t node ~now in
   let fire_at =
     (* A deadline already reached (or predating the clock) fires now. On
@@ -587,23 +624,26 @@ let push_timer_event t c ~node ~slot ~h_target ~now =
         (t.seg_t.(node) +. ((h_target -. t.seg_v.(node)) /. t.seg_r.(node)))
     else Float.max now (Hardware_clock.inverse t.clocks.(node) ~h:h_target)
   in
-  c.q.timers.tp_seq.(slot) <- enqueue t c c.q ~prio:fire_at (lnot slot)
+  c.key.prio <- fire_at;
+  c.q.timers.tp_seq.(slot) <- enqueue t c c.q (lnot slot)
 
-(* Put a message sent at [at] on the wire: the loss draw, the delay draw
-   and its bounds check, the sender's lie, tampering, and the delivery
-   push with its duplicate. Serial and intra-region sends call it from
-   [send]; a window's cross-region sends call it at the barrier, in serial
-   send order, with their counts going to the sender's region [c]. *)
-let transmit t c ~at ~src ~dst ~edge ~dst_port ~lie msg =
+(* Put a message sent at [c.draw.at] on the wire: the loss draw, the
+   delay draw and its bounds check, the sender's lie, tampering, and the
+   delivery push with its duplicate. Serial and intra-region sends call it
+   from [send]; a window's cross-region sends call it at the barrier, in
+   serial send order, with their counts going to the sender's region
+   [c]. *)
+let transmit t c ~src ~dst ~edge ~dst_port ~lie msg =
+  let d = c.draw in
+  let at = d.Delay_model.at in
   let drop_p = Delay_model.drop_probability t.delays in
   if drop_p > 0. && Prng.float t.link_rngs.(edge) 1.0 < drop_p then begin
     c.dropped <- c.dropped + 1;
-    emit t c at (Obs_drop { src; dst; edge })
+    if observed t then emit t c at (Obs_drop { src; dst; edge })
   end
   else begin
-    let delay =
-      Delay_model.draw t.delays ~edge ~src ~dst ~now:at ~rng:t.link_rngs.(edge)
-    in
+    Delay_model.draw t.delays ~edge ~src ~dst ~rng:t.link_rngs.(edge) d;
+    let delay = d.Delay_model.delay in
     let b = Delay_model.edge_bounds t.delays edge in
     if not (delay >= b.Delay_model.d_min && delay <= b.Delay_model.d_max) then
       invalid_arg
@@ -628,41 +668,37 @@ let transmit t c ~at ~src ~dst ~edge ~dst_port ~lie msg =
       | None -> msg
       | Some msg' ->
           c.lied <- c.lied + 1;
-          emit t c at (Obs_lie { src; dst; edge });
+          if observed t then emit t c at (Obs_lie { src; dst; edge });
           msg'
     in
     (* Tampering applies after the bounds check: a reorder fault adds extra
        delay *by design* outside the paper's uncertainty model. *)
-    let delay, msg =
+    let msg =
       match t.tamper with
-      | None -> (delay, msg)
-      | Some tm ->
+      | None -> msg
+      | Some tm -> (
           let rng = t.fault_rngs.(edge) in
           let extra = tm.extra_delay ~edge ~now:at ~rng in
-          let msg =
-            match tm.corrupt ~edge ~now:at ~rng msg with
-            | None -> msg
-            | Some msg' ->
-                c.corrupted <- c.corrupted + 1;
-                emit t c at (Obs_corrupt { src; dst; edge });
-                msg'
-          in
-          (delay +. extra, msg)
+          d.Delay_model.delay <- delay +. extra;
+          match tm.corrupt ~edge ~now:at ~rng msg with
+          | None -> msg
+          | Some msg' ->
+              c.corrupted <- c.corrupted + 1;
+              if observed t then emit t c at (Obs_corrupt { src; dst; edge });
+              msg')
     in
-    emit t c at (Obs_send { src; dst; edge; delay });
+    let delay = d.Delay_model.delay in
+    if observed t then emit t c at (Obs_send { src; dst; edge; delay });
     let qu = (region_of t dst).q in
-    enqueue_event t c qu ~prio:(at +. delay)
-      (alloc_deliver qu ~dst ~port:dst_port ~edge msg);
+    c.key.prio <- at +. delay;
+    enqueue_event t c qu (alloc_deliver qu ~dst ~port:dst_port ~edge msg);
     match t.tamper with
     | Some tm when tm.duplicate ~edge ~now:at ~rng:t.fault_rngs.(edge) ->
         c.duplicated <- c.duplicated + 1;
-        emit t c at (Obs_duplicate { src; dst; edge });
-        let dup_delay =
-          Delay_model.draw t.delays ~edge ~src ~dst ~now:at
-            ~rng:t.fault_rngs.(edge)
-        in
-        enqueue_event t c qu ~prio:(at +. dup_delay)
-          (alloc_deliver qu ~dst ~port:dst_port ~edge msg)
+        if observed t then emit t c at (Obs_duplicate { src; dst; edge });
+        Delay_model.draw t.delays ~edge ~src ~dst ~rng:t.fault_rngs.(edge) d;
+        c.key.prio <- at +. d.Delay_model.delay;
+        enqueue_event t c qu (alloc_deliver qu ~dst ~port:dst_port ~edge msg)
     | _ -> ()
   end
 
@@ -675,7 +711,7 @@ let send t c v ~port msg =
   let g = t.graph in
   let edge = Graph.edge_at_port g v port in
   let dst = Graph.neighbor_at_port g v port in
-  let dst_port = Graph.port_of_neighbor g dst v in
+  let dst_port = t.rev_port.(v).(port) in
   (* A crashed node's handlers never run, so this guard is defensive:
      nothing a down node "sends" may enter the network. *)
   if t.node_up.(v) then begin
@@ -683,7 +719,7 @@ let send t c v ~port msg =
     c.sent <- c.sent + 1;
     if not t.edge_up.(edge) then begin
       c.dropped_faults <- c.dropped_faults + 1;
-      emit t c at (Obs_fault_drop { src = v; dst; edge })
+      if observed t then emit t c at (Obs_fault_drop { src = v; dst; edge })
     end
     else if c.windowed && t.edge_cross.(edge) then begin
       let told =
@@ -698,21 +734,30 @@ let send t c v ~port msg =
       in
       witem_add c (W_cross { at; src = v; dst; edge; dst_port; msg; lie })
     end
-    else transmit t c ~at ~src:v ~dst ~edge ~dst_port ~lie:Lie_unasked msg
+    else begin
+      c.draw.Delay_model.at <- at;
+      transmit t c ~src:v ~dst ~edge ~dst_port ~lie:Lie_unasked msg
+    end
   end
+
+(* Arm a timer of node [v], a node of region [c], [after] hardware time
+   units past its current reading. *)
+let set_timer t c v ~after ~tag =
+  let h = hw_value t v ~now:(region_now t c) +. after in
+  if Float.is_nan h then invalid_arg "Engine.set_timer: deadline is NaN";
+  let pool = c.q.timers in
+  let slot = pool_alloc pool t.node_timer_head ~node:v ~tag in
+  pool.tp_h.(slot) <- h;
+  push_timer_event t c ~node:v ~slot
 
 let make_api t v =
   let c = region_of t v in
   {
     node = v;
     ports = Graph.degree t.graph v;
-    hardware = (fun () -> hw_value t v ~now:(region_now t c));
+    clock = c.clock;
     send = (fun ~port msg -> send t c v ~port msg);
-    set_timer =
-      (fun ~h ~tag ->
-        if Float.is_nan h then invalid_arg "Engine.set_timer: h is NaN";
-        let slot = pool_alloc c.q.timers t.node_timer_head ~node:v ~h ~tag in
-        push_timer_event t c ~node:v ~slot ~h_target:h ~now:(region_now t c));
+    set_timer = (fun ~after ~tag -> set_timer t c v ~after ~tag);
     rng = Prng.create ~seed:0 (* replaced in [of_config] *);
   }
 
@@ -796,9 +841,10 @@ let of_config (cfg : 'msg config) =
       seg_r = Array.make n 1.;
       seg_until = Array.make n neg_infinity;
       seg_epoch = Array.make n (-1);
+      rev_port = Graph.reverse_ports graph;
       tamper = cfg.cfg_tamper;
       lie = cfg.cfg_lie;
-      now = cfg.cfg_t0;
+      time = { at = cfg.cfg_t0 };
       started = false;
       observers = Array.of_list cfg.cfg_observers;
       dispatch_hook = cfg.cfg_hook;
@@ -816,7 +862,11 @@ let of_config (cfg : 'msg config) =
 let start t =
   if not t.started then begin
     t.started <- true;
-    Array.iteri (fun v h -> h.on_init t.apis.(v)) t.handlers
+    Array.iteri
+      (fun v h ->
+        set_reading t (region_of t v) v ~now:t.time.at;
+        h.on_init t.apis.(v))
+      t.handlers
   end
 
 (* Bracket an algorithm/control callback with the profiling hook (when
@@ -859,20 +909,21 @@ let dispatch t c qu ~seq h =
     let pool = qu.timers and slot = lnot h in
     if pool_live pool ~slot ~seq then begin
       let node = pool.tp_owner.(slot) in
-      let h_target = pool.tp_h.(slot) in
       let h_now = hw_value t node ~now in
-      if h_now +. 1e-9 >= h_target then begin
+      if h_now +. 1e-9 >= pool.tp_h.(slot) then begin
         let tag = pool.tp_tag.(slot) in
         pool_free pool t.node_timer_head slot;
         c.timers_fired <- c.timers_fired + 1;
-        emit t c now (Obs_timer { node; tag });
+        if observed t then emit t c now (Obs_timer { node; tag });
         hook_before t Dispatch_timer;
+        c.clock.Reading.now <- now;
+        c.clock.Reading.hw <- h_now;
         t.handlers.(node).on_timer t.apis.(node) ~tag;
         hook_after t Dispatch_timer
       end
       else
         (* The clock slowed after this entry was pushed; re-aim. *)
-        push_timer_event t c ~node ~slot ~h_target ~now
+        push_timer_event t c ~node ~slot
     end
     (* else: re-keyed, cancelled or already fired *)
   end
@@ -887,14 +938,16 @@ let dispatch t c qu ~seq h =
          are lost at delivery time. *)
       if (not t.node_up.(dst)) || not t.edge_up.(edge) then begin
         c.dropped_faults <- c.dropped_faults + 1;
-        emit t c now
-          (Obs_fault_drop
-             { src = Graph.neighbor_at_port t.graph dst port; dst; edge })
+        if observed t then
+          emit t c now
+            (Obs_fault_drop
+               { src = Graph.neighbor_at_port t.graph dst port; dst; edge })
       end
       else begin
         c.delivered <- c.delivered + 1;
-        emit t c now (Obs_deliver { dst; port });
+        if observed t then emit t c now (Obs_deliver { dst; port });
         hook_before t Dispatch_deliver;
+        set_reading t c dst ~now;
         t.handlers.(dst).on_message t.apis.(dst) ~port msg;
         hook_after t Dispatch_deliver
       end
@@ -917,21 +970,22 @@ let[@inline] note_heap_depth t sz =
 let run_until_serial t horizon =
   let c = t.regions.(0) in
   let q = c.q.sched in
+  let head = c.head in
   let continue = ref true in
   while !continue && not t.stop_requested do
     note_heap_depth t (Scheduler.size q);
-    let time = Scheduler.min_prio q in
-    if Scheduler.size q > 0 && time <= horizon then begin
+    Scheduler.min_into q head;
+    if Scheduler.size q > 0 && head.prio <= horizon then begin
       let seq = Scheduler.min_seq q in
       let h = Scheduler.pop_min q in
-      t.now <- Float.max t.now time;
+      t.time.at <- Float.max t.time.at head.prio;
       dispatch t c c.q ~seq h
     end
     else continue := false
   done;
   (* A stopped run keeps [now] at the last processed event so the caller
      can see where execution was cut short. *)
-  if not t.stop_requested then t.now <- Float.max t.now horizon
+  if not t.stop_requested then t.time.at <- Float.max t.time.at horizon
 
 (* ------------------------------------------------------------------ *)
 (* Conservative region-parallel execution.                              *)
@@ -964,18 +1018,20 @@ let run_until_serial t horizon =
 let run_region_window t c ~wend =
   c.cur_wend <- wend;
   c.windowed <- true;
-  Domain.DLS.set dls_region_now (Some c.now_ref);
+  Domain.DLS.set dls_region_clock (Some c.clock);
   let q = c.q.sched in
-  while Scheduler.min_prio q < wend do
-    let prio = Scheduler.min_prio q in
+  let head = c.head in
+  Scheduler.min_into q head;
+  while head.prio < wend do
     let seq = Scheduler.min_seq q in
     let h = Scheduler.pop_min q in
-    if prio > !(c.now_ref) then c.now_ref := prio;
-    pop_log_add c prio seq;
-    dispatch t c c.q ~seq h
+    if head.prio > c.clock.Reading.now then c.clock.Reading.now <- head.prio;
+    pop_log_add c seq;
+    dispatch t c c.q ~seq h;
+    Scheduler.min_into q head
   done;
   c.windowed <- false;
-  Domain.DLS.set dls_region_now None
+  Domain.DLS.set dls_region_clock None
 
 (* Merge the window back into serial order: a k-way merge of the regions'
    pop logs keyed by (prio, final seq). Lane sequences resolve through the
@@ -993,10 +1049,12 @@ let merge_window t =
     | W_obs { at; obs } -> observe_at t at obs
     | W_imm k -> c.final_seq.(k) <- fresh_seq t
     | W_push { prio; h } ->
-        let seq = enqueue t c c.q ~prio h in
+        c.key.prio <- prio;
+        let seq = enqueue t c c.q h in
         if h < 0 then c.q.timers.tp_seq.(lnot h) <- seq
     | W_cross { at; src; dst; edge; dst_port; msg; lie } ->
-        transmit t c ~at ~src ~dst ~edge ~dst_port ~lie msg
+        c.draw.Delay_model.at <- at;
+        transmit t c ~src ~dst ~edge ~dst_port ~lie msg
   in
   let exception Done in
   (try
@@ -1062,8 +1120,8 @@ let dispatch_min t i =
   let p = Scheduler.min_prio qu.sched in
   let seq = Scheduler.min_seq qu.sched in
   let h = Scheduler.pop_min qu.sched in
-  assert (p +. 1e-9 >= t.now);
-  t.now <- Float.max t.now p;
+  assert (p +. 1e-9 >= t.time.at);
+  t.time.at <- Float.max t.time.at p;
   dispatch t t.regions.(max i 0) qu ~seq h
 
 let total_pending t =
@@ -1151,7 +1209,9 @@ let run_until_parallel t horizon =
       if wend > next_p then release_window wend;
       merge_window t;
       Array.iter
-        (fun c -> if !(c.now_ref) > t.now then t.now <- !(c.now_ref))
+        (fun c ->
+          if c.clock.Reading.now > t.time.at then
+            t.time.at <- c.clock.Reading.now)
         t.regions;
       (* Boundary pass: events and controls at exactly the window end run
          serially in global (prio, seq) order — this is where faults fire,
@@ -1174,14 +1234,14 @@ let run_until_parallel t horizon =
   Condition.broadcast s.work;
   Mutex.unlock s.mutex;
   Array.iter Domain.join domains;
-  if not t.stop_requested then t.now <- Float.max t.now horizon
+  if not t.stop_requested then t.time.at <- Float.max t.time.at horizon
 
 let run_until t horizon =
   start t;
   if t.nregions = 1 then run_until_serial t horizon
   else if total_pending t > 0 && next_prio t <= horizon then
     run_until_parallel t horizon
-  else if not t.stop_requested then t.now <- Float.max t.now horizon
+  else if not t.stop_requested then t.time.at <- Float.max t.time.at horizon
 
 let step t =
   start t;
@@ -1196,15 +1256,17 @@ let schedule_control t ~at f =
   if Float.is_nan at then invalid_arg "Engine.schedule_control: at is NaN";
   let c = t.regions.(0) in
   let qu = if t.nregions > 1 then t.ctrl_q else c.q in
-  enqueue_event t c qu ~prio:(Float.max at t.now) (alloc_control qu f)
+  let h = alloc_control qu f in
+  c.key.prio <- Float.max at t.time.at;
+  enqueue_event t c qu h
 
 let set_node_rate t ~node ~rate =
   let clock = t.clocks.(node) in
-  Hardware_clock.set_rate clock ~now:t.now ~rate;
+  Hardware_clock.set_rate clock ~now:t.time.at ~rate;
   (* A rate replaced at an existing breakpoint leaves the epoch unchanged;
      drop the cached segment explicitly. *)
   t.seg_epoch.(node) <- -1;
-  observe t (Obs_rate_change { node; rate });
+  if observed t then observe t (Obs_rate_change { node; rate });
   (* Re-key every pending timer: each gets a fresh entry reflecting the
      new rate, which leaves its old entry dead. Slots walk in insertion
      order. *)
@@ -1213,7 +1275,7 @@ let set_node_rate t ~node ~rate =
   let slot = ref t.node_timer_head.(node) in
   while !slot >= 0 do
     let s = !slot in
-    push_timer_event t c ~node ~slot:s ~h_target:pool.tp_h.(s) ~now:t.now;
+    push_timer_event t c ~node ~slot:s;
     slot := pool.tp_next.(s)
   done
 
@@ -1226,21 +1288,23 @@ let crash_node t ~node =
     while t.node_timer_head.(node) >= 0 do
       pool_free pool t.node_timer_head t.node_timer_head.(node)
     done;
-    observe t (Obs_node_down { node })
+    if observed t then observe t (Obs_node_down { node })
   end
 
 let recover_node t ~node ~wipe =
   if not t.node_up.(node) then begin
     t.node_up.(node) <- true;
-    observe t (Obs_node_up { node; wipe });
+    if observed t then observe t (Obs_node_up { node; wipe });
     if wipe then t.handlers.(node) <- t.make_node node;
+    set_reading t (region_of t node) node ~now:t.time.at;
     t.handlers.(node).on_init t.apis.(node)
   end
 
 let set_edge_up t ~edge ~up =
   if t.edge_up.(edge) <> up then begin
     t.edge_up.(edge) <- up;
-    observe t (if up then Obs_edge_up { edge } else Obs_edge_down { edge })
+    if observed t then
+      observe t (if up then Obs_edge_up { edge } else Obs_edge_down { edge })
   end
 
 let request_stop t = t.stop_requested <- true

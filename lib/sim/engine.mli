@@ -5,8 +5,14 @@
     fires, or once at startup. Handlers interact with the world only through
     the {!api} record: they can read their hardware clock, send on local
     ports, arm timers, and draw from a private RNG — they can never read
-    real time, other nodes' clocks, or the topology, which enforces the
-    knowledge restrictions of the model.
+    other nodes' clocks or the topology, which enforces the knowledge
+    restrictions of the model.
+
+    The steady-state serial dispatch path allocates nothing per event:
+    observations are built only when an observer is attached, and every
+    float that crosses a call on the way (engine time, the node's clock
+    reading, a delay draw, a queue priority, a timer deadline) travels in
+    a flat float record or float array, never as a boxed argument.
 
     The engine itself is deterministic: ties in event time are broken by
     insertion order, and all randomness flows from per-component PRNGs
@@ -25,14 +31,25 @@ type 'msg t
 type 'msg api = {
   node : int;  (** this node's id (usable as a name in messages) *)
   ports : int;  (** number of incident links *)
-  hardware : unit -> float;  (** read the local hardware clock *)
+  clock : Gcs_clock.Reading.t;
+      (** The node's clock reading, filled before each of its handlers
+          runs: [now] is the real time of the event and [hw] the local
+          hardware clock then. Handlers may use [now] only to evaluate
+          their own logical clock (which is a function of their hardware
+          clock), never to compare across nodes. The record is the
+          region's, shared by its nodes and refilled for every handler, so
+          it is valid only while the handler runs; the handler may write
+          [logical] (see {!Gcs_clock.Logical_clock.read}). A flat float
+          record, so reading it allocates nothing. *)
   send : port:int -> 'msg -> unit;
-  set_timer : h:float -> tag:int -> unit;
+  set_timer : after:float -> tag:int -> unit;
       (** Arm a one-shot timer that fires when the local hardware clock
-          reaches [h]; a value already in the past fires immediately, and
-          NaN raises [Invalid_argument]. Any number of timers may be
-          pending; they are distinguished by [tag] (tags need not be
-          unique). *)
+          reaches [clock.hw +. after]; a deadline already in the past
+          fires immediately, and a NaN deadline raises
+          [Invalid_argument]. Any number of timers may be pending; they
+          are distinguished by [tag] (tags need not be unique). A delay
+          the handler does not recompute per call (a period bound once)
+          crosses the closure without being boxed again. *)
   rng : Gcs_util.Prng.t;  (** node-private deterministic randomness *)
 }
 

@@ -15,6 +15,10 @@
    each level copies one entry into the hole, and the moving entry is
    written once, where the hole stops. *)
 
+type key = { mutable prio : float }
+
+let key () = { prio = 0. }
+
 type t = {
   mutable prios : float array;
   mutable seqs : int array;
@@ -42,8 +46,9 @@ let grow t =
   t.seqs <- ns;
   t.vals <- nv
 
-let push t ~prio ~seq v =
+let push t key ~seq v =
   if t.len = Array.length t.prios then grow t;
+  let prio = key.prio in
   let prios = t.prios and seqs = t.seqs and vals = t.vals in
   let i = ref t.len in
   let rising = ref true in
@@ -64,6 +69,7 @@ let push t ~prio ~seq v =
   t.len <- t.len + 1
 
 let min_prio t = if t.len = 0 then infinity else t.prios.(0)
+let min_into t key = key.prio <- (if t.len = 0 then infinity else t.prios.(0))
 let min_seq t = if t.len = 0 then max_int else t.seqs.(0)
 
 (* Remove the root. The last entry fills the hole the root leaves and

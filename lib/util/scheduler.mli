@@ -10,6 +10,14 @@
 
 type t
 
+type key = { mutable prio : float }
+(** A priority on its way into or out of the heap. A one-float record is
+    stored flat, so a priority written here crosses the call unboxed,
+    where a [float] argument or result would be boxed on every call. *)
+
+val key : unit -> key
+(** A fresh key, at [0.]. *)
+
 val create : unit -> t
 (** An empty heap; its columns are allocated on the first push and
     double on demand. *)
@@ -17,12 +25,16 @@ val create : unit -> t
 val size : t -> int
 val is_empty : t -> bool
 
-val push : t -> prio:float -> seq:int -> int -> unit
-(** Insert a handle with an explicit tiebreaker. Pop order is ascending
-    [(prio, seq)]; [prio] must not be NaN, which no order ranks. *)
+val push : t -> key -> seq:int -> int -> unit
+(** [push t key ~seq v] inserts handle [v] at priority [key.prio] with an
+    explicit tiebreaker. Pop order is ascending [(prio, seq)]; the
+    priority must not be NaN, which no order ranks. *)
 
 val min_prio : t -> float
 (** Priority of the next pop; [infinity] when empty. *)
+
+val min_into : t -> key -> unit
+(** [min_into t key] writes {!min_prio} into [key.prio], unboxed. *)
 
 val min_seq : t -> int
 (** Sequence of the next pop; [max_int] when empty. *)

@@ -4,8 +4,14 @@ module Prng = Gcs_util.Prng
 let b = Dm.bounds ~d_min:0.5 ~d_max:1.5
 let rng () = Prng.create ~seed:4
 
-let draw model =
-  Dm.draw model ~edge:0 ~src:0 ~dst:1 ~now:0. ~rng:(rng ())
+(* One draw through a fresh slot: the send time in, the delay out. *)
+let draw_at m ~edge ~src ~dst ~now ~rng =
+  let s = Dm.slot () in
+  s.Dm.at <- now;
+  Dm.draw m ~edge ~src ~dst ~rng s;
+  s.Dm.delay
+
+let draw model = draw_at model ~edge:0 ~src:0 ~dst:1 ~now:0. ~rng:(rng ())
 
 let test_bounds_validation () =
   Alcotest.check_raises "negative d_min"
@@ -38,7 +44,7 @@ let prop_uniform_in_bounds =
     QCheck.small_nat
     (fun seed ->
       let g = Prng.create ~seed in
-      let d = Dm.draw (Dm.uniform b) ~edge:0 ~src:0 ~dst:1 ~now:0. ~rng:g in
+      let d = draw_at (Dm.uniform b) ~edge:0 ~src:0 ~dst:1 ~now:0. ~rng:g in
       d >= 0.5 && d <= 1.5)
 
 let test_per_edge () =
@@ -47,9 +53,9 @@ let test_per_edge () =
   in
   let m = Dm.per_edge bounds_of in
   Alcotest.(check (float 1e-12)) "edge 0" 1.
-    (Dm.draw m ~edge:0 ~src:0 ~dst:1 ~now:0. ~rng:(rng ()));
+    (draw_at m ~edge:0 ~src:0 ~dst:1 ~now:0. ~rng:(rng ()));
   Alcotest.(check (float 1e-12)) "edge 1" 3.
-    (Dm.draw m ~edge:1 ~src:1 ~dst:2 ~now:0. ~rng:(rng ()));
+    (draw_at m ~edge:1 ~src:1 ~dst:2 ~now:0. ~rng:(rng ()));
   Alcotest.(check (float 1e-12)) "edge_bounds" 3. (Dm.edge_bounds m 1).Dm.d_max
 
 let test_controlled_defaults_and_overrides () =
@@ -60,6 +66,9 @@ let test_controlled_defaults_and_overrides () =
   Alcotest.(check (float 1e-12)) "default path" 1.0 (draw m);
   chooser := Some (fun ~edge:_ ~src:_ ~dst:_ ~now:_ -> 1.4);
   Alcotest.(check (float 1e-12)) "chooser path" 1.4 (draw m);
+  chooser := Some (fun ~edge:_ ~src:_ ~dst:_ ~now -> 1. +. (now /. 10.));
+  Alcotest.(check (float 1e-12)) "chooser sees the slot's send time" 1.3
+    (draw_at m ~edge:0 ~src:0 ~dst:1 ~now:3. ~rng:(rng ()));
   chooser := None;
   Alcotest.(check (float 1e-12)) "back to default" 1.0 (draw m)
 
@@ -76,10 +85,10 @@ let test_cleared_chooser_matches_default_stream () =
   let plain = Dm.uniform b in
   for i = 0 to 19 do
     let dc =
-      Dm.draw m ~edge:i ~src:0 ~dst:1 ~now:(float_of_int i) ~rng:g_controlled
+      draw_at m ~edge:i ~src:0 ~dst:1 ~now:(float_of_int i) ~rng:g_controlled
     in
     let dd =
-      Dm.draw plain ~edge:i ~src:0 ~dst:1 ~now:(float_of_int i) ~rng:g_default
+      draw_at plain ~edge:i ~src:0 ~dst:1 ~now:(float_of_int i) ~rng:g_default
     in
     Alcotest.(check (float 0.)) "identical draw" dd dc
   done

@@ -53,7 +53,7 @@ let test_message_delivery_time () =
             (fun api -> if v = 0 then api.Engine.send ~port:0 (Ping 0.));
           on_message =
             (fun api ~port:_ _ ->
-              received := api.Engine.hardware () :: !received);
+              received := api.Engine.clock.hw :: !received);
         })
   in
   Engine.run_until engine 10.;
@@ -76,7 +76,7 @@ let test_delivery_within_bounds =
                {
                  Engine.on_init =
                    (fun api ->
-                     api.Engine.set_timer ~h:(api.Engine.hardware ()) ~tag:0);
+                     api.Engine.set_timer ~after:0. ~tag:0);
                  on_message =
                    (fun _api ~port:_ msg ->
                      match msg with
@@ -91,10 +91,10 @@ let test_delivery_within_bounds =
                  on_timer =
                    (fun api ~tag:_ ->
                      for p = 0 to api.Engine.ports - 1 do
-                       api.Engine.send ~port:p (Ping (api.Engine.hardware ()))
+                       api.Engine.send ~port:p (Ping (api.Engine.clock.hw))
                      done;
-                     let h = api.Engine.hardware () in
-                     if h < 20. then api.Engine.set_timer ~h:(h +. 1.) ~tag:0);
+                     let h = api.Engine.clock.hw in
+                     if h < 20. then api.Engine.set_timer ~after:1. ~tag:0);
                })
              ())
       in
@@ -117,7 +117,7 @@ let test_timer_fires_at_hardware_time () =
         {
           null_handlers with
           Engine.on_init =
-            (fun api -> if v = 0 then api.Engine.set_timer ~h:10. ~tag:7);
+            (fun api -> if v = 0 then api.Engine.set_timer ~after:10. ~tag:7);
           on_timer =
             (fun _api ~tag ->
               Alcotest.(check int) "tag" 7 tag;
@@ -137,7 +137,7 @@ let test_timer_in_past_fires_immediately () =
         {
           null_handlers with
           Engine.on_init =
-            (fun api -> if v = 0 then api.Engine.set_timer ~h:(-5.) ~tag:0);
+            (fun api -> if v = 0 then api.Engine.set_timer ~after:(-5.) ~tag:0);
           on_timer = (fun _ ~tag:_ -> fired := true);
         })
   in
@@ -155,7 +155,7 @@ let test_timer_survives_rate_change () =
         {
           null_handlers with
           Engine.on_init =
-            (fun api -> if v = 0 then api.Engine.set_timer ~h:10. ~tag:0);
+            (fun api -> if v = 0 then api.Engine.set_timer ~after:10. ~tag:0);
           on_timer =
             (fun _ ~tag:_ ->
               match !engine_holder with
@@ -178,7 +178,7 @@ let test_timer_rate_speedup () =
         {
           null_handlers with
           Engine.on_init =
-            (fun api -> if v = 0 then api.Engine.set_timer ~h:10. ~tag:0);
+            (fun api -> if v = 0 then api.Engine.set_timer ~after:10. ~tag:0);
           on_timer =
             (fun _ ~tag:_ ->
               match !engine_holder with
@@ -214,7 +214,7 @@ let test_horizon_respected () =
         {
           null_handlers with
           Engine.on_init =
-            (fun api -> if v = 0 then api.Engine.set_timer ~h:50. ~tag:0);
+            (fun api -> if v = 0 then api.Engine.set_timer ~after:50. ~tag:0);
           on_timer = (fun _ ~tag:_ -> fired := true);
         })
   in
@@ -249,7 +249,7 @@ let test_determinism () =
            ~make_node:(fun v ->
              {
                Engine.on_init =
-                 (fun api -> api.Engine.set_timer ~h:0.5 ~tag:0);
+                 (fun api -> api.Engine.set_timer ~after:0.5 ~tag:0);
                on_message =
                  (fun _ ~port msg ->
                    let tag = match msg with Ping _ -> 1 | Pong -> 0 in
@@ -259,8 +259,8 @@ let test_determinism () =
                    for p = 0 to api.Engine.ports - 1 do
                      api.Engine.send ~port:p (Ping (float_of_int v))
                    done;
-                   let h = api.Engine.hardware () in
-                   if h < 10. then api.Engine.set_timer ~h:(h +. 1.) ~tag:0);
+                   let h = api.Engine.clock.hw in
+                   if h < 10. then api.Engine.set_timer ~after:1. ~tag:0);
              })
            ())
     in
@@ -283,8 +283,8 @@ let test_step_single_event () =
           Engine.on_init =
             (fun api ->
               if v = 0 then begin
-                api.Engine.set_timer ~h:1. ~tag:0;
-                api.Engine.set_timer ~h:2. ~tag:0
+                api.Engine.set_timer ~after:1. ~tag:0;
+                api.Engine.set_timer ~after:2. ~tag:0
               end);
           on_timer = (fun _ ~tag:_ -> incr fired);
         })
@@ -301,7 +301,7 @@ let test_pending_events_accessor () =
         {
           null_handlers with
           Engine.on_init =
-            (fun api -> if v = 0 then api.Engine.set_timer ~h:50. ~tag:0);
+            (fun api -> if v = 0 then api.Engine.set_timer ~after:50. ~tag:0);
         })
   in
   Engine.run_until engine 1.;
@@ -314,11 +314,11 @@ let test_observer_cleared () =
         {
           null_handlers with
           Engine.on_init =
-            (fun api -> if v = 0 then api.Engine.set_timer ~h:1. ~tag:0);
+            (fun api -> if v = 0 then api.Engine.set_timer ~after:1. ~tag:0);
           on_timer =
             (fun api ~tag:_ ->
-              let h = api.Engine.hardware () in
-              if h < 5. then api.Engine.set_timer ~h:(h +. 1.) ~tag:0);
+              let h = api.Engine.clock.hw in
+              if h < 5. then api.Engine.set_timer ~after:1. ~tag:0);
         })
   in
   Engine.add_observer engine (fun _ _ -> incr count);
@@ -339,7 +339,7 @@ let test_stop_at_first_event () =
         {
           null_handlers with
           Engine.on_init =
-            (fun api -> if v = 0 then api.Engine.set_timer ~h:1. ~tag:0);
+            (fun api -> if v = 0 then api.Engine.set_timer ~after:1. ~tag:0);
           on_timer = (fun _ ~tag:_ -> incr fired);
         })
   in
@@ -363,7 +363,7 @@ let test_stop_at_final_event () =
         {
           null_handlers with
           Engine.on_init =
-            (fun api -> if v = 0 then api.Engine.set_timer ~h:1. ~tag:0);
+            (fun api -> if v = 0 then api.Engine.set_timer ~after:1. ~tag:0);
           on_timer = (fun _ ~tag:_ -> incr fired);
         })
   in
@@ -387,7 +387,7 @@ let test_stop_requested_twice () =
         {
           null_handlers with
           Engine.on_init =
-            (fun api -> if v = 0 then api.Engine.set_timer ~h:1. ~tag:0);
+            (fun api -> if v = 0 then api.Engine.set_timer ~after:1. ~tag:0);
           on_timer = (fun _ ~tag:_ -> incr fired);
         })
   in
@@ -411,7 +411,7 @@ let test_pending_snapshot_pop_order () =
           Engine.on_init =
             (fun api ->
               if v = 0 then begin
-                api.Engine.set_timer ~h:5. ~tag:3;
+                api.Engine.set_timer ~after:5. ~tag:3;
                 api.Engine.send ~port:0 (Ping 1.)
               end);
         })
@@ -444,7 +444,7 @@ let test_pending_snapshot_filters_stale_timers () =
         {
           null_handlers with
           Engine.on_init =
-            (fun api -> if v = 0 then api.Engine.set_timer ~h:5. ~tag:0);
+            (fun api -> if v = 0 then api.Engine.set_timer ~after:5. ~tag:0);
         })
   in
   Engine.run_until engine 0.;
@@ -466,11 +466,11 @@ let test_nan_times_refused () =
         {
           null_handlers with
           Engine.on_init =
-            (fun api -> if v = 0 then api.Engine.set_timer ~h:nan ~tag:0);
+            (fun api -> if v = 0 then api.Engine.set_timer ~after:nan ~tag:0);
         })
   in
-  Alcotest.check_raises "set_timer ~h:nan"
-    (Invalid_argument "Engine.set_timer: h is NaN") (fun () ->
+  Alcotest.check_raises "set_timer ~after:nan"
+    (Invalid_argument "Engine.set_timer: deadline is NaN") (fun () ->
       Engine.run_until arm_nan 1.);
   let engine = make_engine ~n:2 (fun _ -> null_handlers) in
   Alcotest.check_raises "schedule_control ~at:nan"

@@ -111,10 +111,11 @@ let build sc =
       ok = true;
     }
   in
-  let arm (api : int Engine.api) ~h ~tag =
+  let arm (api : int Engine.api) ~after ~tag =
     model.pushes <- model.pushes + 1;
+    let h = api.Engine.clock.hw +. after in
     model.armed.(api.Engine.node) <- (tag, h) :: model.armed.(api.Engine.node);
-    api.Engine.set_timer ~h ~tag
+    api.Engine.set_timer ~after ~tag
   in
   let send (api : int Engine.api) port =
     let id = model.next_id in
@@ -126,9 +127,8 @@ let build sc =
     {
       Engine.on_init =
         (fun api ->
-          let h = api.Engine.hardware () in
-          arm api ~h:(h +. 0.5 +. (0.1 *. float_of_int v)) ~tag:0;
-          arm api ~h:(h +. 1.3) ~tag:1);
+          arm api ~after:(0.5 +. (0.1 *. float_of_int v)) ~tag:0;
+          arm api ~after:1.3 ~tag:1);
       on_message =
         (fun api ~port id ->
           if Hashtbl.mem model.delivered id then model.ok <- false;
@@ -142,10 +142,10 @@ let build sc =
             Hashtbl.replace model.last_in link id
           end;
           if id mod 3 = 0 then
-            arm api ~h:(api.Engine.hardware () +. 0.4) ~tag:2);
+            arm api ~after:0.4 ~tag:2);
       on_timer =
         (fun api ~tag ->
-          let h = api.Engine.hardware () in
+          let h = api.Engine.clock.hw in
           (* The earliest armed target of this tag fires, and not early. *)
           let mine, others =
             List.partition (fun (t, _) -> t = tag) model.armed.(v)
@@ -158,12 +158,12 @@ let build sc =
           incr fires;
           send api (!fires mod api.Engine.ports);
           match tag with
-          | 0 -> arm api ~h:(h +. 1.) ~tag:0
+          | 0 -> arm api ~after:1. ~tag:0
           | 1 ->
               for p = 0 to api.Engine.ports - 1 do
                 send api p
               done;
-              arm api ~h:(h +. 1.7) ~tag:1
+              arm api ~after:1.7 ~tag:1
           | _ -> ());
     }
   in

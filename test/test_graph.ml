@@ -71,6 +71,33 @@ let prop_degree_sum =
       done;
       !total = 2 * Graph.m g)
 
+(* The reverse-port column the engine sends through is
+   [port_of_neighbor], on every family of graph the runs use. *)
+let prop_reverse_ports =
+  QCheck.Test.make ~name:"reverse_ports = port_of_neighbor" ~count:200
+    QCheck.(triple (int_range 0 3) (int_range 2 30) small_nat)
+    (fun (family, n, seed) ->
+      let module T = Gcs_graph.Topology in
+      let rng = Gcs_util.Prng.create ~seed in
+      let g =
+        match family with
+        | 0 -> T.random_gnp ~n ~p:0.3 ~rng
+        | 1 -> fst (T.random_geometric ~n ~radius:0.35 ~rng)
+        | 2 -> T.grid ~rows:(1 + (n / 6)) ~cols:(2 + (n mod 6))
+        | _ -> T.complete n
+      in
+      let rev = Graph.reverse_ports g in
+      Array.length rev = Graph.n g
+      && List.for_all
+           (fun v ->
+             Array.length rev.(v) = Graph.degree g v
+             && List.for_all
+                  (fun p ->
+                    rev.(v).(p)
+                    = Graph.port_of_neighbor g (Graph.neighbor_at_port g v p) v)
+                  (List.init (Graph.degree g v) Fun.id))
+           (List.init (Graph.n g) Fun.id))
+
 let suite =
   [
     Alcotest.test_case "construction" `Quick test_basic_construction;
@@ -83,4 +110,5 @@ let suite =
     Alcotest.test_case "connectivity" `Quick test_connectivity;
     Alcotest.test_case "fold_edges" `Quick test_fold_edges;
     QCheck_alcotest.to_alcotest prop_degree_sum;
+    QCheck_alcotest.to_alcotest prop_reverse_ports;
   ]

@@ -184,20 +184,20 @@ let test_streamed_profile_equivalence =
 
 (* A run's series profiles, filled in after the run from each point's
    values, are the definition's. The point at time 0 holds the initial
-   values, drawn by [random_value]. A run keeps to one infinity: a gradient
-   node with one neighbour at +inf and another at -inf never ends its level
-   search. Without [series_values] the points carry the same profiles and
-   no values. *)
+   values, drawn by [random_value] with both infinities, so a gradient node
+   may see one neighbour at +inf and another at -inf (its level search then
+   finds no level and must still return). Without [series_values] the
+   points carry the same profiles and no values. *)
 let test_series_profiles =
   QCheck.Test.make ~name:"series profiles = all-pairs definition" ~count:60
     QCheck.(triple (int_range 0 3) (int_range 2 24) small_nat)
     (fun (family, n, seed) ->
       let rng = Prng.create ~seed in
       let g = random_graph family n rng in
-      let infinities =
-        [| (if Prng.int rng 2 = 0 then infinity else neg_infinity) |]
+      let initial =
+        Array.init n (fun _ ->
+            random_value ~infinities:[| infinity; neg_infinity |] rng)
       in
-      let initial = Array.init n (fun _ -> random_value ~infinities rng) in
       let points series_values =
         let obs =
           { Capture.none with series_period = Some 1.5; series_values }

@@ -1,10 +1,19 @@
 module Oe = Gcs_core.Offset_estimator
+module Reading = Gcs_clock.Reading
 
 let checkf = Alcotest.(check (float 1e-9))
 
+(* The bank reads the local clocks from a reading, as a node passes its
+   engine reading. *)
+let reading ?(own_value = 0.) h_local =
+  { Reading.now = 0.; hw = h_local; logical = own_value }
+
+let update e ~port ~h_local ~remote_value ~elapsed_guess =
+  Oe.update e (reading h_local) ~port ~remote_value ~elapsed_guess
+
 (* One port's estimate, read through a scan of the whole bank. *)
 let offset ?(max_age = infinity) e ~port ~h_local ~own_value =
-  let n = Oe.scan e ~max_age ~h_local ~own_value in
+  let n = Oe.scan e (reading ~own_value h_local) ~max_age in
   let rec find i =
     if i = n then None
     else if (Oe.offset_ports e).(i) = port then Some (Oe.offsets e).(i)
@@ -26,7 +35,7 @@ let test_empty () =
 
 let test_anchor_and_extrapolate () =
   let e = Oe.create 1 in
-  Oe.update e ~port:0 ~h_local:10. ~remote_value:100. ~elapsed_guess:1.;
+  update e ~port:0 ~h_local:10. ~remote_value:100. ~elapsed_guess:1.;
   (match remote_estimate e ~port:0 ~h_local:10. with
   | Some v -> checkf "at anchor" 101. v
   | None -> Alcotest.fail "expected estimate");
@@ -36,7 +45,7 @@ let test_anchor_and_extrapolate () =
 
 let test_offset_sign () =
   let e = Oe.create 1 in
-  Oe.update e ~port:0 ~h_local:0. ~remote_value:10. ~elapsed_guess:0.;
+  update e ~port:0 ~h_local:0. ~remote_value:10. ~elapsed_guess:0.;
   (* own = 13, remote estimated at 10: we are ahead by 3 *)
   match offset e ~port:0 ~h_local:0. ~own_value:13. with
   | Some o -> checkf "positive when ahead" 3. o
@@ -44,8 +53,8 @@ let test_offset_sign () =
 
 let test_update_replaces () =
   let e = Oe.create 1 in
-  Oe.update e ~port:0 ~h_local:0. ~remote_value:10. ~elapsed_guess:0.;
-  Oe.update e ~port:0 ~h_local:5. ~remote_value:50. ~elapsed_guess:0.5;
+  update e ~port:0 ~h_local:0. ~remote_value:10. ~elapsed_guess:0.;
+  update e ~port:0 ~h_local:5. ~remote_value:50. ~elapsed_guess:0.5;
   (match Oe.last_beacon e ~port:0 with
   | Some h -> checkf "last beacon time" 5. h
   | None -> Alcotest.fail "expected beacon");
@@ -70,7 +79,7 @@ let prop_estimate_error_bounded =
       let guess = 0.5 *. (d_min +. d_max) in
       let e = Oe.create 1 in
       (* Local hardware runs at rate 1 for simplicity. *)
-      Oe.update e ~port:0 ~h_local:delay ~remote_value:remote_at_send
+      update e ~port:0 ~h_local:delay ~remote_value:remote_at_send
         ~elapsed_guess:guess;
       let h_query = delay +. elapsed in
       let true_remote = remote_at_send +. (remote_rate *. (delay +. elapsed)) in
@@ -84,7 +93,7 @@ let prop_estimate_error_bounded =
 
 let test_expiry () =
   let e = Oe.create 1 in
-  Oe.update e ~port:0 ~h_local:10. ~remote_value:100. ~elapsed_guess:0.;
+  update e ~port:0 ~h_local:10. ~remote_value:100. ~elapsed_guess:0.;
   Alcotest.(check bool) "fresh estimate available" true
     (offset ~max_age:4. e ~port:0 ~h_local:12. ~own_value:0. <> None);
   Alcotest.(check bool) "stale estimate expired" true
@@ -96,11 +105,11 @@ let test_expiry () =
    skips the never-heard and the stale, and leaves spare slots alone. *)
 let test_scan_prefix () =
   let e = Oe.create ~spare:1 4 in
-  Oe.update e ~port:3 ~h_local:9. ~remote_value:1. ~elapsed_guess:0.;
-  Oe.update e ~port:0 ~h_local:2. ~remote_value:1. ~elapsed_guess:0.;
-  Oe.update e ~port:1 ~h_local:10. ~remote_value:2. ~elapsed_guess:0.;
+  update e ~port:3 ~h_local:9. ~remote_value:1. ~elapsed_guess:0.;
+  update e ~port:0 ~h_local:2. ~remote_value:1. ~elapsed_guess:0.;
+  update e ~port:1 ~h_local:10. ~remote_value:2. ~elapsed_guess:0.;
   (Oe.offsets e).(4) <- 42.;
-  let n = Oe.scan e ~max_age:5. ~h_local:10. ~own_value:3. in
+  let n = Oe.scan e (reading ~own_value:3. 10.) ~max_age:5. in
   Alcotest.(check int) "stale port 0 and silent port 2 skipped" 2 n;
   Alcotest.(check (array int)) "fresh ports in order" [| 1; 3 |]
     (Array.sub (Oe.offset_ports e) 0 n);
@@ -110,14 +119,14 @@ let test_scan_prefix () =
 
 let test_exact_age_is_fresh () =
   let e = Oe.create 1 in
-  Oe.update e ~port:0 ~h_local:10. ~remote_value:0. ~elapsed_guess:0.;
+  update e ~port:0 ~h_local:10. ~remote_value:0. ~elapsed_guess:0.;
   Alcotest.(check bool) "age = max_age kept" true
     (offset ~max_age:2.5 e ~port:0 ~h_local:12.5 ~own_value:0. <> None)
 
 let test_nan_beacon_counts () =
   (* Never-heard is not a float value, so a NaN reading is an estimate. *)
   let e = Oe.create 2 in
-  Oe.update e ~port:1 ~h_local:1. ~remote_value:nan ~elapsed_guess:0.;
+  update e ~port:1 ~h_local:1. ~remote_value:nan ~elapsed_guess:0.;
   match offset e ~port:1 ~h_local:1. ~own_value:0. with
   | Some o -> Alcotest.(check bool) "NaN offset" true (Float.is_nan o)
   | None -> Alcotest.fail "a NaN beacon must count as heard"

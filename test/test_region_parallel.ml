@@ -301,6 +301,69 @@ let prop_random_configs_identical =
       && serial.Runner.samples = par.Runner.samples
       && scount = pcount)
 
+(* The engine builds an observation only when an observer is attached, so
+   attaching one must change nothing else: for every registered algorithm,
+   serial and at two regions, a run with an observer that only counts its
+   calls has the samples (bit for bit), outcome and engine counters of the
+   same run without it, and runs at the same region count. Each case runs
+   with no plan, the faulted battery and the Byzantine plan, which put
+   lies, corruptions, duplicates, fault drops and crashes on both
+   paths. *)
+let prop_observer_invisible =
+  let gen =
+    QCheck.Gen.(tup3 (int_range 0 2) (int_range 6 12) (int_range 0 10_000))
+  in
+  let print (topo, nodes, seed) =
+    Printf.sprintf "{topo=%d; nodes=%d; seed=%d}" topo nodes seed
+  in
+  QCheck.Test.make ~name:"a no-op observer changes no result or counter"
+    ~count:6
+    (QCheck.make ~print gen)
+    (fun (topo, nodes, seed) ->
+      let run (plan, algo) ~regions ~observe =
+        let s =
+          { topo; nodes; seed; algo_ft = false; loss = false; plan; regions }
+        in
+        let live =
+          Runner.prepare { (scenario_cfg s ~regions) with Runner.algo }
+        in
+        let seen = ref 0 in
+        if observe then
+          Engine.add_observer live.Runner.engine (fun _ _ -> incr seen);
+        let eff = Engine.regions live.Runner.engine in
+        let result = Runner.complete live in
+        (eff, result, counters live.Runner.engine, !seen)
+      in
+      let sample_bits (r : Runner.result) =
+        Array.map
+          (fun s ->
+            ( Int64.bits_of_float s.Gcs_core.Metrics.time,
+              Array.map Int64.bits_of_float s.Gcs_core.Metrics.values ))
+          r.Runner.samples
+      in
+      List.for_all
+        (fun case ->
+          List.for_all
+            (fun regions ->
+              let eff, bare, bcount, _ = run case ~regions ~observe:false in
+              let oeff, obs, ocount, seen = run case ~regions ~observe:true in
+              (* Free running dispatches nothing but the probes, which
+                 report no observation. *)
+              let handled =
+                List.assoc "dispatch deliver" ocount
+                + List.assoc "dispatch timer" ocount
+              in
+              eff = oeff
+              && (seen > 0 || handled = 0)
+              && Runner.outcome bare = Runner.outcome obs
+              && sample_bits bare = sample_bits obs
+              && bcount = ocount)
+            [ 1; 2 ])
+        (List.concat_map
+           (fun plan ->
+             List.map (fun (algo, _) -> (plan, algo)) Gcs_core.Registry.all)
+           [ 0; 1; 2 ]))
+
 let suite =
   [
     Alcotest.test_case "golden rows identical at 2/3/4 regions" `Quick
@@ -311,4 +374,5 @@ let suite =
     Alcotest.test_case "engine runs a lie under loss serially" `Quick
       test_engine_lie_loss_fallback;
     QCheck_alcotest.to_alcotest prop_random_configs_identical;
+    QCheck_alcotest.to_alcotest prop_observer_invisible;
   ]

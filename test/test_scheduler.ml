@@ -1,5 +1,11 @@
 module Scheduler = Gcs_util.Scheduler
 
+(* The priority travels in a key, as the engine passes it. *)
+let push q ~prio ~seq h =
+  let key = Scheduler.key () in
+  key.Scheduler.prio <- prio;
+  Scheduler.push q key ~seq h
+
 (* Drain a heap into (prio, seq, handle) pop order. *)
 let drain q =
   let rec go acc =
@@ -14,12 +20,18 @@ let drain q =
 let test_empty_sentinels () =
   let q = Scheduler.create () in
   Alcotest.(check bool) "empty min_prio" true (Scheduler.min_prio q = infinity);
-  Alcotest.(check int) "empty min_seq" max_int (Scheduler.min_seq q)
+  Alcotest.(check int) "empty min_seq" max_int (Scheduler.min_seq q);
+  let key = Scheduler.key () in
+  Scheduler.min_into q key;
+  Alcotest.(check bool) "empty min_into" true (key.Scheduler.prio = infinity);
+  push q ~prio:2.5 ~seq:0 0;
+  Scheduler.min_into q key;
+  Alcotest.(check (float 0.)) "min_into" 2.5 key.Scheduler.prio
 
 let test_basic_order () =
   let q = Scheduler.create () in
   List.iteri
-    (fun seq p -> Scheduler.push q ~prio:p ~seq seq)
+    (fun seq p -> push q ~prio:p ~seq seq)
     [ 3.; 1.; 2.; 1.; 0.5 ];
   let popped = List.map (fun (p, _, _) -> p) (drain q) in
   Alcotest.(check (list (float 0.))) "sorted" [ 0.5; 1.; 1.; 2.; 3. ] popped
@@ -28,9 +40,9 @@ let test_basic_order () =
 let test_tie_by_seq () =
   let names = [| "a"; "b"; "c" |] in
   let q = Scheduler.create () in
-  Scheduler.push q ~prio:1. ~seq:2 1;
-  Scheduler.push q ~prio:1. ~seq:0 0;
-  Scheduler.push q ~prio:1. ~seq:7 2;
+  push q ~prio:1. ~seq:2 1;
+  push q ~prio:1. ~seq:0 0;
+  push q ~prio:1. ~seq:7 2;
   let vals = List.map (fun (_, _, h) -> names.(h)) (drain q) in
   Alcotest.(check (list string)) "seq ties" [ "a"; "b"; "c" ] vals
 
@@ -75,7 +87,7 @@ let prop_model =
         (fun op ->
           (match op with
           | M_push p ->
-              Scheduler.push q ~prio:p ~seq:!next_seq !next_seq;
+              push q ~prio:p ~seq:!next_seq !next_seq;
               model := List.merge compare !model [ (p, !next_seq) ];
               incr next_seq
           | M_pop -> pop ());
@@ -138,7 +150,7 @@ let prop_handles_popped_once =
       in
       let push prio =
         let h = fresh () in
-        Scheduler.push q ~prio ~seq:!seq h;
+        push q ~prio ~seq:!seq h;
         incr seq;
         Hashtbl.replace live h ()
       in

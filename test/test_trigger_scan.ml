@@ -9,6 +9,7 @@ module Ft = Gcs_core.Ft_gradient
 module Gh = Gcs_core.Gradient_hetero
 module Dg = Gcs_core.Dynamic_gradient
 module Ms = Gcs_core.Max_slew
+module Reading = Gcs_clock.Reading
 
 module Reference = struct
   type anchor = { h_anchor : float; remote_at_anchor : float }
@@ -263,13 +264,16 @@ let build c =
           let h_local = c.h_local -. age in
           Reference.update refs.(port) ~h_local ~remote_value:remote
             ~elapsed_guess:elapsed;
-          Oe.update bank ~port ~h_local ~remote_value:remote
-            ~elapsed_guess:elapsed)
+          Oe.update bank
+            { Reading.now = 0.; hw = h_local; logical = 0. }
+            ~port ~remote_value:remote ~elapsed_guess:elapsed)
     c.ports;
   (refs, bank)
 
-let scan c bank =
-  Oe.scan bank ~max_age:c.max_age ~h_local:c.h_local ~own_value:c.own
+(* The node's reading at the scan: its hardware time and own value. *)
+let reading c = { Reading.now = 0.; hw = c.h_local; logical = c.own }
+
+let scan c bank = Oe.scan bank (reading c) ~max_age:c.max_age
 
 let bits a = Array.map Int64.bits_of_float a
 
@@ -353,7 +357,7 @@ let check_dynamic c refs bank =
   in
   let n = scan c bank in
   let offsets = Oe.offsets bank in
-  Dg.discount_prefix ~allow0:c.allow0 ~tighten:c.tighten ~h_local:c.h_local
+  Dg.discount_prefix ~allow0:c.allow0 ~tighten:c.tighten (reading c)
     ~live_since:c.live_since offsets (Oe.offset_ports bank) n;
   if not (same_bits ~reference (Array.sub offsets 0 n)) then
     fail "discounted offsets differ"

@@ -55,6 +55,63 @@ let test_scaling_invariance () =
   check "kappa 2, gap 3" true (fast_k 2. ~offsets:[| -3.; 0. |]);
   check "kappa 4, gap 3" false (fast_k 4. ~offsets:[| -3.; 0. |])
 
+(* A lag of +inf or NaN meets no level, so the search must answer false
+   instead of stepping through levels up to a bound that is +inf or NaN
+   itself. An infinite lead with a finite lag still finds its level. *)
+let test_non_finite_offsets () =
+  check "fast, +inf and -inf" false
+    (fast ~offsets:[| infinity; neg_infinity |]);
+  check "slow, NaN" false (slow ~offsets:[| Float.nan; 0. |]);
+  check "slow, +inf and -inf" false
+    (slow ~offsets:[| infinity; neg_infinity |]);
+  check "fast, NaN" false (fast ~offsets:[| Float.nan; -3. |]);
+  check "fast, leader at -inf" true (fast ~offsets:[| neg_infinity; 0. |]);
+  check "slow, laggard at +inf" true (slow ~offsets:[| infinity; -0. |])
+
+(* The triggers by brute force over the levels, one neighbour at a time:
+   fast holds at level s when some neighbour leads by at least
+   (2s + 1) * kappa and none lags by more; slow, with 2s * kappa and the
+   roles swapped. Finite offsets stay within [bound], so no level past
+   bound / kappa + 2 can hold where an earlier one does not. *)
+let reference_trigger ~fast ~kappa ~bound o =
+  let lead x = if fast then -.x else x and lag x = if fast then x else -.x in
+  let holds s =
+    let level = float_of_int ((2 * s) + if fast then 1 else 0) *. kappa in
+    Array.exists (fun x -> lead x >= level) o
+    && Array.for_all (fun x -> lag x <= level) o
+  in
+  let last = int_of_float (bound /. kappa) + 2 in
+  let rec any s = s <= last && (holds s || any (s + 1)) in
+  if fast then Array.length o > 0 && any 0 else Array.length o = 0 || any 0
+
+let prop_triggers_match_reference =
+  let bound = 12. in
+  let offset =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, float_range (-.bound) bound);
+          (3, map (fun k -> float_of_int k) (int_range (-12) 12));
+          (1, return infinity);
+          (1, return neg_infinity);
+          (1, return Float.nan);
+          (1, return (-0.));
+        ])
+  in
+  QCheck.Test.make ~name:"triggers = brute-force level search" ~count:3000
+    QCheck.(
+      make
+        ~print:(fun (kappa, o) ->
+          Printf.sprintf "kappa %h, offsets [%s]" kappa
+            (String.concat "; " (List.map (Printf.sprintf "%h") o)))
+        Gen.(pair (float_range 0.25 4.) (list_size (int_range 0 6) offset)))
+    (fun (kappa, o) ->
+      let o = Array.of_list o in
+      Gcs_core.Gradient_sync.fast_trigger ~kappa ~offsets:o
+      = reference_trigger ~fast:true ~kappa ~bound o
+      && Gcs_core.Gradient_sync.slow_trigger ~kappa ~offsets:o
+         = reference_trigger ~fast:false ~kappa ~bound o)
+
 (* The paper's key structural fact (Kuhn-Oshman Lemma): the fast and slow
    *conditions* are mutually exclusive. Our implementation runs slow
    whenever fast does not hold, which is safe given this property. *)
@@ -157,6 +214,8 @@ let suite =
     Alcotest.test_case "slow blocked" `Quick test_slow_blocked;
     Alcotest.test_case "exact thresholds" `Quick test_exact_thresholds;
     Alcotest.test_case "kappa scaling" `Quick test_scaling_invariance;
+    Alcotest.test_case "non-finite offsets" `Quick test_non_finite_offsets;
+    QCheck_alcotest.to_alcotest prop_triggers_match_reference;
     QCheck_alcotest.to_alcotest prop_mutually_exclusive;
     QCheck_alcotest.to_alcotest prop_fast_needs_leader;
     QCheck_alcotest.to_alcotest prop_uniform_shift_down_keeps_fast;
